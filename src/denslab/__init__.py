@@ -32,7 +32,6 @@ from .dynamics import (
     SolverOptions,
     builtin_drift,
     constant_diffusion,
-    fokker_planck_step,
     frozen_semigroup,
     picard_fixed_point,
     validate_drift,
@@ -56,14 +55,12 @@ from .metrics import (
     renyi_entropy,
     total_variation,
     wasserstein_1d,
-    wasserstein_lp_oracle,
 )
 from .particles import (
     KhasminskiiReport,
     ParticleEnsemble,
     builtin_field,
     euler_maruyama_mkv,
-    girsanov_log_weight,
     girsanov_log_weights_mc,
     khasminskii_mc,
     path_relative_entropy_mc,

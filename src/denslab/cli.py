@@ -3,7 +3,7 @@
 Exit statuses are part of the contract for CI use:
   0  run completed and every asserted check passed
   1  run completed but an asserted check failed
-  2  configuration error (bad key, bad value, invalid grid, ...)
+  2  configuration error (bad key, bad value, invalid grid or drift, ...)
   3  numerical failure (divergence, overflow, non-finite state)
 
 All artifact writes are atomic (write to a temp file, then rename), all
@@ -26,6 +26,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import RunConfig, parse_config
 from .density_core import (
+    _atomic_write,
     load_density,
     normalize,
     save_flow,
@@ -33,7 +34,7 @@ from .density_core import (
     tilde_norm,
 )
 from .dynamics import frozen_semigroup, picard_fixed_point
-from .errors import ConfigError, DenslabError, InvalidParameterError
+from .errors import ConfigError, DenslabError, InvalidDriftError, InvalidParameterError
 from .experiments import (
     experiment_entropy_cost,
     experiment_khasminskii,
@@ -74,22 +75,27 @@ EXPERIMENT_DEFAULTS = {
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+# subcommand -> (flag, type, config key).  A flag that is given (and not
+# empty) sets its key on top of the subcommand's defaults; --config and --set
+# still override it.
+FLAG_KEYS = {
+    "solve": (("--drift", str, "drift.name"), ("--T", float, "time.T"),
+              ("--cells", int, "grid.cells")),
+    "picard": (("--drift", str, "drift.name"), ("--T", float, "time.T"),
+               ("--cells", int, "grid.cells"), ("--tol", float, "picard.tol"),
+               ("--max-iter", int, "picard.max_iter"), ("--lambda0", float, "picard.lambda0")),
+    "particles": (("--drift", str, "drift.name"), ("--N", int, "particles.n"),
+                  ("--dt", float, "particles.dt"), ("--T", float, "time.T")),
+    "khasminskii": (("--f", str, "khasminskii.f_name"),
+                    ("--lambda-grid", str, "khasminskii.lambda_grid"),
+                    ("--N", int, "particles.n")),
+}
 
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in dataclasses.fields(obj):
-            key = "pass" if f.name == "passed" else f.name
-            if f.name == "runtime_seconds":
-                continue
-            out[key] = _jsonable(getattr(obj, f.name))
-        return out
+        return {"pass" if f.name == "passed" else f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, (tuple, list)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
@@ -128,13 +134,14 @@ def _emit_config(cfg: RunConfig, out_dir: str) -> None:
     _atomic_write(os.path.join(out_dir, "resolved_config"), cfg.resolved_text())
 
 
-def _build_cfg(args, extra_base=None) -> RunConfig:
-    base = dict(extra_base or {})
-    if getattr(args, "seed", None) is not None:
-        base["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        base["threads"] = args.threads
-    return parse_config(getattr(args, "config", None), overrides=args.set or (), base=base)
+def _build_cfg(args, defaults=None) -> RunConfig:
+    """defaults < subcommand flags < --config file < --set overrides."""
+    base = dict(defaults or {})
+    for key in [key for _, _, key in FLAG_KEYS.get(args.command, ())] + ["seed", "threads"]:
+        val = getattr(args, key)
+        if val is not None and val != "":
+            base[key] = val
+    return parse_config(args.config, overrides=args.set or (), base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +158,7 @@ def _load_mu(args, cfg, grid):
 
 
 def _cmd_solve(args) -> int:
-    base = {}
-    if args.drift:
-        base["drift.name"] = args.drift
-    if args.T is not None:
-        base["time.T"] = args.T
-    if args.cells is not None:
-        base["grid.cells"] = args.cells
-    cfg = _build_cfg(args, base)
+    cfg = _build_cfg(args)
     grid = cfgmod.build_grid(cfg)
     drift = cfgmod.build_drift(cfg)
     if drift.density_dependent:
@@ -176,20 +176,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_picard(args) -> int:
-    base = {}
-    if args.drift:
-        base["drift.name"] = args.drift
-    if args.T is not None:
-        base["time.T"] = args.T
-    if args.cells is not None:
-        base["grid.cells"] = args.cells
-    if args.tol is not None:
-        base["picard.tol"] = args.tol
-    if args.max_iter is not None:
-        base["picard.max_iter"] = args.max_iter
-    if args.lambda0 is not None:
-        base["picard.lambda0"] = args.lambda0
-    cfg = _build_cfg(args, base)
+    cfg = _build_cfg(args)
     grid = cfgmod.build_grid(cfg)
     mu = _load_mu(args, cfg, grid)
     t0 = time.perf_counter()
@@ -208,16 +195,7 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_particles(args) -> int:
-    base = {}
-    if args.drift:
-        base["drift.name"] = args.drift
-    if args.N is not None:
-        base["particles.n"] = args.N
-    if args.dt is not None:
-        base["particles.dt"] = args.dt
-    if args.T is not None:
-        base["time.T"] = args.T
-    cfg = _build_cfg(args, base)
+    cfg = _build_cfg(args)
     grid = cfgmod.build_grid(cfg)
     mu = _load_mu(args, cfg, grid)
     t0 = time.perf_counter()
@@ -238,14 +216,7 @@ def _cmd_particles(args) -> int:
 
 
 def _cmd_khasminskii(args) -> int:
-    base = dict(EXPERIMENT_DEFAULTS["khasminskii"])
-    if args.f:
-        base["khasminskii.f_name"] = args.f
-    if args.lambda_grid:
-        base["khasminskii.lambda_grid"] = args.lambda_grid
-    if args.N is not None:
-        base["particles.n"] = args.N
-    cfg = _build_cfg(args, base)
+    cfg = _build_cfg(args, EXPERIMENT_DEFAULTS["khasminskii"])
     grid = cfgmod.build_grid(cfg)
     t0 = time.perf_counter()
     rep = khasminskii_mc(cfgmod.build_field(cfg), cfgmod.build_drift(cfg),
@@ -304,7 +275,6 @@ def _cmd_experiment(args) -> int:
     t0 = time.perf_counter()
     report = EXPERIMENTS[args.name](cfg)
     runtime = time.perf_counter() - t0
-    report = report.with_runtime(runtime)
     _emit_config(cfg, args.out)
     write_report(report, args.out, runtime)
     _write_curve(report, args.out)
@@ -315,7 +285,9 @@ def _cmd_experiment(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p) -> None:
+def _add_common(p, command: str) -> None:
+    for flag, typ, key in FLAG_KEYS.get(command, ()):
+        p.add_argument(flag, type=typ, dest=key, help=f"sets {key}")
     p.add_argument("--config", help="config file (key = value lines)")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--out", default="denslab_out", help="output directory")
@@ -330,40 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="frozen (density-independent) forward solve")
-    p.add_argument("--drift")
     p.add_argument("--params", dest="config")
     p.add_argument("--mu", help="initial density CSV")
-    p.add_argument("--T", type=float)
-    p.add_argument("--cells", type=int)
-    _add_common(p)
+    _add_common(p, "solve")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("picard", help="fixed point of the density-feedback flow")
-    p.add_argument("--drift")
     p.add_argument("--params", dest="config")
-    p.add_argument("--mu")
-    p.add_argument("--T", type=float)
-    p.add_argument("--cells", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--lambda0", type=float)
-    _add_common(p)
+    p.add_argument("--mu", help="initial density CSV")
+    _add_common(p, "picard")
     p.set_defaults(fn=_cmd_picard)
 
     p = sub.add_parser("particles", help="interacting particle simulation")
-    p.add_argument("--drift")
-    p.add_argument("--mu")
-    p.add_argument("--N", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float)
-    _add_common(p)
+    p.add_argument("--mu", help="initial density CSV")
+    _add_common(p, "particles")
     p.set_defaults(fn=_cmd_particles)
 
     p = sub.add_parser("khasminskii", help="exponential moment Monte Carlo")
-    p.add_argument("--f", help="field name: constant | singular_power")
-    p.add_argument("--lambda-grid", dest="lambda_grid")
-    p.add_argument("--N", type=int)
-    _add_common(p)
+    _add_common(p, "khasminskii")
     p.set_defaults(fn=_cmd_khasminskii)
 
     p = sub.add_parser("metrics", help="distance between two density CSVs")
@@ -376,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="theorem-to-experiment harness")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
-    _add_common(p)
+    _add_common(p, "experiment")
     p.set_defaults(fn=_cmd_experiment)
 
     return ap
@@ -386,10 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidParameterError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, InvalidParameterError, InvalidDriftError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DenslabError as exc:

@@ -11,6 +11,7 @@ artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .particles import SpaceTimeField, builtin_field
 
 SCHEMA_VERSION = 1
 
-# key -> (type tag, default).  Type tags: int, float, str, bool, floatlist.
+# key -> (type tag, default).  Type tags: int, float, str, floatlist.
 SCHEMA = {
     "schema.version": ("int", SCHEMA_VERSION),
     "seed": ("int", 12345),
@@ -105,14 +106,23 @@ SCHEMA = {
 }
 
 
+def _no_nan(key: str, vals):
+    # inf stays legal: k = inf is a valid metric exponent
+    if any(math.isnan(v) for v in vals):
+        raise ConfigError(f"key '{key}' must not be NaN")
+
+
 def _coerce(key: str, raw, kind: str):
     if kind == "floatlist":
         if isinstance(raw, (tuple, list)):
-            return tuple(float(v) for v in raw)
-        try:
-            return tuple(float(v) for v in str(raw).split(",") if v.strip() != "")
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects a comma-separated float list, got {raw!r}")
+            vals = tuple(float(v) for v in raw)
+        else:
+            try:
+                vals = tuple(float(v) for v in str(raw).split(",") if v.strip() != "")
+            except ValueError:
+                raise ConfigError(f"key '{key}' expects a comma-separated float list, got {raw!r}")
+        _no_nan(key, vals)
+        return vals
     if isinstance(raw, str):
         raw = raw.strip()
     try:
@@ -121,15 +131,9 @@ def _coerce(key: str, raw, kind: str):
                 raise ValueError
             return int(raw)
         if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if isinstance(raw, bool):
-                return raw
-            if str(raw).lower() in ("true", "1", "yes"):
-                return True
-            if str(raw).lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
+            val = float(raw)
+            _no_nan(key, (val,))
+            return val
         if kind == "str":
             return str(raw)
     except (TypeError, ValueError):
@@ -167,11 +171,14 @@ def parse_config(path: str | None = None, overrides=(), base: dict | None = None
     keys and malformed values raise ConfigError naming the key.
     """
     data = {k: _coerce(k, d, t) for k, (t, d) in SCHEMA.items()}
-    if base:
-        for k, v in base.items():
-            if k not in SCHEMA:
-                raise ConfigError(f"unknown key '{k}'")
-            data[k] = _coerce(k, v, SCHEMA[k][0])
+
+    def put(key, val, where=""):
+        if key not in SCHEMA:
+            raise ConfigError(f"{where}unknown key '{key}'")
+        data[key] = _coerce(key, val, SCHEMA[key][0])
+
+    for key, val in (base or {}).items():
+        put(key, val)
     if path is not None:
         try:
             with open(path) as fh:
@@ -185,16 +192,12 @@ def parse_config(path: str | None = None, overrides=(), base: dict | None = None
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}:{ln}: unknown key '{key}'")
-            data[key] = _coerce(key, val, SCHEMA[key][0])
+            put(key, val, f"{path}:{ln}: ")
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override '{ov}' must look like key=value")
         key, val = (s.strip() for s in ov.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key '{key}'")
-        data[key] = _coerce(key, val, SCHEMA[key][0])
+        put(key, val)
     if data["schema.version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"schema.version {data['schema.version']} does not match {SCHEMA_VERSION}")

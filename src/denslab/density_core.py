@@ -107,16 +107,12 @@ class GridDensity:
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.dx)
 
-    def is_normalized(self, tol: float = 1e-8) -> bool:
-        return abs(self.mass() - 1.0) <= tol and float(self.values.min()) >= 0.0
-
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing nodes t_0 = 0 < ... < t_M = T."""
 
     nodes: np.ndarray
-    refinement: str = "custom"
 
     def __post_init__(self):
         t = np.asarray(self.nodes, dtype=np.float64)
@@ -139,7 +135,7 @@ class TimeGrid:
     def uniform(T: float, n_steps: int) -> "TimeGrid":
         if T <= 0 or n_steps < 1:
             raise InvalidParameterError("uniform grid needs T > 0 and n_steps >= 1")
-        return TimeGrid(np.linspace(0.0, T, n_steps + 1), refinement="uniform")
+        return TimeGrid(np.linspace(0.0, T, n_steps + 1))
 
     @staticmethod
     def geometric(T: float, t_min: float | None = None, nodes_per_decade: int = 40) -> "TimeGrid":
@@ -150,6 +146,8 @@ class TimeGrid:
             t_min = 1e-4 * T
         if not 0 < t_min < T:
             raise InvalidParameterError("need 0 < t_min < T")
+        if nodes_per_decade < 1:
+            raise InvalidParameterError(f"nodes_per_decade must be >= 1, got {nodes_per_decade}")
         ratio = 10.0 ** (1.0 / nodes_per_decade)
         ts = [0.0]
         t = t_min
@@ -161,20 +159,16 @@ class TimeGrid:
             ts[-1] = T
         else:
             ts.append(T)
-        return TimeGrid(np.array(ts), refinement="geometric")
+        return TimeGrid(np.array(ts))
 
 
 @dataclass(frozen=True)
 class DensityFlow:
-    """Time-indexed family of grid densities on a shared spatial grid.
-
-    The t=0 snapshot may be flagged `singular_t0` when the initial law is
-    rougher than the grid resolves; consumers must then skip node 0.
-    """
+    """Time-indexed family of grid densities on a shared spatial grid, one
+    snapshot per time-grid node."""
 
     time_grid: TimeGrid
     snapshots: tuple
-    singular_t0: bool = False
 
     def __post_init__(self):
         snaps = tuple(self.snapshots)
@@ -182,8 +176,8 @@ class DensityFlow:
             raise GridMismatchError(
                 f"{len(snaps)} snapshots for {len(self.time_grid.nodes)} time nodes"
             )
-        g = snaps[0].grid if not self.singular_t0 else snaps[-1].grid
-        for s in snaps[1 if self.singular_t0 else 0:]:
+        g = snaps[0].grid
+        for s in snaps:
             if s.grid != g:
                 raise GridMismatchError("all snapshots must share one spatial grid")
         object.__setattr__(self, "snapshots", snaps)
@@ -199,13 +193,10 @@ class DensityFlow:
         """Linear-in-time interpolation of snapshot values at time t."""
         nodes = self.time_grid.nodes
         if t <= nodes[0]:
-            i0 = 1 if self.singular_t0 else 0
-            return self.snapshots[i0].values
+            return self.snapshots[0].values
         if t >= nodes[-1]:
             return self.snapshots[-1].values
         j = int(np.searchsorted(nodes, t, side="right")) - 1
-        if self.singular_t0 and j == 0:
-            return self.snapshots[1].values
         w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
         return (1.0 - w) * self.snapshots[j].values + w * self.snapshots[j + 1].values
 
@@ -282,20 +273,16 @@ def tilde_spacetime_norm(flow, p: float, q: float, s: float, t: float,
     if isinstance(flow, DensityFlow):
         mat = flow.values_matrix()
         tg, g = flow.time_grid, flow.grid
-        skip0 = flow.singular_t0
     else:
         if time_grid is None or grid is None:
             raise InvalidParameterError("raw flow values need time_grid and grid")
         mat = np.asarray(flow, dtype=np.float64)
         tg, g = time_grid, grid
-        skip0 = False
     if mat.shape != (len(tg.nodes), g.n_cells):
         raise GridMismatchError("flow values do not match (time_grid, grid)")
     if not (0.0 <= s < t <= tg.T + 1e-12):
         raise InvalidParameterError(f"need 0 <= s < t <= T, got [{s}, {t}]")
     sel = (tg.nodes >= s - 1e-12) & (tg.nodes <= t + 1e-12)
-    if skip0:
-        sel[0] = False
     times = tg.nodes[sel]
     if times.size < 2:
         raise InvalidParameterError("empty time window: fewer than two nodes in [s, t]")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -41,9 +41,9 @@ from .metrics import FlowMetricSpec
 log = logging.getLogger(__name__)
 
 
-def in_integrability_class(p: float, q: float, d: int = 1) -> bool:
-    """Membership in the admissible exponent class: p, q > 2 and d/p + 2/q < 1."""
-    return p > 2 and q > 2 and d / p + 2.0 / q < 1.0
+def in_integrability_class(p: float, q: float) -> bool:
+    """Membership in the admissible exponent class: p, q > 2 and 1/p + 2/q < 1."""
+    return p > 2 and q > 2 and 1.0 / p + 2.0 / q < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +57,10 @@ class DiffusionSpec:
     a: object                      # callable (t, x array) -> array
     k_bound: float                 # sup a
     k_inv_bound: float             # sup 1/a
-    holder_eps: float = 0.5
 
     def __post_init__(self):
         if self.k_bound <= 0 or self.k_inv_bound <= 0:
             raise InvalidParameterError("diffusion bounds must be positive")
-        if not 0 < self.holder_eps < 1:
-            raise InvalidParameterError("holder_eps must lie in (0, 1)")
-
-    def validate(self, T: float, x_lo: float, x_hi: float, n_probe: int = 200) -> None:
-        """Probe a on an n_probe x n_probe lattice against the declared bounds."""
-        ts = np.linspace(1e-12, T, n_probe)
-        xs = np.linspace(x_lo, x_hi, n_probe)
-        for t in ts:
-            vals = np.asarray(self.a(float(t), xs), dtype=np.float64)
-            if vals.shape != xs.shape:
-                raise InvalidDriftError("diffusion coefficient must be vectorized in x")
-            if np.any(vals > self.k_bound * (1 + 1e-9)):
-                raise InvalidDriftError(
-                    f"sup a = {vals.max():.4g} exceeds declared bound {self.k_bound}")
-            if np.any(vals < 1.0 / self.k_inv_bound * (1 - 1e-9)):
-                raise InvalidDriftError(
-                    f"inf a = {vals.min():.4g} violates 1/a bound {self.k_inv_bound}")
 
 
 def constant_diffusion(a0: float) -> DiffusionSpec:
@@ -133,14 +115,11 @@ class DriftSpec:
     feature_kernels: tuple = ()
     K: float = 1.0
     tau: float = 0.0
-    k_lip: float = 4.0
     name: str = "custom"
 
     def __post_init__(self):
         if self.K < 0 or self.tau < 0:
             raise InvalidParameterError("K and tau must be nonnegative")
-        if self.k_lip <= 1.0:
-            raise InvalidParameterError("k_lip must exceed the dimension (1)")
 
     @property
     def density_dependent(self) -> bool:
@@ -148,8 +127,7 @@ class DriftSpec:
 
     def stripped(self) -> "DriftSpec":
         """Regular reference drift: b1 only (initialization of the iteration)."""
-        return DriftSpec(b1=self.b1, K=self.K, tau=self.tau, k_lip=self.k_lip,
-                         name=self.name + "_reference")
+        return DriftSpec(b1=self.b1, K=self.K, tau=self.tau, name=self.name + "_reference")
 
 
 def validate_drift(drift: DriftSpec, T: float, grid: Grid1D, rng_seed: int = 1234) -> None:
@@ -362,36 +340,28 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
 class SolverOptions:
     """Time-step selection for the forward solver.
 
-    Sub-steps inside a node interval obey dt <= rel_dt * (t + t_scale): the
+    Sub-steps inside a node interval obey dt <= rel_dt * (t + t_init): the
     solution's smoothing scale grows linearly in t, so proportional steps keep
     the per-step relative perturbation uniform, which is what the singular
-    t -> 0 region requires.  t_scale defaults to (initial width)^2 / sup a.
+    t -> 0 region requires.  t_init is (initial width)^2 / sup a.
     cfl bounds the explicit upwind advection: dt <= cfl * dx / max|b|.
     """
 
     rel_dt: float = 0.002
     dt_max: float | None = None
-    t_scale: float | None = None
     cfl: float = 0.5
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rel_dt) and self.rel_dt > 0):
+            raise InvalidParameterError(f"rel_dt must be finite and > 0, got {self.rel_dt}")
+        if not self.cfl > 0:
+            raise InvalidParameterError(f"cfl must be > 0, got {self.cfl}")
 
 
 def _initial_time_scale(mu: GridDensity, diff: DiffusionSpec) -> float:
     peak = float(mu.values.max())
     width = max(1.0 / (np.sqrt(2.0 * np.pi) * peak), mu.grid.dx) if peak > 0 else mu.grid.dx
     return width ** 2 / diff.k_bound
-
-
-def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray,
-                       a_field_values: np.ndarray, dt: float) -> GridDensity:
-    """One conservative step: explicit upwind advection, implicit diffusion."""
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
-    b = np.asarray(drift_field_values, dtype=np.float64)
-    a = np.asarray(a_field_values, dtype=np.float64)
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
-        raise SolverFailureError("non-finite coefficient field")
-    new = _advance(rho.values, b, a, dt, rho.grid.dx)
-    return GridDensity(rho.grid, np.maximum(new, 0.0))
 
 
 def _advance(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float, dx: float) -> np.ndarray:
@@ -432,7 +402,7 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
     grid = mu.grid
     dx = grid.dx
     x = grid.centers
-    t_scale = opts.t_scale if opts.t_scale is not None else _initial_time_scale(mu, diff)
+    t_init = _initial_time_scale(mu, diff)
     dt_max = opts.dt_max if opts.dt_max is not None else tg.T / 500.0
     v = mu.values.copy()
     snaps = [mu]
@@ -443,7 +413,7 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
         rho_g = gamma.values_at(t0) if gamma is not None else None
         b0 = drift_field(drift, t0, grid, rho_g)
         max_b = float(np.max(np.abs(b0)))
-        dt_target = min(dt_max, max(opts.rel_dt * (t0 + t_scale), 1e-14))
+        dt_target = min(dt_max, max(opts.rel_dt * (t0 + t_init), 1e-14))
         if max_b > 0:
             dt_target = min(dt_target, opts.cfl * dx / max_b)
         n_sub = max(1, int(math.ceil(gap / dt_target - 1e-12)))
@@ -472,11 +442,6 @@ class PicardResult:
     contraction_factors: tuple
     lambda_used: float
     final_residual: float
-
-
-def _discounted_sup(gap_norms: np.ndarray, nodes: np.ndarray, lam: float, e: float) -> float:
-    w = np.exp(-lam * nodes[1:]) * nodes[1:] ** e
-    return float(np.max(w * gap_norms[1:])) if gap_norms.size > 1 else 0.0
 
 
 def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
@@ -519,11 +484,10 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
             converged = True
             break
 
-    e = spec.exponent
     lam = spec.lam
 
     def factors(lam_val):
-        ds = [_discounted_sup(g, nodes, lam_val, e) for g in gap_norm_history]
+        ds = [replace(spec, lam=lam_val).weighted_sup(nodes, g) for g in gap_norm_history]
         out = []
         for i in range(1, len(ds)):
             # skip ratios once the gap is at the convergence floor: they are noise

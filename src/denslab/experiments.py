@@ -12,7 +12,7 @@ derives all of its randomness from counter-based streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,13 +83,12 @@ class ScalingReport:
     passed: bool
     degenerate: bool = False
     flags: tuple = ()
-    runtime_seconds: float = 0.0
-
-    def with_runtime(self, seconds: float) -> "ScalingReport":
-        return replace(self, runtime_seconds=seconds)
 
 
-def _select_measure_nodes(tg: TimeGrid, t_lo: float, t_hi: float, n_t: int) -> np.ndarray:
+def _select_measure_nodes(cfg: RunConfig, tg: TimeGrid):
+    """Node indices nearest to experiment.n_t log-spaced times in
+    [experiment.t_lo, experiment.t_hi], and their times."""
+    t_lo, t_hi, n_t = cfg["experiment.t_lo"], cfg["experiment.t_hi"], cfg["experiment.n_t"]
     if not (0 < t_lo < t_hi <= tg.T * (1 + 1e-9)):
         raise InsufficientSpanError(f"bad measurement range [{t_lo}, {t_hi}] for T={tg.T}")
     targets = np.geomspace(t_lo, t_hi, n_t)
@@ -97,7 +96,7 @@ def _select_measure_nodes(tg: TimeGrid, t_lo: float, t_hi: float, n_t: int) -> n
     idx = idx[tg.nodes[idx] > 0]
     if idx.size < 2:
         raise InsufficientSpanError("measurement grid collapses to fewer than 2 nodes")
-    return idx
+    return idx, tg.nodes[idx]
 
 
 def _require_span(cfg: RunConfig, t: np.ndarray) -> None:
@@ -116,6 +115,20 @@ def _solve_flow(cfg: RunConfig, mu: GridDensity, drift: DriftSpec) -> DensityFlo
                                     max_iter=cfg["picard.max_iter"], options=opts)
         return result.flow
     return frozen_semigroup(mu, None, drift, diff, tg, opts)
+
+
+def _paired_flows(cfg: RunConfig):
+    """(mu, nu, flow_mu, flow_nu, idx, t): the configured initial law mu, its
+    copy nu shifted by experiment.delta, both evolved under the configured
+    drift, and the measurement node indices with their times."""
+    grid = build_grid(cfg)
+    mu = build_init_density(cfg, grid)
+    nu = gaussian_density(grid, cfg["init.mean"] + cfg["experiment.delta"], cfg["init.sigma"])
+    drift = build_drift(cfg)
+    flow_mu = _solve_flow(cfg, mu, drift)
+    flow_nu = _solve_flow(cfg, nu, drift)
+    idx, t = _select_measure_nodes(cfg, flow_mu.time_grid)
+    return mu, nu, flow_mu, flow_nu, idx, t
 
 
 def _ratio_report(quantity, t, measured, exponent, cfg, flags=(), degenerate=False):
@@ -156,9 +169,7 @@ def experiment_smoothing(cfg: RunConfig) -> ScalingReport:
     mu = build_init_density(cfg, grid)
     drift = build_drift(cfg)
     flow = _solve_flow(cfg, mu, drift)
-    idx = _select_measure_nodes(flow.time_grid, cfg["experiment.t_lo"],
-                                cfg["experiment.t_hi"], cfg["experiment.n_t"])
-    t = flow.time_grid.nodes[idx]
+    idx, t = _select_measure_nodes(cfg, flow.time_grid)
     _require_span(cfg, t)
     measured = [tilde_norm(flow.snapshots[i], np.inf) for i in idx]
     return _ratio_report("smoothing_sup_norm", t, measured, -0.5, cfg)
@@ -174,16 +185,7 @@ def experiment_supercontinuity(cfg: RunConfig) -> ScalingReport:
     Measures ||flow_mu(t) - flow_nu(t)||_{~L^k} / W_1(mu, nu) for translated
     initial Gaussians; theoretical exponent 1/(2k) - 1 (-3/4 at k = 2).
     """
-    grid = build_grid(cfg)
-    delta = cfg["experiment.delta"]
-    mu = build_init_density(cfg, grid)
-    nu = gaussian_density(grid, cfg["init.mean"] + delta, cfg["init.sigma"])
-    drift = build_drift(cfg)
-    flow_mu = _solve_flow(cfg, mu, drift)
-    flow_nu = _solve_flow(cfg, nu, drift)
-    idx = _select_measure_nodes(flow_mu.time_grid, cfg["experiment.t_lo"],
-                                cfg["experiment.t_hi"], cfg["experiment.n_t"])
-    t = flow_mu.time_grid.nodes[idx]
+    mu, nu, flow_mu, flow_nu, idx, t = _paired_flows(cfg)
     _require_span(cfg, t)
     k = cfg["experiment.k"]
     exponent = 1.0 / (2.0 * k) - 1.0
@@ -191,7 +193,7 @@ def experiment_supercontinuity(cfg: RunConfig) -> ScalingReport:
     degenerate = w1 < 1e-12
     measured = []
     for i in idx:
-        gap = tilde_norm(flow_mu.snapshots[i].values - flow_nu.snapshots[i].values, k, grid)
+        gap = tilde_norm(flow_mu.snapshots[i].values - flow_nu.snapshots[i].values, k, mu.grid)
         measured.append(gap / w1 if not degenerate else 0.0)
     return _ratio_report("supercontinuity_ratio", t, measured, exponent, cfg,
                          degenerate=degenerate)
@@ -209,16 +211,7 @@ def experiment_entropy_cost(cfg: RunConfig) -> ScalingReport:
     supports) are dropped and flagged as resolution failures rather than
     counted as theorem violations.
     """
-    grid = build_grid(cfg)
-    delta = cfg["experiment.delta"]
-    mu = build_init_density(cfg, grid)
-    nu = gaussian_density(grid, cfg["init.mean"] + delta, cfg["init.sigma"])
-    drift = build_drift(cfg)
-    flow_mu = _solve_flow(cfg, mu, drift)
-    flow_nu = _solve_flow(cfg, nu, drift)
-    idx = _select_measure_nodes(flow_mu.time_grid, cfg["experiment.t_lo"],
-                                cfg["experiment.t_hi"], cfg["experiment.n_t"])
-    t_all = flow_mu.time_grid.nodes[idx]
+    mu, nu, flow_mu, flow_nu, idx, t_all = _paired_flows(cfg)
     _require_span(cfg, t_all)
     degenerate = wasserstein_1d(mu, nu, 1.0) < 1e-12
     t_keep, measured, flags = [], [], []
@@ -263,10 +256,6 @@ class RenyiReport:
     dropped_t: tuple
     passed: bool
     flags: tuple = ()
-    runtime_seconds: float = 0.0
-
-    def with_runtime(self, seconds: float) -> "RenyiReport":
-        return replace(self, runtime_seconds=seconds)
 
 
 def _smallest_expw_constant(mu, nu, target: float) -> float:
@@ -293,27 +282,18 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
     """Verify the three structural properties of the power divergence along
     the flow: monotonicity in alpha, the alpha -> 0 relative-entropy limit,
     and domination by the exponential-transport term with a 1/t parameter."""
-    grid = build_grid(cfg)
-    delta = cfg["experiment.delta"]
-    mu = build_init_density(cfg, grid)
-    nu = gaussian_density(grid, cfg["init.mean"] + delta, cfg["init.sigma"])
-    drift = build_drift(cfg)
-    flow_mu = _solve_flow(cfg, mu, drift)
-    flow_nu = _solve_flow(cfg, nu, drift)
-    idx = _select_measure_nodes(flow_mu.time_grid, cfg["experiment.t_lo"],
-                                cfg["experiment.t_hi"], cfg["experiment.n_t"])
-    t = flow_mu.time_grid.nodes[idx]
+    mu, nu, flow_mu, flow_nu, idx, t = _paired_flows(cfg)
+    snaps = [(flow_mu.snapshots[i], flow_nu.snapshots[i]) for i in idx]
     alphas = tuple(sorted(cfg["experiment.alphas"]))
     alpha_small = cfg["experiment.alpha_limit"]
     ent_matrix, kl_vals = [], []
-    for i in idx:
-        a_snap, b_snap = flow_mu.snapshots[i], flow_nu.snapshots[i]
+    for a_snap, b_snap in snaps:
         ent_matrix.append([renyi_entropy(a_snap, b_snap, a) for a in alphas])
         kl_vals.append(relative_entropy(a_snap, b_snap))
     ent = np.array(ent_matrix)
     monotone_ok = bool(np.all(np.diff(ent, axis=1) >= -1e-10))
-    limit_vals = np.array([renyi_entropy(flow_mu.snapshots[i], flow_nu.snapshots[i],
-                                         alpha_small) for i in idx])
+    limit_vals = np.array([renyi_entropy(a_snap, b_snap, alpha_small)
+                           for a_snap, b_snap in snaps])
     limit_gap = float(np.max(np.abs(limit_vals - np.array(kl_vals))))
     limit_ok = limit_gap <= 1e-3
     # calibrate the transport-term constant on the even-index nodes, all alphas
@@ -380,10 +360,6 @@ class KhasminskiiExperimentReport:
     convex_ok: bool
     constant_exact_ok: bool
     passed: bool
-    runtime_seconds: float = 0.0
-
-    def with_runtime(self, seconds: float) -> "KhasminskiiExperimentReport":
-        return replace(self, runtime_seconds=seconds)
 
 
 def _growth_exponent(lams: np.ndarray, log_est: np.ndarray) -> float:

@@ -3,8 +3,9 @@
 Transport distances use the 1D quantile representation: for cost functions
 that are convex and increasing in |x - y| the monotone (quantile) coupling is
 optimal, so W_q and the exponential-cost transport functional reduce to
-one-dimensional integrals over the uniform quantile variable.  A small
-transportation linear program is kept alongside as an independent oracle.
+one-dimensional integrals over the uniform quantile variable.  The test
+suite checks them against an exact transportation linear program, which
+lives with the tests in tests/oracles.py.
 
 Entropy conventions:
   * relative entropy Ent(mu|nu) = int log(dmu/dnu) dmu, +inf when mu is not
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from .density_core import DensityFlow, GridDensity, density_quantiles, tilde_norm
@@ -98,92 +98,6 @@ def exp_wasserstein(mu: GridDensity, nu: GridDensity, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# atomic measures: exact quantile coupling and the LP oracle
-# ---------------------------------------------------------------------------
-
-def _check_atoms(xs, ws):
-    xs = np.asarray(xs, dtype=np.float64)
-    ws = np.asarray(ws, dtype=np.float64)
-    if xs.shape != ws.shape or xs.ndim != 1:
-        raise InvalidParameterError("atoms: positions and weights must be 1D and equal length")
-    if np.any(ws < -1e-12) or abs(ws.sum() - 1.0) > _MASS_TOL:
-        raise NotAProbabilityError("atom weights must be nonnegative and sum to 1")
-    return xs, np.maximum(ws, 0.0)
-
-
-def quantile_coupling_cost(xs, ws, ys, vs, cost) -> float:
-    """Expected cost under the monotone coupling of two atomic measures.
-
-    Exact: segments of the uniform variable are split at the merged CDF
-    breakpoints of both measures.
-    """
-    xs, ws = _check_atoms(xs, ws)
-    ys, vs = _check_atoms(ys, vs)
-    ox, oy = np.argsort(xs, kind="stable"), np.argsort(ys, kind="stable")
-    xs, ws, ys, vs = xs[ox], ws[ox], ys[oy], vs[oy]
-    cw = np.concatenate(([0.0], np.cumsum(ws)))
-    cv = np.concatenate(([0.0], np.cumsum(vs)))
-    cw[-1] = cv[-1] = 1.0
-    cuts = np.unique(np.concatenate((cw, cv)))
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 1e-15:
-            continue
-        mid = 0.5 * (a + b)
-        i = np.searchsorted(cw, mid, side="right") - 1
-        j = np.searchsorted(cv, mid, side="right") - 1
-        total += (b - a) * cost(xs[min(i, len(xs) - 1)], ys[min(j, len(ys) - 1)])
-    return float(total)
-
-
-def wasserstein_atoms(xs, ws, ys, vs, q: float = 1.0) -> float:
-    """Exact q-Wasserstein distance between small atomic measures."""
-    if q < 1:
-        raise InvalidParameterError("q must be >= 1")
-    cost = lambda x, y: abs(x - y) ** q
-    return quantile_coupling_cost(xs, ws, ys, vs, cost) ** (1.0 / q)
-
-
-def coupling_lp_cost(xs, ws, ys, vs, cost) -> float:
-    """Optimal expected cost via an exact transportation linear program.
-
-    Independent oracle for the quantile-coupling routines; supports arbitrary
-    cost matrices but only desk-scale supports (<= ~50 atoms a side).
-    """
-    xs, ws = _check_atoms(xs, ws)
-    ys, vs = _check_atoms(ys, vs)
-    n, m = len(xs), len(ys)
-    if n > 64 or m > 64:
-        raise InvalidParameterError("LP oracle is for small supports (<= 64 atoms)")
-    C = np.array([[cost(x, y) for y in ys] for x in xs])
-    A_eq = []
-    b_eq = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m:(i + 1) * m] = 1.0
-        A_eq.append(row)
-        b_eq.append(ws[i])
-    for j in range(m - 1):  # last column constraint is redundant
-        row = np.zeros(n * m)
-        row[j::m] = 1.0
-        A_eq.append(row)
-        b_eq.append(vs[j])
-    res = linprog(C.ravel(), A_eq=np.array(A_eq), b_eq=np.array(b_eq),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise NotAProbabilityError(f"transportation LP infeasible: {res.message}")
-    return float(res.fun)
-
-
-def wasserstein_lp_oracle(xs, ws, ys, vs, q: float = 1.0) -> float:
-    """Exact q-Wasserstein distance between atomic measures by linear programming."""
-    if q < 1:
-        raise InvalidParameterError("q must be >= 1")
-    cost = lambda x, y: abs(x - y) ** q
-    return coupling_lp_cost(xs, ws, ys, vs, cost) ** (1.0 / q)
-
-
-# ---------------------------------------------------------------------------
 # entropies
 # ---------------------------------------------------------------------------
 
@@ -232,12 +146,11 @@ def renyi_entropy(mu: GridDensity, nu: GridDensity, alpha: float) -> float:
 @dataclass(frozen=True)
 class FlowMetricSpec:
     """Parameters of the discounted flow metric: weight exp(-lambda t) t^e with
-    e = d (k - p) / (2 p k)."""
+    e = (k - p) / (2 p k) in dimension 1."""
 
     lam: float
     p: float
     k: float
-    d_dim: int = 1
 
     def __post_init__(self):
         if self.lam < 0:
@@ -248,33 +161,32 @@ class FlowMetricSpec:
     @property
     def exponent(self) -> float:
         if np.isinf(self.k):
-            return self.d_dim / (2.0 * self.p)
-        return self.d_dim * (self.k - self.p) / (2.0 * self.p * self.k)
+            return 1.0 / (2.0 * self.p)
+        return (self.k - self.p) / (2.0 * self.p * self.k)
+
+    def weighted_sup(self, nodes: np.ndarray, gap_norms: np.ndarray) -> float:
+        """max over time nodes of exp(-lambda t) t^e gap_norms(t).
+
+        The t = 0 node is skipped whenever e > 0 (its weight has limit 0
+        there); for e = 0 it participates with weight 1.
+        """
+        e = self.exponent
+        start = 1 if e > 0 else 0
+        t = nodes[start:]
+        return float(np.max(np.exp(-self.lam * t) * t ** e * gap_norms[start:]))
 
 
 def d_lambda(gamma: DensityFlow, eta: DensityFlow, spec: FlowMetricSpec) -> float:
     """Discounted sup-in-time distance between two density flows:
-    max over nodes t > 0 of exp(-lambda t) t^e ||gamma(t) - eta(t)||_{~L^k}.
-
-    The t = 0 node is skipped whenever e > 0 (its weight has limit 0 there);
-    for e = 0 it participates with weight 1.
-    """
+    max over nodes of exp(-lambda t) t^e ||gamma(t) - eta(t)||_{~L^k}
+    (node 0 as in `FlowMetricSpec.weighted_sup`)."""
     if not np.array_equal(gamma.time_grid.nodes, eta.time_grid.nodes):
         raise GridMismatchError("flows live on different time grids")
     if gamma.grid != eta.grid:
         raise GridMismatchError("flows live on different spatial grids")
-    e = spec.exponent
-    start = 1 if (e > 0 or gamma.singular_t0 or eta.singular_t0) else 0
-    nodes = gamma.time_grid.nodes
-    best = 0.0
-    for i in range(start, len(nodes)):
-        t = nodes[i]
-        diff = gamma.snapshots[i].values - eta.snapshots[i].values
-        w = np.exp(-spec.lam * t) * (t ** e if e > 0 else 1.0)
-        val = w * tilde_norm(diff, spec.k, gamma.grid)
-        if val > best:
-            best = val
-    return float(best)
+    diffs = gamma.values_matrix() - eta.values_matrix()
+    gaps = np.array([tilde_norm(row, spec.k, gamma.grid) for row in diffs])
+    return spec.weighted_sup(gamma.time_grid.nodes, gaps)
 
 
 def total_variation(mu: GridDensity, nu: GridDensity) -> float:

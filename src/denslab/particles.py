@@ -6,7 +6,7 @@ density estimate of the ensemble itself, which is the standard mollification
 of the pointwise (Dirac-type) interaction.
 
 Randomness is counter-based: the normal increment of particle i at step s is
-a pure function of (master_seed, stream_tag, s * block + i) through a Philox
+a pure function of (seed, stream_tag, s * block + i) through a Philox
 stream, with each step consuming one 4-aligned block of raw draws.  This
 makes ensembles bitwise reproducible for a fixed seed irrespective of how the
 work is sharded, and lets a shard regenerate any sub-range of draws without
@@ -63,13 +63,10 @@ def normal_increments(seed: int, tag: int, step: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Ensemble state: positions plus the RNG bookkeeping to continue it."""
+    """Ensemble state: particle positions at one time."""
 
     positions: np.ndarray
     time: float
-    master_seed: int
-    stream_offsets: np.ndarray
-    log_weights: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.positions, dtype=np.float64)
@@ -78,23 +75,6 @@ class ParticleEnsemble:
         if not np.all(np.isfinite(x)):
             raise InvalidParameterError("particle positions must be finite")
         object.__setattr__(self, "positions", x)
-        if self.log_weights is not None:
-            lw = np.asarray(self.log_weights, dtype=np.float64)
-            if lw.shape != x.shape:
-                raise InvalidParameterError("log_weights must match positions")
-            if np.max(lw) > _LOG_WEIGHT_CAP:
-                raise InvalidParameterError(
-                    f"log weight {np.max(lw):.1f} exceeds the overflow guard")
-            object.__setattr__(self, "log_weights", lw)
-
-
-@dataclass(frozen=True)
-class ParticlePath:
-    """One stored trajectory with its Brownian increments."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    brownian_increments: np.ndarray
 
 
 def sample_initial(init, n: int, seed: int, grid: Grid1D | None = None) -> np.ndarray:
@@ -241,39 +221,11 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     x, _, recorded = _evolve(x0, drift, diff, grid, 0.0, T, dt, seed,
                              bandwidth_rule=bandwidth_rule,
                              record_steps=record_steps)
-    n_steps = int(round(T / dt))
     snaps = []
     for i in range(len(tg.nodes)):
         pos = recorded[i]
         snaps.append(kde(pos, _bandwidth(bandwidth_rule, pos), grid))
-    ensemble = ParticleEnsemble(
-        positions=x, time=T, master_seed=seed,
-        stream_offsets=n_steps * _block_size(n_particles) + np.arange(n_particles))
-    return ensemble, DensityFlow(tg, tuple(snaps))
-
-
-def girsanov_log_weight(path: ParticlePath, drift_ref: DriftSpec, drift_alt: DriftSpec,
-                        diff: DiffusionSpec, grid: Grid1D,
-                        flow_ref: DensityFlow | None = None,
-                        flow_alt: DensityFlow | None = None) -> float:
-    """log R along one stored path: sum xi dW - 1/2 sum xi^2 dt with
-    xi = (b_alt - b_ref) / sqrt(a) evaluated at the step starts."""
-    t, xs, dw = path.times, path.positions, path.brownian_increments
-    if len(t) != len(xs) or len(dw) != len(t) - 1:
-        raise InvalidParameterError("path arrays are inconsistent")
-    total = 0.0
-    for i in range(len(dw)):
-        ti, xi_pos = float(t[i]), np.array([xs[i]])
-        rho_ref = flow_ref.values_at(ti) if flow_ref is not None else None
-        rho_alt = flow_alt.values_at(ti) if flow_alt is not None else None
-        b_ref = drift_at_positions(drift_ref, ti, xi_pos, grid, rho_ref)[0]
-        b_alt = drift_at_positions(drift_alt, ti, xi_pos, grid, rho_alt)[0]
-        a_val = float(np.asarray(diff.a(ti, xi_pos))[0])
-        xi = (b_alt - b_ref) / math.sqrt(a_val)
-        if not np.isfinite(xi):
-            raise SolverFailureError("non-finite Girsanov integrand along the path")
-        total += xi * float(dw[i]) - 0.5 * xi * xi * float(t[i + 1] - t[i])
-    return float(total)
+    return ParticleEnsemble(positions=x, time=T), DensityFlow(tg, tuple(snaps))
 
 
 def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: DiffusionSpec,

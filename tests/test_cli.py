@@ -46,6 +46,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(overrides=["schema.version=99"])
 
+    def test_nan_rejected_inf_kept(self):
+        for ov in ("solver.rel_dt=nan", "experiment.alphas=0.5,nan"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(overrides=[ov])
+            assert ov.split("=")[0] in str(err.value)
+        assert parse_config(overrides=["experiment.k=inf"])["experiment.k"] == float("inf")
+
     def test_float_list(self):
         cfg = parse_config(overrides=["experiment.alphas=0.1, 0.5,2"])
         assert cfg["experiment.alphas"] == (0.1, 0.5, 2.0)
@@ -79,6 +86,19 @@ class TestExitCodes:
                    "--set", "picard.max_iter=6", "--set", "init.sigma=0.2",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["picard", "--set", "drift.cap=-1"],
+        ["solve", "--drift", "singular_well", "--set", "drift.gamma=0.3"],
+        ["solve", "--drift", "linear_ou", "--set", "solver.cfl=0"],
+        ["solve", "--drift", "linear_ou", "--set", "time.nodes_per_decade=0"],
+        ["solve", "--drift", "linear_ou", "--set", "solver.rel_dt=nan"],
+    ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
+            "nan-rel-dt"])
+    def test_invalid_value_is_config_error(self, tmp_path, argv):
+        rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
+                          "--out", str(tmp_path / "o")])
+        assert rc == 2
 
     def test_solve_rejects_density_dependent_drift(self, tmp_path):
         rc = main(["solve", "--drift", "capped_density", "--out", str(tmp_path / "o")])

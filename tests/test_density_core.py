@@ -73,6 +73,8 @@ class TestTimeGrid:
             TimeGrid(np.array([0.1, 0.2]))
         with pytest.raises(InvalidParameterError):
             TimeGrid(np.array([0.0, 0.2, 0.2]))
+        with pytest.raises(InvalidParameterError):
+            TimeGrid.geometric(1.0, nodes_per_decade=0)
 
 
 class TestTildeNorm:
@@ -159,9 +161,7 @@ class TestSpacetimeNorm:
         tg = TimeGrid.geometric(1.0, t_min=1e-5, nodes_per_decade=60)
         mat = np.zeros((len(tg), g.n_cells))
         mat[1:] = tg.nodes[1:, None] ** (-0.25) * ind[None, :]
-        flow_sel = DensityFlow(tg, tuple(
-            GridDensity(g, np.maximum(row, 0.0)) for row in mat), singular_t0=True)
-        val = tilde_spacetime_norm(flow_sel, 1.0, 2.0, 0.0, 1.0)
+        val = tilde_spacetime_norm(mat, 1.0, 2.0, 0.0, 1.0, time_grid=tg, grid=g)
         assert val == pytest.approx(np.sqrt(2.0), rel=0.02)
 
     def test_empty_window_error(self):

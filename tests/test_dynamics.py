@@ -14,7 +14,6 @@ from denslab import (
     TimeGrid,
     builtin_drift,
     constant_diffusion,
-    fokker_planck_step,
     frozen_semigroup,
     gaussian_density,
     normalize,
@@ -24,7 +23,8 @@ from denslab import (
     wasserstein_1d,
 )
 from denslab.dynamics import in_integrability_class
-from denslab.errors import InvalidDriftError, NoConvergenceError
+from denslab.errors import InvalidDriftError, InvalidParameterError, NoConvergenceError
+from oracles import fokker_planck_step, validate_diffusion
 
 DIFF2 = constant_diffusion(2.0)
 
@@ -150,6 +150,16 @@ class TestFokkerPlanckStep:
                                 DIFF2, tg, SolverOptions())
         for snap in flow.snapshots:
             assert snap.values.min() >= -1e-12
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("kwargs", [{"rel_dt": 0.0}, {"rel_dt": -1e-3},
+                                        {"rel_dt": float("nan")}, {"rel_dt": float("inf")},
+                                        {"cfl": 0.0}, {"cfl": float("nan")}])
+    def test_rejects_nonpositive_or_nan_steps(self, kwargs):
+        # constructed only: a solve at rel_dt = 0 would crawl at the 1e-14 step floor
+        with pytest.raises(InvalidParameterError):
+            SolverOptions(**kwargs)
 
 
 class TestFrozenSemigroup:
@@ -285,11 +295,11 @@ class TestDiffusionSpec:
     def test_bounds_probe(self):
         spec = DiffusionSpec(a=lambda t, x: 1.0 + 0.5 * np.sin(x), k_bound=1.5,
                              k_inv_bound=2.0)
-        spec.validate(1.0, -6.0, 6.0)
+        validate_diffusion(spec, 1.0, -6.0, 6.0)
         bad = DiffusionSpec(a=lambda t, x: 1.0 + 0.5 * np.sin(x), k_bound=1.2,
                             k_inv_bound=2.0)
         with pytest.raises(InvalidDriftError):
-            bad.validate(1.0, -6.0, 6.0)
+            validate_diffusion(bad, 1.0, -6.0, 6.0)
 
     def test_variable_diffusion_heat_balance(self):
         # a(t,x) bounded two-sided: solver stays conservative and positive

