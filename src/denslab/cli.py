@@ -30,12 +30,12 @@ from .density_core import (
     load_density,
     normalize,
     save_flow,
-    tilde_measure_distance_l1,
     tilde_norm,
 )
 from .dynamics import frozen_semigroup, picard_fixed_point
 from .errors import ConfigError, DenslabError, InvalidDriftError, InvalidParameterError
 from .experiments import (
+    _khasminskii_run,
     experiment_entropy_cost,
     experiment_khasminskii,
     experiment_renyi,
@@ -43,13 +43,14 @@ from .experiments import (
     experiment_supercontinuity,
 )
 from .metrics import (
+    _check_pair,
     exp_wasserstein,
     relative_entropy,
     renyi_entropy,
     total_variation,
     wasserstein_1d,
 )
-from .particles import euler_maruyama_mkv, khasminskii_mc
+from .particles import euler_maruyama_mkv
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -217,13 +218,8 @@ def _cmd_particles(args) -> int:
 
 def _cmd_khasminskii(args) -> int:
     cfg = _build_cfg(args, EXPERIMENT_DEFAULTS["khasminskii"])
-    grid = cfgmod.build_grid(cfg)
     t0 = time.perf_counter()
-    rep = khasminskii_mc(cfgmod.build_field(cfg), cfgmod.build_drift(cfg),
-                         cfgmod.build_diffusion(cfg), cfg["khasminskii.s"],
-                         cfg["khasminskii.t"], cfg["khasminskii.lambda_grid"],
-                         cfg["particles.n"], cfg["khasminskii.dt"], grid,
-                         cfg["seed"], x0=cfg["khasminskii.x0"])
+    rep = _khasminskii_run(cfg)
     _emit_config(cfg, args.out)
     write_report(rep, args.out, time.perf_counter() - t0)
     return EXIT_PASS if rep.bounds_hold else EXIT_FAIL
@@ -244,6 +240,7 @@ def _parse_metric(spec: str):
 def _cmd_metrics(args) -> int:
     a = normalize(load_density(args.a))
     b = normalize(load_density(args.b))
+    _check_pair(a, b)
     name, arg = _parse_metric(args.metric)
     if name == "w1":
         val = wasserstein_1d(a, b, 1.0)
@@ -260,8 +257,7 @@ def _cmd_metrics(args) -> int:
     elif name == "expw":
         val = exp_wasserstein(a, b, arg)
     elif name == "tilde":
-        val = tilde_norm(a.values - b.values, arg, a.grid) if arg != 1.0 \
-            else tilde_measure_distance_l1(a, b)
+        val = tilde_norm(a.values - b.values, arg, a.grid)
     else:
         raise ConfigError(f"unknown metric '{args.metric}'")
     print(repr(float(val)))
@@ -327,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--metric", required=True,
                    help="w1|w2|wq:<q>|tv|ent|renyi:<alpha>|expw:<c>|tilde:<k>")
-    p.add_argument("--set", action="append", default=[])
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("experiment", help="theorem-to-experiment harness")

@@ -201,6 +201,8 @@ def parse_config(path: str | None = None, overrides=(), base: dict | None = None
     if data["schema.version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"schema.version {data['schema.version']} does not match {SCHEMA_VERSION}")
+    if data["threads"] < 1:
+        raise ConfigError(f"key 'threads' must be >= 1, got {data['threads']}")
     return RunConfig(data)
 
 

@@ -229,6 +229,17 @@ def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
 # built-in drifts
 # ---------------------------------------------------------------------------
 
+def power_singularity(x, center: float, coeff: float, gamma: float) -> np.ndarray:
+    """coeff |x - center|^(-gamma) on |x - center| <= 1, inf at the centre, 0 outside."""
+    r = np.abs(np.asarray(x, dtype=np.float64) - center)
+    out = np.zeros_like(r)
+    near = r <= 1.0
+    with np.errstate(divide="ignore"):
+        out[near] = coeff * r[near] ** (-gamma)
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
 def _bump_profile(u, width):
     z = np.clip(np.abs(u) / width, 0.0, 1.0)
     out = np.zeros_like(z)
@@ -307,23 +318,13 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
                 f"gamma * p2 = {gamma * p2:.3g} >= 1: |x|^(-gamma) is not "
                 f"window-L^{p2:g} integrable")
 
-        def well(t, x):
-            r = x - x0
-            near = np.abs(r) <= 1.0
-            out = np.zeros_like(x)
-            with np.errstate(divide="ignore"):
-                out[near] = -coeff * np.sign(r[near]) * np.abs(r[near]) ** (-gamma)
-            out[~np.isfinite(out)] = 0.0
-            return out
-
         def envelope(t, x):
-            r = np.abs(x - x0)
-            near = r <= 1.0
-            out = np.zeros_like(x)
-            with np.errstate(divide="ignore"):
-                out[near] = coeff * r[near] ** (-gamma)
-            out[~np.isfinite(out)] = np.inf
-            return out
+            return power_singularity(x, x0, coeff, gamma)
+
+        def well(t, x):
+            # -sign(x - x0) times the envelope; 0 at the centre itself
+            r = x - x0
+            return np.multiply(-np.sign(r), envelope(t, x), out=np.zeros_like(r), where=r != 0)
 
         part = SingularPart(term=well, envelope=envelope, p=p2, q=q2,
                             cap_coeff=coeff, cap_exponent=gamma)
@@ -356,6 +357,8 @@ class SolverOptions:
             raise InvalidParameterError(f"rel_dt must be finite and > 0, got {self.rel_dt}")
         if not self.cfl > 0:
             raise InvalidParameterError(f"cfl must be > 0, got {self.cfl}")
+        if self.dt_max is not None and not self.dt_max > 0:
+            raise InvalidParameterError(f"dt_max must be > 0, got {self.dt_max}")
 
 
 def _initial_time_scale(mu: GridDensity, diff: DiffusionSpec) -> float:

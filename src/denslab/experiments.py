@@ -30,13 +30,14 @@ from .config import (
 from .density_core import DensityFlow, GridDensity, TimeGrid, gaussian_density, tilde_norm
 from .dynamics import DriftSpec, frozen_semigroup, picard_fixed_point
 from .errors import (
+    ConfigError,
     InsufficientSpanError,
     InvalidDataError,
     NumericOverflowError,
     SolverFailureError,
 )
 from .metrics import exp_wasserstein, relative_entropy, renyi_entropy, wasserstein_1d
-from .particles import khasminskii_mc
+from .particles import KhasminskiiReport, khasminskii_mc
 
 _SPAN_DECADES = 2.0
 
@@ -90,7 +91,7 @@ def _select_measure_nodes(cfg: RunConfig, tg: TimeGrid):
     [experiment.t_lo, experiment.t_hi], and their times."""
     t_lo, t_hi, n_t = cfg["experiment.t_lo"], cfg["experiment.t_hi"], cfg["experiment.n_t"]
     if not (0 < t_lo < t_hi <= tg.T * (1 + 1e-9)):
-        raise InsufficientSpanError(f"bad measurement range [{t_lo}, {t_hi}] for T={tg.T}")
+        raise ConfigError(f"bad measurement range [{t_lo}, {t_hi}] for T={tg.T}")
     targets = np.geomspace(t_lo, t_hi, n_t)
     idx = np.unique([int(np.argmin(np.abs(tg.nodes - tt))) for tt in targets])
     idx = idx[tg.nodes[idx] > 0]
@@ -335,7 +336,7 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KhasminskiiExperimentReport:
+class KhasminskiiExperimentReport(KhasminskiiReport):
     """Exponential-moment sweep plus the growth/convexity verdicts.
 
     small_lambda_exponent fits log(log E) against log lambda on the small
@@ -343,18 +344,6 @@ class KhasminskiiExperimentReport:
     above-crossover grid, where theory caps the growth power at q.
     """
 
-    lambda_values: tuple
-    mc_estimates: tuple
-    mc_stderr: tuple
-    bound_quadratic: float
-    bound_superlinear: float
-    regime_split: float
-    log_estimates: tuple
-    ess: tuple
-    unreliable: tuple
-    bounds_hold: bool
-    norm_spacetime: float
-    time_integral_norm: float
     small_lambda_exponent: float
     large_lambda_exponent: float
     convex_ok: bool
@@ -380,16 +369,19 @@ def _convexity_ok(lams, log_est, se_log) -> bool:
     return bool(np.all(np.diff(slopes) >= -tol - 1e-12))
 
 
+def _khasminskii_run(cfg: RunConfig) -> KhasminskiiReport:
+    """khasminskii_mc on the configured field, drift, diffusion and grid."""
+    return khasminskii_mc(build_field(cfg), build_drift(cfg), build_diffusion(cfg),
+                          cfg["khasminskii.s"], cfg["khasminskii.t"],
+                          cfg["khasminskii.lambda_grid"], cfg["particles.n"],
+                          cfg["khasminskii.dt"], build_grid(cfg), cfg["seed"],
+                          x0=cfg["khasminskii.x0"])
+
+
 def experiment_khasminskii(cfg: RunConfig) -> KhasminskiiExperimentReport:
     """Monte Carlo verification of the two-regime exponential moment bound."""
-    grid = build_grid(cfg)
-    drift = build_drift(cfg)
-    diff = build_diffusion(cfg)
-    f = build_field(cfg)
-    rep = khasminskii_mc(f, drift, diff, cfg["khasminskii.s"], cfg["khasminskii.t"],
-                         cfg["khasminskii.lambda_grid"], cfg["particles.n"],
-                         cfg["khasminskii.dt"], grid, cfg["seed"],
-                         x0=cfg["khasminskii.x0"])
+    rep = _khasminskii_run(cfg)
+    f_name = cfg["khasminskii.f_name"]
     lams = np.array(rep.lambda_values)
     log_est = np.array(rep.log_estimates)
     est = np.array(rep.mc_estimates)
@@ -402,20 +394,15 @@ def experiment_khasminskii(cfg: RunConfig) -> KhasminskiiExperimentReport:
     large_exp = _growth_exponent(lams[large], log_est[large]) if np.any(large) else float("nan")
     convex = _convexity_ok(lams, log_est, se_log)
     constant_ok = True
-    if f.name == "constant":
+    if f_name == "constant":
         span = cfg["khasminskii.t"] - cfg["khasminskii.s"]
         exact = np.exp(lams ** 2 * cfg["khasminskii.c0"] ** 2 * span)
         constant_ok = bool(np.all(np.abs(est - exact) <= 3.0 * se + 1e-9 * exact))
     q = cfg["khasminskii.q"]
     passed = bool(rep.bounds_hold and convex and constant_ok
-                  and (f.name != "singular_power" or abs(small_exp - 2.0) <= 0.2)
+                  and (f_name != "singular_power" or abs(small_exp - 2.0) <= 0.2)
                   and (not np.any(large) or large_exp <= q + 0.3))
     return KhasminskiiExperimentReport(
-        lambda_values=rep.lambda_values, mc_estimates=rep.mc_estimates,
-        mc_stderr=rep.mc_stderr, bound_quadratic=rep.bound_quadratic,
-        bound_superlinear=rep.bound_superlinear, regime_split=rep.regime_split,
-        log_estimates=rep.log_estimates, ess=rep.ess, unreliable=rep.unreliable,
-        bounds_hold=rep.bounds_hold, norm_spacetime=rep.norm_spacetime,
-        time_integral_norm=rep.time_integral_norm,
-        small_lambda_exponent=float(small_exp), large_lambda_exponent=float(large_exp),
-        convex_ok=convex, constant_exact_ok=constant_ok, passed=passed)
+        **vars(rep), small_lambda_exponent=float(small_exp),
+        large_lambda_exponent=float(large_exp), convex_ok=convex,
+        constant_exact_ok=constant_ok, passed=passed)

@@ -11,13 +11,20 @@ stream, with each step consuming one 4-aligned block of raw draws.  This
 makes ensembles bitwise reproducible for a fixed seed irrespective of how the
 work is sharded, and lets a shard regenerate any sub-range of draws without
 touching the others.
+
+Every particle-facing operation runs the same Euler-Maruyama march
+(`_march`), which yields each step and differs between callers only in the
+grid density its drift reads: none, a frozen flow, or the ensemble KDE.  On
+the steps, `euler_maruyama_mkv` records KDE snapshots, `girsanov_log_weights_mc`
+sums the Girsanov log-weight, and `path_relative_entropy_mc` and
+`khasminskii_mc` integrate f(r, X_r)^2 by the trapezoid rule.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp, ndtri
@@ -32,10 +39,14 @@ from .density_core import (
     tilde_norm,
     tilde_spacetime_norm,
 )
-from .dynamics import DiffusionSpec, DriftSpec, drift_at_positions, in_integrability_class
+from .dynamics import (
+    DiffusionSpec,
+    DriftSpec,
+    drift_at_positions,
+    in_integrability_class,
+    power_singularity,
+)
 from .errors import InvalidParameterError, SolverFailureError
-
-log = logging.getLogger(__name__)
 
 _STREAM_INIT = 1
 _STREAM_EVOLVE = 2
@@ -79,17 +90,17 @@ class ParticleEnsemble:
 
 def sample_initial(init, n: int, seed: int, grid: Grid1D | None = None) -> np.ndarray:
     """Draw initial positions from a GridDensity (inverse CDF), a ("gaussian",
-    mean, sigma) spec, or an explicit array."""
+    mean, sigma) spec, or an explicit array; reflected into `grid` if given."""
     if isinstance(init, GridDensity):
-        u = raw_uniforms(seed, _STREAM_INIT, 0, n)
-        return density_quantiles(init, u)
-    if isinstance(init, (tuple, list)) and len(init) == 3 and init[0] == "gaussian":
+        x = density_quantiles(init, raw_uniforms(seed, _STREAM_INIT, 0, n))
+    elif isinstance(init, (tuple, list)) and len(init) == 3 and init[0] == "gaussian":
         _, mean, sigma = init
-        return float(mean) + float(sigma) * normal_increments(seed, _STREAM_INIT, 0, n)
-    x = np.asarray(init, dtype=np.float64)
-    if x.ndim == 1 and x.size == n:
-        return x.copy()
-    raise InvalidParameterError("unsupported initial sampling spec")
+        x = float(mean) + float(sigma) * normal_increments(seed, _STREAM_INIT, 0, n)
+    else:
+        x = np.array(init, dtype=np.float64)
+        if not (x.ndim == 1 and x.size == n):
+            raise InvalidParameterError("unsupported initial sampling spec")
+    return x if grid is None else _reflect(x, grid.x_min, grid.x_max)
 
 
 def _bandwidth(rule, positions: np.ndarray) -> float:
@@ -109,92 +120,66 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
-@dataclass
-class _Accumulators:
-    girsanov: np.ndarray | None = None    # running log R per particle
-    quad: np.ndarray | None = None        # running int f(X)^2 dr per particle
-    prev_f2: np.ndarray | None = None
+def _density_rule(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None = None,
+                  bandwidth_rule="silverman"):
+    """The grid density `drift` reads at (t, positions): None for a
+    density-free drift, the frozen `flow` when one is given, otherwise the
+    ensemble's own KDE."""
+    if not drift.density_dependent:
+        return None
+    if flow is not None:
+        return lambda t, x: flow.values_at(t)
+    return lambda t, x: kde(x, _bandwidth(bandwidth_rule, x), grid).values
 
 
-def _evolve(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
-            t_start: float, t_end: float, dt: float, seed: int, *,
-            bandwidth_rule="silverman",
-            density_source: str = "auto",
-            frozen_flow: DensityFlow | None = None,
-            record_steps: dict | None = None,
-            alt_drift: DriftSpec | None = None,
-            alt_flow: DensityFlow | None = None,
-            quad_fn=None,
-            step_offset: int = 0):
-    """Euler-Maruyama march shared by every particle-facing operation.
+class _Step(NamedTuple):
+    """One Euler-Maruyama step from time t to t + dt."""
 
-    density_source: "kde" rebuilds the ensemble KDE each step, "flow" reads
-    the density from `frozen_flow`, "none" for density-free drifts.  The alt
-    drift (for Girsanov accumulation) reads its density from `alt_flow`.
-    """
-    n = x0.size
+    t: float
+    x: np.ndarray                # positions at t
+    rho: np.ndarray | None       # grid density the drift read at t
+    b: np.ndarray                # drift at (t, x)
+    sigma: np.ndarray            # sqrt(a(t, x))
+    dw: np.ndarray               # Brownian increments
+    x_next: np.ndarray           # reflected positions at t + dt
+
+
+def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
+           t_start: float, t_end: float, dt: float, seed: int, density):
+    """Yield every step of the Euler-Maruyama march from x0; `density` is a
+    `_density_rule`.  Step s draws its increments from (seed, s)."""
     n_steps = int(round((t_end - t_start) / dt))
     if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise InvalidParameterError("(t_end - t_start) must be a multiple of dt")
-    if density_source == "auto":
-        density_source = "kde" if drift.density_dependent else "none"
-    x = x0.copy()
-    acc = _Accumulators()
-    if alt_drift is not None:
-        acc.girsanov = np.zeros(n)
-    if quad_fn is not None:
-        acc.quad = np.zeros(n)
-        acc.prev_f2 = quad_fn(t_start, x) ** 2
-    recorded = {}
-    if record_steps and 0 in record_steps:
-        for node in record_steps[0]:
-            recorded[node] = x.copy()
     sqrt_dt = math.sqrt(dt)
-    rho_vals = None
+    x = x0
     for s in range(n_steps):
         t = t_start + s * dt
-        if density_source == "kde":
-            h = _bandwidth(bandwidth_rule, x)
-            rho_vals = kde(x, h, grid).values
-        elif density_source == "flow":
-            rho_vals = frozen_flow.values_at(t)
-        b = drift_at_positions(drift, t, x, grid, rho_vals)
-        a_vals = np.asarray(diff.a(t, x), dtype=np.float64)
+        rho = density(t, x) if density is not None else None
+        b = drift_at_positions(drift, t, x, grid, rho)
+        sigma = np.sqrt(np.asarray(diff.a(t, x), dtype=np.float64))
         if s == 0:
             cfl = float(np.max(np.abs(b))) * dt
             if cfl > grid.dx * (1.0 + 1e-9):
                 raise InvalidParameterError(
                     f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e}")
-        z = normal_increments(seed, _STREAM_EVOLVE, step_offset + s, n)
-        dw = sqrt_dt * z
-        if alt_drift is not None:
-            alt_rho = alt_flow.values_at(t) if alt_flow is not None else rho_vals
-            b_alt = drift_at_positions(alt_drift, t, x, grid, alt_rho)
-            xi = (b_alt - b) / np.sqrt(a_vals)
-            acc.girsanov += xi * dw - 0.5 * xi * xi * dt
-        x = x + b * dt + np.sqrt(a_vals) * dw
-        x = _reflect(x, grid.x_min, grid.x_max)
-        if not np.all(np.isfinite(x)):
+        dw = sqrt_dt * normal_increments(seed, _STREAM_EVOLVE, s, x.size)
+        x_next = _reflect(x + b * dt + sigma * dw, grid.x_min, grid.x_max)
+        if not np.all(np.isfinite(x_next)):
             raise SolverFailureError(f"non-finite particle position at step {s}")
-        if quad_fn is not None:
-            f2 = quad_fn(t + dt, x) ** 2
-            acc.quad += 0.5 * (acc.prev_f2 + f2) * dt
-            acc.prev_f2 = f2
-        if record_steps and (s + 1) in record_steps:
-            for node in record_steps[s + 1]:
-                recorded[node] = x.copy()
-    return x, acc, recorded
+        yield _Step(t, x, rho, b, sigma, dw, x_next)
+        x = x_next
 
 
-def _node_steps(tg: TimeGrid, dt: float) -> dict:
-    """Map step index -> node indices, snapping nodes to the step lattice."""
-    out: dict = {}
-    for i, t in enumerate(tg.nodes):
-        s = int(round(t / dt))
-        if abs(s * dt - t) > 1e-9 * max(1.0, tg.T):
-            log.info("node t=%.6g snapped to step time %.6g", t, s * dt)
-        out.setdefault(s, []).append(i)
-    return out
+def _integral_sq(f, march, t_start: float, x0: np.ndarray, dt: float) -> np.ndarray:
+    """Per-path trapezoid int f(r, X_r)^2 dr along a march started at x0."""
+    total = np.zeros(x0.size)
+    prev = f(t_start, x0) ** 2
+    for st in march:
+        cur = f(st.t + dt, st.x_next) ** 2
+        total += 0.5 * (prev + cur) * dt
+        prev = cur
+    return total
 
 
 def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles: int,
@@ -206,40 +191,45 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     Each step rebuilds the ensemble KDE on the grid, evaluates the drift per
     particle at (t, X_i, rho(X_i), rho-features), and advances with the
     particle's own normal increment; boundaries reflect so the truncated
-    domain matches the PDE solver's no-flux choice.
+    domain matches the PDE solver's no-flux choice.  The flow holds one KDE
+    per distinct step that a record node rounds to, at that step's time.
     """
     if n_particles < 1 or dt <= 0 or T <= 0:
         raise InvalidParameterError("need n_particles >= 1, dt > 0, T > 0")
     if drift.density_dependent and n_particles < 1000:
         raise InvalidParameterError("density feedback needs at least 1000 particles")
-    x0 = sample_initial(init, n_particles, seed, grid)
-    x0 = _reflect(x0, grid.x_min, grid.x_max)
+    x = sample_initial(init, n_particles, seed, grid)
     tg = record_grid if record_grid is not None else TimeGrid.uniform(T, max(1, int(round(T / dt))))
     if tg.T > T * (1 + 1e-9):
         raise InvalidParameterError(f"record grid extends to {tg.T} beyond T = {T}")
-    record_steps = _node_steps(tg, dt)
-    x, _, recorded = _evolve(x0, drift, diff, grid, 0.0, T, dt, seed,
-                             bandwidth_rule=bandwidth_rule,
-                             record_steps=record_steps)
-    snaps = []
-    for i in range(len(tg.nodes)):
-        pos = recorded[i]
-        snaps.append(kde(pos, _bandwidth(bandwidth_rule, pos), grid))
-    return ParticleEnsemble(positions=x, time=T), DensityFlow(tg, tuple(snaps))
+    steps = sorted({int(round(t / dt)) for t in tg.nodes})
+    snaps = [kde(x, _bandwidth(bandwidth_rule, x), grid)]   # node 0 is step 0
+    march = _march(x, drift, diff, grid, 0.0, T, dt, seed,
+                   _density_rule(drift, grid, bandwidth_rule=bandwidth_rule))
+    for s, st in enumerate(march, start=1):
+        x = st.x_next
+        if s in steps:
+            snaps.append(kde(x, _bandwidth(bandwidth_rule, x), grid))
+    return (ParticleEnsemble(positions=x, time=T),
+            DensityFlow(TimeGrid(np.array(steps) * dt), tuple(snaps)))
 
 
 def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: DiffusionSpec,
                             init, t: float, n_paths: int, dt: float, grid: Grid1D,
                             seed: int, flow_ref: DensityFlow | None = None,
                             flow_alt: DensityFlow | None = None) -> np.ndarray:
-    """log R_t for n_paths reference-drift paths (vectorized single pass)."""
+    """log R_t for n_paths reference-drift paths (vectorized single pass).
+
+    Without `flow_alt` the alternative drift reads the same density as the
+    reference drift."""
     x0 = sample_initial(init, n_paths, seed, grid)
-    x0 = _reflect(x0, grid.x_min, grid.x_max)
-    src = "flow" if (drift_ref.density_dependent and flow_ref is not None) else "auto"
-    _, acc, _ = _evolve(x0, drift_ref, diff, grid, 0.0, t, dt, seed,
-                        density_source=src, frozen_flow=flow_ref,
-                        alt_drift=drift_alt, alt_flow=flow_alt)
-    return acc.girsanov
+    log_r = np.zeros(n_paths)
+    for st in _march(x0, drift_ref, diff, grid, 0.0, t, dt, seed,
+                     _density_rule(drift_ref, grid, flow_ref)):
+        rho_alt = flow_alt.values_at(st.t) if flow_alt is not None else st.rho
+        xi = (drift_at_positions(drift_alt, st.t, st.x, grid, rho_alt) - st.b) / st.sigma
+        log_r += xi * st.dw - 0.5 * xi * xi * dt
+    return log_r
 
 
 def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: DiffusionSpec,
@@ -256,7 +246,6 @@ def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: Diffu
     if n_paths < 2:
         raise InvalidParameterError("need at least 2 paths")
     x0 = sample_initial(init, n_paths, seed, grid)
-    x0 = _reflect(x0, grid.x_min, grid.x_max)
 
     def xi_fn(ts, xs):
         rho_a = flow_a.values_at(ts) if flow_a is not None else None
@@ -266,10 +255,9 @@ def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: Diffu
         a_vals = np.asarray(diff.a(ts, xs), dtype=np.float64)
         return (b_a - b_b) / np.sqrt(a_vals)
 
-    src = "flow" if (drift_a.density_dependent and flow_a is not None) else "auto"
-    _, acc, _ = _evolve(x0, drift_a, diff, grid, 0.0, t, dt, seed,
-                        density_source=src, frozen_flow=flow_a, quad_fn=xi_fn)
-    vals = 0.5 * acc.quad
+    march = _march(x0, drift_a, diff, grid, 0.0, t, dt, seed,
+                   _density_rule(drift_a, grid, flow_a))
+    vals = 0.5 * _integral_sq(xi_fn, march, 0.0, x0, dt)
     return float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_paths))
 
 
@@ -315,17 +303,8 @@ def builtin_field(name: str, params: dict | None = None) -> SpaceTimeField:
         center = float(p.pop("center", 0.0))
         if p:
             raise InvalidParameterError(f"unknown singular-field parameters: {sorted(p)}")
-
-        def fn(t, x):
-            r = np.abs(np.asarray(x, float) - center)
-            out = np.zeros_like(r)
-            near = r <= 1.0
-            with np.errstate(divide="ignore"):
-                out[near] = coeff * r[near] ** (-gamma)
-            out[~np.isfinite(out)] = np.inf
-            return out
-
-        return SpaceTimeField(fn=fn, p=pp, q=qq, cap_coeff=coeff, cap_exponent=gamma,
+        return SpaceTimeField(fn=lambda t, x: power_singularity(x, center, coeff, gamma),
+                              p=pp, q=qq, cap_coeff=coeff, cap_exponent=gamma,
                               name="singular_power")
     raise InvalidParameterError(f"unknown field name '{name}'")
 
@@ -393,9 +372,8 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     if not np.isfinite(norm):
         raise InvalidParameterError("field has infinite localized space-time norm")
     x_init = np.full(n_paths, float(x0))
-    quad = lambda tt, xx: f.evaluate(tt, xx, grid.dx)
-    _, acc, _ = _evolve(x_init, drift, diff, grid, s, t, dt, seed, quad_fn=quad)
-    tau = acc.quad
+    march = _march(x_init, drift, diff, grid, s, t, dt, seed, _density_rule(drift, grid))
+    tau = _integral_sq(lambda tt, xx: f.evaluate(tt, xx, grid.dx), march, s, x_init, dt)
     log_est, est, se, ess_arr, unrel = [], [], [], [], []
     n = float(n_paths)
     for lv in lam:

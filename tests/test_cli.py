@@ -1,11 +1,12 @@
 """Config ingestion, subcommand dispatch, exit statuses, artifact determinism."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from denslab import Grid1D, gaussian_density, load_flow, save_density
+from denslab import Grid1D, KhasminskiiReport, gaussian_density, load_flow, save_density
 from denslab.cli import main
 from denslab.config import parse_config
 from denslab.errors import ConfigError
@@ -93,8 +94,11 @@ class TestExitCodes:
         ["solve", "--drift", "linear_ou", "--set", "solver.cfl=0"],
         ["solve", "--drift", "linear_ou", "--set", "time.nodes_per_decade=0"],
         ["solve", "--drift", "linear_ou", "--set", "solver.rel_dt=nan"],
+        ["solve", "--drift", "linear_ou", "--set", "solver.dt_max=-1"],
+        ["solve", "--drift", "linear_ou", "--threads", "-3"],
+        ["experiment", "smoothing"],   # experiment.t_hi = 1.0 beyond time.T = 0.01
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
-            "nan-rel-dt"])
+            "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])
@@ -160,6 +164,19 @@ class TestArtifacts:
         assert main(["metrics", "--a", a_path, "--b", a_path, "--metric", "wq:x"]) == 2
         assert main(["metrics", "--a", str(tmp_path / "missing.csv"), "--b", a_path,
                      "--metric", "w1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--a", a_path, "--b", a_path, "--metric", "w1",
+                  "--set", "nonsense.key=1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("metric", ["tilde:2", "tilde:1", "w1"])
+    def test_metrics_grid_mismatch_is_numeric_error(self, tmp_path, metric):
+        a_path = str(tmp_path / "a.csv")
+        save_density(gaussian_density(Grid1D(-6.0, 6.0, 500), 0.0, 1.0), a_path)
+        for i, grid in enumerate((Grid1D(-6.0, 6.0, 400), Grid1D(-5.0, 7.0, 500))):
+            b_path = str(tmp_path / f"b{i}.csv")
+            save_density(gaussian_density(grid, 0.0, 1.0), b_path)
+            assert main(["metrics", "--a", a_path, "--b", b_path, "--metric", metric]) == 3
 
     def test_particles_writes_ensemble(self, tmp_path):
         out = tmp_path / "p"
@@ -198,6 +215,17 @@ class TestArtifacts:
         for key in ("lambda_values", "mc_estimates", "mc_stderr", "bound_quadratic",
                     "bound_superlinear", "regime_split"):
             assert key in rep
+
+    def test_experiment_khasminskii_report_extends_khasminskii_report(self, tmp_path):
+        out = tmp_path / "k"
+        rc = main(["experiment", "khasminskii", "--set", "particles.n=2000",
+                   "--set", "khasminskii.t=0.1", "--set", "khasminskii.lambda_grid=0.2,0.5,1.0",
+                   "--set", "grid.cells=400", "--seed", "3", "--out", str(out)])
+        assert rc in (0, 1)
+        rep = json.loads((out / "report.json").read_text())
+        verdicts = {"small_lambda_exponent", "large_lambda_exponent", "convex_ok",
+                    "constant_exact_ok", "pass"}
+        assert set(rep) == {f.name for f in dataclasses.fields(KhasminskiiReport)} | verdicts
 
 
 SMALL_EXPERIMENT = ["experiment", "smoothing",

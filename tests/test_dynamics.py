@@ -1,5 +1,7 @@
 """Forward solver, drift admissibility, frozen flows, and the fixed point."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,17 @@ class TestBuiltinDrifts:
             builtin_drift("singular_well", {"gamma": 0.3, "p2": 4.0, "q2": 4.0})
         d = builtin_drift("singular_well", {"gamma": 0.2, "p2": 4.0, "q2": 4.0})
         assert d.singular_parts[0].p == 4.0
+
+    def test_singular_well_at_its_centre_is_zero_without_warnings(self):
+        d = builtin_drift("singular_well", {"gamma": 0.2, "coeff": 0.5, "center": 0.25})
+        part = d.singular_parts[0]
+        x = np.array([-0.75, 0.0, 0.25, 0.5, 1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            term, env = part.term(0.0, x), part.envelope(0.0, x)
+        assert term[2] == 0.0 and env[2] == np.inf
+        assert np.array_equal(np.abs(term[[0, 1, 3, 4]]), env[[0, 1, 3, 4]])
+        assert np.all(np.sign(term[[0, 1, 3]]) == [1.0, 1.0, -1.0])
 
     @staticmethod
     def _power_law_quadrature(fn, p):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from denslab import (
+    DensityFlow,
     Grid1D,
     TimeGrid,
     builtin_drift,
@@ -104,6 +105,21 @@ class TestEulerMaruyama:
             euler_maruyama_mkv(("gaussian", 0.0, 0.3), fast, DIFF2, 100,
                                1e-2, 0.1, GRID, seed=1)
 
+    def test_record_times_are_step_times(self):
+        # a geometric record grid is far finer than dt near 0: one snapshot
+        # per distinct step, labelled with that step's time
+        dt = 1e-2
+        rec = TimeGrid.geometric(0.5, nodes_per_decade=10)
+        _, flow = euler_maruyama_mkv(("gaussian", 0.0, 0.3), ZERO_DRIFT, DIFF2, 1000,
+                                     dt, 0.5, GRID, seed=2, record_grid=rec)
+        t = flow.time_grid.nodes
+        assert len(t) < len(rec.nodes)
+        assert np.array_equal(t, np.round(t / dt) * dt)
+        snaps = [s.values for s in flow.snapshots]
+        for i in range(len(snaps)):
+            for j in range(i):
+                assert not np.array_equal(snaps[i], snaps[j])
+
     def test_feedback_needs_ensemble(self):
         cd = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.1,
                                               "tau": 0.6, "cap": 5.0})
@@ -131,6 +147,16 @@ class TestGirsanov:
         path = ParticlePath(times, w, dw)
         lw = girsanov_log_weight(path, ZERO_DRIFT, shift_drift(v), DIFF1, GRID)
         assert lw == pytest.approx(v * w[-1] - 0.5 * v**2, abs=1e-12)
+
+    def test_identical_density_dependent_drifts_zero_weights(self):
+        cd = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.1,
+                                              "tau": 0.6, "cap": 5.0})
+        mu = gaussian_density(GRID, 0.0, 0.3)
+        flow = DensityFlow(TimeGrid.uniform(0.05, 1), (mu, gaussian_density(GRID, 0.0, 0.5)))
+        for flows in ({}, {"flow_ref": flow, "flow_alt": flow}):
+            lw = girsanov_log_weights_mc(cd, cd, DIFF2, mu, 0.05, 2000, 1e-3, GRID,
+                                         seed=4, **flows)
+            assert lw.shape == (2000,) and np.all(lw == 0.0)
 
     def test_martingale_property(self):
         n = 100_000
