@@ -20,7 +20,6 @@ from .density_core import (
     normalize,
     save_density,
     save_flow,
-    tilde_measure_distance_l1,
     tilde_norm,
     tilde_spacetime_norm,
     uniform_density,

@@ -20,12 +20,14 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config as cfgmod
 from .config import RunConfig, parse_config
 from .density_core import (
+    DensityFlow,
     _atomic_write,
     load_density,
     normalize,
@@ -130,11 +132,6 @@ def _write_curve(report, out_dir: str) -> None:
     _atomic_write(os.path.join(out_dir, "curve.csv"), "\n".join(lines) + "\n")
 
 
-def _emit_config(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "resolved_config"), cfg.resolved_text())
-
-
 def _build_cfg(args, defaults=None) -> RunConfig:
     """defaults < subcommand flags < --config file < --set overrides."""
     base = dict(defaults or {})
@@ -146,8 +143,15 @@ def _build_cfg(args, defaults=None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommands: each computes (report, passed, flow, positions); _run writes
 # ---------------------------------------------------------------------------
+
+class _Result(NamedTuple):
+    report: object
+    passed: bool = True
+    flow: DensityFlow | None = None
+    positions: np.ndarray | None = None    # final particle positions
+
 
 def _load_mu(args, cfg, grid):
     if getattr(args, "mu", None):
@@ -158,123 +162,100 @@ def _load_mu(args, cfg, grid):
     return cfgmod.build_init_density(cfg, grid)
 
 
-def _cmd_solve(args) -> int:
-    cfg = _build_cfg(args)
+def _solve(cfg, args) -> _Result:
     grid = cfgmod.build_grid(cfg)
     drift = cfgmod.build_drift(cfg)
     if drift.density_dependent:
         raise ConfigError("drift is density-dependent: use the 'picard' subcommand")
-    mu = _load_mu(args, cfg, grid)
-    t0 = time.perf_counter()
-    flow = frozen_semigroup(mu, None, drift, cfgmod.build_diffusion(cfg),
+    flow = frozen_semigroup(_load_mu(args, cfg, grid), None, drift, cfgmod.build_diffusion(cfg),
                             cfgmod.build_time_grid(cfg), cfgmod.build_solver_options(cfg))
-    _emit_config(cfg, args.out)
-    save_flow(flow, os.path.join(args.out, "flow"))
-    write_report({"subcommand": "solve", "nodes": len(flow.time_grid.nodes),
-                  "final_mass": flow.snapshots[-1].mass()}, args.out,
-                 time.perf_counter() - t0)
-    return EXIT_PASS
+    return _Result({"subcommand": "solve", "nodes": len(flow.time_grid.nodes),
+                    "final_mass": flow.snapshots[-1].mass()}, flow=flow)
 
 
-def _cmd_picard(args) -> int:
-    cfg = _build_cfg(args)
-    grid = cfgmod.build_grid(cfg)
-    mu = _load_mu(args, cfg, grid)
-    t0 = time.perf_counter()
+def _picard(cfg, args) -> _Result:
+    mu = _load_mu(args, cfg, cfgmod.build_grid(cfg))
     result = picard_fixed_point(mu, cfgmod.build_drift(cfg), cfgmod.build_diffusion(cfg),
                                 cfgmod.build_time_grid(cfg), cfgmod.build_metric_spec(cfg),
                                 tol=cfg["picard.tol"], max_iter=cfg["picard.max_iter"],
                                 options=cfgmod.build_solver_options(cfg))
-    _emit_config(cfg, args.out)
-    save_flow(result.flow, os.path.join(args.out, "flow"))
-    write_report({"subcommand": "picard", "iterations": result.iterations,
-                  "lambda_used": result.lambda_used,
-                  "contraction_factors": list(result.contraction_factors),
-                  "final_residual": result.final_residual}, args.out,
-                 time.perf_counter() - t0)
-    return EXIT_PASS
+    return _Result({"subcommand": "picard", "iterations": result.iterations,
+                    "lambda_used": result.lambda_used,
+                    "contraction_factors": list(result.contraction_factors),
+                    "final_residual": result.final_residual}, flow=result.flow)
 
 
-def _cmd_particles(args) -> int:
-    cfg = _build_cfg(args)
+def _particles(cfg, args) -> _Result:
     grid = cfgmod.build_grid(cfg)
     mu = _load_mu(args, cfg, grid)
-    t0 = time.perf_counter()
-    bw = cfg["particles.bandwidth"] or "silverman"
     record = cfgmod.build_time_grid(cfg)
     ensemble, flow = euler_maruyama_mkv(mu, cfgmod.build_drift(cfg),
                                         cfgmod.build_diffusion(cfg), cfg["particles.n"],
-                                        cfg["particles.dt"], cfg["time.T"], grid,
-                                        cfg["seed"], bandwidth_rule=bw, record_grid=record)
-    _emit_config(cfg, args.out)
-    save_flow(flow, os.path.join(args.out, "flow"))
-    lines = ["position"]
-    lines.extend(repr(float(v)) for v in ensemble.positions)
-    _atomic_write(os.path.join(args.out, "ensemble_final.csv"), "\n".join(lines) + "\n")
-    write_report({"subcommand": "particles", "n": int(cfg["particles.n"]),
-                  "final_time": ensemble.time}, args.out, time.perf_counter() - t0)
-    return EXIT_PASS
+                                        cfg["particles.dt"], cfg["time.T"], grid, cfg["seed"],
+                                        bandwidth_rule=cfg["particles.bandwidth"] or "silverman",
+                                        record_grid=record)
+    return _Result({"subcommand": "particles", "n": int(cfg["particles.n"]),
+                    "final_time": ensemble.time}, flow=flow, positions=ensemble.positions)
 
 
-def _cmd_khasminskii(args) -> int:
-    cfg = _build_cfg(args, EXPERIMENT_DEFAULTS["khasminskii"])
-    t0 = time.perf_counter()
+def _khasminskii(cfg, args) -> _Result:
     rep = _khasminskii_run(cfg)
-    _emit_config(cfg, args.out)
-    write_report(rep, args.out, time.perf_counter() - t0)
-    return EXIT_PASS if rep.bounds_hold else EXIT_FAIL
+    return _Result(rep, rep.bounds_hold)
 
 
-def _parse_metric(spec: str):
-    if ":" in spec:
-        name, arg = spec.split(":", 1)
-        try:
-            return name, float(arg)
-        except ValueError:
-            raise ConfigError(f"metric '{spec}' has a malformed numeric argument")
-    if spec in ("wq", "renyi", "expw", "tilde"):
-        raise ConfigError(f"metric '{spec}' needs an argument, e.g. '{spec}:2'")
-    return spec, None
+def _experiment(cfg, args) -> _Result:
+    report = EXPERIMENTS[args.name](cfg)
+    return _Result(report, report.passed)
+
+
+def _run(args) -> int:
+    """Build the config, time the compute, write every artifact, pick the exit."""
+    cfg = _build_cfg(args, EXPERIMENT_DEFAULTS.get(args.name))
+    t0 = time.perf_counter()
+    res = args.compute(cfg, args)
+    runtime = time.perf_counter() - t0
+    os.makedirs(args.out, exist_ok=True)
+    _atomic_write(os.path.join(args.out, "resolved_config"), cfg.resolved_text())
+    if res.flow is not None:
+        save_flow(res.flow, os.path.join(args.out, "flow"))
+    if res.positions is not None:
+        lines = ["position"] + [repr(float(v)) for v in res.positions]
+        _atomic_write(os.path.join(args.out, "ensemble_final.csv"), "\n".join(lines) + "\n")
+    write_report(res.report, args.out, runtime)
+    _write_curve(res.report, args.out)
+    return EXIT_PASS if res.passed else EXIT_FAIL
+
+
+# name -> (function of (a, b, arg), name of its argument or None)
+METRICS = {
+    "w1": (lambda a, b, _: wasserstein_1d(a, b, 1.0), None),
+    "w2": (lambda a, b, _: wasserstein_1d(a, b, 2.0), None),
+    "wq": (lambda a, b, q: wasserstein_1d(a, b, q), "q"),
+    "tv": (lambda a, b, _: total_variation(a, b), None),
+    "ent": (lambda a, b, _: relative_entropy(a, b), None),
+    "renyi": (lambda a, b, alpha: renyi_entropy(a, b, alpha), "alpha"),
+    "expw": (lambda a, b, c: exp_wasserstein(a, b, c), "c"),
+    "tilde": (lambda a, b, k: tilde_norm(a.values - b.values, k, a.grid), "k"),
+}
 
 
 def _cmd_metrics(args) -> int:
     a = normalize(load_density(args.a))
     b = normalize(load_density(args.b))
     _check_pair(a, b)
-    name, arg = _parse_metric(args.metric)
-    if name == "w1":
-        val = wasserstein_1d(a, b, 1.0)
-    elif name == "w2":
-        val = wasserstein_1d(a, b, 2.0)
-    elif name == "wq":
-        val = wasserstein_1d(a, b, arg)
-    elif name == "tv":
-        val = total_variation(a, b)
-    elif name == "ent":
-        val = relative_entropy(a, b)
-    elif name == "renyi":
-        val = renyi_entropy(a, b, arg)
-    elif name == "expw":
-        val = exp_wasserstein(a, b, arg)
-    elif name == "tilde":
-        val = tilde_norm(a.values - b.values, arg, a.grid)
-    else:
+    name, colon, arg = args.metric.partition(":")
+    if colon:
+        try:
+            arg = float(arg)
+        except ValueError:
+            raise ConfigError(f"metric '{args.metric}' has a malformed numeric argument")
+    if name not in METRICS:
         raise ConfigError(f"unknown metric '{args.metric}'")
-    print(repr(float(val)))
+    fn, arg_name = METRICS[name]
+    if arg_name and not colon:
+        raise ConfigError(f"metric '{name}' needs an argument, e.g. '{name}:2'")
+    print(repr(float(fn(a, b, arg if colon else None))))
     return EXIT_PASS
-
-
-def _cmd_experiment(args) -> int:
-    if args.name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment '{args.name}'")
-    cfg = _build_cfg(args, EXPERIMENT_DEFAULTS[args.name])
-    t0 = time.perf_counter()
-    report = EXPERIMENTS[args.name](cfg)
-    runtime = time.perf_counter() - t0
-    _emit_config(cfg, args.out)
-    write_report(report, args.out, runtime)
-    _write_curve(report, args.out)
-    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -296,40 +277,27 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="denslab",
                                  description="Density-dependent diffusion laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="frozen (density-independent) forward solve")
-    p.add_argument("--params", dest="config")
-    p.add_argument("--mu", help="initial density CSV")
-    _add_common(p, "solve")
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("picard", help="fixed point of the density-feedback flow")
-    p.add_argument("--params", dest="config")
-    p.add_argument("--mu", help="initial density CSV")
-    _add_common(p, "picard")
-    p.set_defaults(fn=_cmd_picard)
-
-    p = sub.add_parser("particles", help="interacting particle simulation")
-    p.add_argument("--mu", help="initial density CSV")
-    _add_common(p, "particles")
-    p.set_defaults(fn=_cmd_particles)
-
-    p = sub.add_parser("khasminskii", help="exponential moment Monte Carlo")
-    _add_common(p, "khasminskii")
-    p.set_defaults(fn=_cmd_khasminskii)
+    for command, compute, help_text in (
+            ("solve", _solve, "frozen (density-independent) forward solve"),
+            ("picard", _picard, "fixed point of the density-feedback flow"),
+            ("particles", _particles, "interacting particle simulation"),
+            ("khasminskii", _khasminskii, "exponential moment Monte Carlo"),
+            ("experiment", _experiment, "theorem-to-experiment harness")):
+        p = sub.add_parser(command, help=help_text)
+        if command in ("solve", "picard", "particles"):
+            p.add_argument("--mu", help="initial density CSV")
+        if command == "experiment":
+            p.add_argument("name", choices=sorted(EXPERIMENTS))
+        _add_common(p, command)
+        # `name` picks the EXPERIMENT_DEFAULTS entry; experiment overrides it
+        p.set_defaults(fn=_run, compute=compute, name=command)
 
     p = sub.add_parser("metrics", help="distance between two density CSVs")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--metric", required=True,
-                   help="w1|w2|wq:<q>|tv|ent|renyi:<alpha>|expw:<c>|tilde:<k>")
+                   help="|".join(n + (f":<{arg}>" if arg else "") for n, (_, arg) in METRICS.items()))
     p.set_defaults(fn=_cmd_metrics)
-
-    p = sub.add_parser("experiment", help="theorem-to-experiment harness")
-    p.add_argument("name", choices=sorted(EXPERIMENTS))
-    _add_common(p, "experiment")
-    p.set_defaults(fn=_cmd_experiment)
-
     return ap
 
 

@@ -265,12 +265,13 @@ def build_metric_spec(cfg: RunConfig) -> FlowMetricSpec:
                           k=cfg["picard.metric_k"])
 
 
-def build_init_density(cfg: RunConfig, grid: Grid1D) -> GridDensity:
+def build_init_density(cfg: RunConfig, grid: Grid1D, shift: float = 0.0) -> GridDensity:
+    """The configured initial law, translated by `shift`."""
     kind = cfg["init.kind"]
     if kind == "gaussian":
-        return gaussian_density(grid, cfg["init.mean"], cfg["init.sigma"])
+        return gaussian_density(grid, cfg["init.mean"] + shift, cfg["init.sigma"])
     if kind == "uniform":
-        return uniform_density(grid, cfg["init.lo"], cfg["init.hi"])
+        return uniform_density(grid, cfg["init.lo"] + shift, cfg["init.hi"] + shift)
     raise ConfigError(f"key 'init.kind' must be gaussian|uniform, got {kind!r}")
 
 

@@ -48,8 +48,9 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise InvalidParameterError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise InvalidParameterError(
+                f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_cells < 8:
             raise InvalidParameterError(f"n_cells must be >= 8, got {self.n_cells}")
 
@@ -133,15 +134,15 @@ class TimeGrid:
 
     @staticmethod
     def uniform(T: float, n_steps: int) -> "TimeGrid":
-        if T <= 0 or n_steps < 1:
-            raise InvalidParameterError("uniform grid needs T > 0 and n_steps >= 1")
+        if not 0 < T < np.inf or n_steps < 1:
+            raise InvalidParameterError("uniform grid needs a finite T > 0 and n_steps >= 1")
         return TimeGrid(np.linspace(0.0, T, n_steps + 1))
 
     @staticmethod
     def geometric(T: float, t_min: float | None = None, nodes_per_decade: int = 40) -> "TimeGrid":
         """0, t_min, t_min*r, ... with r = 10^(1/nodes_per_decade), ending exactly at T."""
-        if T <= 0:
-            raise InvalidParameterError("T must be positive")
+        if not 0 < T < np.inf:
+            raise InvalidParameterError(f"T must be positive and finite, got {T}")
         if t_min is None:
             t_min = 1e-4 * T
         if not 0 < t_min < T:
@@ -258,52 +259,32 @@ def _windowed_p_norms(v: np.ndarray, g: Grid1D, p: float, m: int) -> np.ndarray:
     return _window_sums(np.abs(v) ** p * g.dx, m) ** (1.0 / p)
 
 
-def tilde_spacetime_norm(flow, p: float, q: float, s: float, t: float,
-                         time_grid: TimeGrid | None = None,
-                         grid: Grid1D | None = None) -> float:
+def tilde_spacetime_norm(values, p: float, q: float, s: float, t: float,
+                         time_grid: TimeGrid, grid: Grid1D) -> float:
     """Space-time localized norm: sup_z ( int_s^t ||f_r 1_{[z-1,z+1]}||_p^q dr )^(1/q).
 
     The supremum over z is joint: one window center for the whole time
     integral.  Time integration is the trapezoid rule on the time-grid nodes
-    inside [s, t].  `flow` is a DensityFlow or an (n_nodes, n_cells) array of
-    node values (with `time_grid` and `grid` given).
+    inside [s, t].  `values` is the (n_nodes, n_cells) array of node values.
     """
     if p < 1 or q < 1:
         raise InvalidParameterError("need p, q >= 1")
-    if isinstance(flow, DensityFlow):
-        mat = flow.values_matrix()
-        tg, g = flow.time_grid, flow.grid
-    else:
-        if time_grid is None or grid is None:
-            raise InvalidParameterError("raw flow values need time_grid and grid")
-        mat = np.asarray(flow, dtype=np.float64)
-        tg, g = time_grid, grid
-    if mat.shape != (len(tg.nodes), g.n_cells):
+    mat = np.asarray(values, dtype=np.float64)
+    nodes = time_grid.nodes
+    if mat.shape != (len(nodes), grid.n_cells):
         raise GridMismatchError("flow values do not match (time_grid, grid)")
-    if not (0.0 <= s < t <= tg.T + 1e-12):
+    if not (0.0 <= s < t <= time_grid.T + 1e-12):
         raise InvalidParameterError(f"need 0 <= s < t <= T, got [{s}, {t}]")
-    sel = (tg.nodes >= s - 1e-12) & (tg.nodes <= t + 1e-12)
-    times = tg.nodes[sel]
+    sel = (nodes >= s - 1e-12) & (nodes <= t + 1e-12)
+    times = nodes[sel]
     if times.size < 2:
         raise InvalidParameterError("empty time window: fewer than two nodes in [s, t]")
-    m = _window_half_cells(g)
-    W = np.stack([_windowed_p_norms(mat[i], g, p, m) for i in np.nonzero(sel)[0]])
+    m = _window_half_cells(grid)
+    W = np.stack([_windowed_p_norms(mat[i], grid, p, m) for i in np.nonzero(sel)[0]])
     if np.isinf(q):
         return float(np.max(W))
     integrals = np.trapezoid(W ** q, x=times, axis=0)
     return float(np.max(integrals) ** (1.0 / q))
-
-
-def tilde_measure_distance_l1(mu: GridDensity, nu: GridDensity) -> float:
-    """Localized total-variation-type distance: sup_z int_{[z-1,z+1]} |rho_mu - rho_nu|.
-
-    The inner supremum over test functions |f| <= 1 is attained at
-    f = sign(rho_mu - rho_nu), so this is the windowed L^1 norm of the
-    density difference; it never exceeds the global L^1 distance.
-    """
-    if mu.grid != nu.grid:
-        raise GridMismatchError("densities live on different grids")
-    return tilde_norm(mu.values - nu.values, 1.0, mu.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +335,8 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> GridDensity:
     deterministic and O(n log n) regardless of sample size.  Mass falling
     outside the grid is reported via the module logger.
     """
-    if bandwidth <= 0:
-        raise InvalidParameterError("bandwidth must be positive")
+    if not (bandwidth > 0 and np.isfinite(bandwidth)):
+        raise InvalidParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     x = np.asarray(positions, dtype=np.float64)
     if x.size < 1:
         raise InvalidParameterError("need at least one particle")

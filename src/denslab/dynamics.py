@@ -40,6 +40,9 @@ from .metrics import FlowMetricSpec
 
 log = logging.getLogger(__name__)
 
+_PROBE_SEED = 1234        # random probes of validate_drift
+_MAX_ESCALATIONS = 6      # discount-rate doublings of picard_fixed_point
+
 
 def in_integrability_class(p: float, q: float) -> bool:
     """Membership in the admissible exponent class: p, q > 2 and 1/p + 2/q < 1."""
@@ -130,10 +133,12 @@ class DriftSpec:
         return DriftSpec(b1=self.b1, K=self.K, tau=self.tau, name=self.name + "_reference")
 
 
-def validate_drift(drift: DriftSpec, T: float, grid: Grid1D, rng_seed: int = 1234) -> None:
-    """Probe-based admissibility checks; raises InvalidDriftError naming the
-    violated inequality."""
-    rng = np.random.default_rng(rng_seed)
+def validate_drift(drift: DriftSpec, T: float, grid: Grid1D) -> None:
+    """Probe-based admissibility checks on [0, T]; raises InvalidDriftError
+    naming the violated inequality."""
+    if not 0 < T < np.inf:
+        raise InvalidParameterError(f"T must be positive and finite, got {T}")
+    rng = np.random.default_rng(_PROBE_SEED)
     xs = grid.centers
     # b1 Lipschitz constant via random difference quotients
     for t in np.linspace(1e-6, T, 8):
@@ -449,8 +454,7 @@ class PicardResult:
 
 def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
                        tg: TimeGrid, spec: FlowMetricSpec, tol: float = 1e-6,
-                       max_iter: int = 25, options: SolverOptions | None = None,
-                       max_escalations: int = 6) -> PicardResult:
+                       max_iter: int = 25, options: SolverOptions | None = None) -> PicardResult:
     """Iterate the frozen-density map to its fixed point.
 
     The iteration starts from the flow of the regular reference drift (b1
@@ -459,7 +463,7 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
     Contraction factors are recorded in the discounted metric; whenever an
     observed factor exceeds 0.9 the discount rate is doubled and the factors
     re-measured (the iterates themselves do not depend on it), up to
-    `max_escalations` times.  Factors still >= 1 after that is a failure,
+    _MAX_ESCALATIONS times.  Factors still >= 1 after that is a failure,
     reported with the diverging ratio sequence.
     """
     if tol <= 0:
@@ -502,7 +506,7 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
 
     ratios = factors(lam)
     esc = 0
-    while esc < max_escalations and any(r > 0.9 for r in ratios[1:]):
+    while esc < _MAX_ESCALATIONS and any(r > 0.9 for r in ratios[1:]):
         lam *= 2.0
         esc += 1
         ratios = factors(lam)

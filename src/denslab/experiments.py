@@ -27,7 +27,7 @@ from .config import (
     build_solver_options,
     build_time_grid,
 )
-from .density_core import DensityFlow, GridDensity, TimeGrid, gaussian_density, tilde_norm
+from .density_core import DensityFlow, GridDensity, TimeGrid, tilde_norm
 from .dynamics import DriftSpec, frozen_semigroup, picard_fixed_point
 from .errors import (
     ConfigError,
@@ -92,6 +92,8 @@ def _select_measure_nodes(cfg: RunConfig, tg: TimeGrid):
     t_lo, t_hi, n_t = cfg["experiment.t_lo"], cfg["experiment.t_hi"], cfg["experiment.n_t"]
     if not (0 < t_lo < t_hi <= tg.T * (1 + 1e-9)):
         raise ConfigError(f"bad measurement range [{t_lo}, {t_hi}] for T={tg.T}")
+    if n_t < 1:
+        raise ConfigError(f"key 'experiment.n_t' must be >= 1, got {n_t}")
     targets = np.geomspace(t_lo, t_hi, n_t)
     idx = np.unique([int(np.argmin(np.abs(tg.nodes - tt))) for tt in targets])
     idx = idx[tg.nodes[idx] > 0]
@@ -124,11 +126,11 @@ def _paired_flows(cfg: RunConfig):
     drift, and the measurement node indices with their times."""
     grid = build_grid(cfg)
     mu = build_init_density(cfg, grid)
-    nu = gaussian_density(grid, cfg["init.mean"] + cfg["experiment.delta"], cfg["init.sigma"])
+    nu = build_init_density(cfg, grid, shift=cfg["experiment.delta"])
     drift = build_drift(cfg)
+    idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
     flow_mu = _solve_flow(cfg, mu, drift)
     flow_nu = _solve_flow(cfg, nu, drift)
-    idx, t = _select_measure_nodes(cfg, flow_mu.time_grid)
     return mu, nu, flow_mu, flow_nu, idx, t
 
 
@@ -169,9 +171,9 @@ def experiment_smoothing(cfg: RunConfig) -> ScalingReport:
     grid = build_grid(cfg)
     mu = build_init_density(cfg, grid)
     drift = build_drift(cfg)
-    flow = _solve_flow(cfg, mu, drift)
-    idx, t = _select_measure_nodes(cfg, flow.time_grid)
+    idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
     _require_span(cfg, t)
+    flow = _solve_flow(cfg, mu, drift)
     measured = [tilde_norm(flow.snapshots[i], np.inf) for i in idx]
     return _ratio_report("smoothing_sup_norm", t, measured, -0.5, cfg)
 

@@ -52,6 +52,7 @@ _STREAM_INIT = 1
 _STREAM_EVOLVE = 2
 _MASK64 = (1 << 64) - 1
 _LOG_WEIGHT_CAP = 700.0
+_FIELD_TIME_NODES = 129    # time nodes of field_spacetime_norm
 
 
 def _block_size(n: int) -> int:
@@ -105,9 +106,7 @@ def sample_initial(init, n: int, seed: int, grid: Grid1D | None = None) -> np.nd
 
 def _bandwidth(rule, positions: np.ndarray) -> float:
     if isinstance(rule, (int, float)):
-        if rule <= 0:
-            raise InvalidParameterError("bandwidth must be positive")
-        return float(rule)
+        return float(rule)    # kde checks it
     if rule == "silverman":
         sd = float(np.std(positions))
         return 1.06 * max(sd, 1e-12) * positions.size ** (-0.2)
@@ -194,8 +193,8 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     domain matches the PDE solver's no-flux choice.  The flow holds one KDE
     per distinct step that a record node rounds to, at that step's time.
     """
-    if n_particles < 1 or dt <= 0 or T <= 0:
-        raise InvalidParameterError("need n_particles >= 1, dt > 0, T > 0")
+    if n_particles < 1 or not 0 < dt < np.inf or not 0 < T < np.inf:
+        raise InvalidParameterError("need n_particles >= 1 and finite dt > 0, T > 0")
     if drift.density_dependent and n_particles < 1000:
         raise InvalidParameterError("density feedback needs at least 1000 particles")
     x = sample_initial(init, n_particles, seed, grid)
@@ -289,8 +288,9 @@ def builtin_field(name: str, params: dict | None = None) -> SpaceTimeField:
     p = dict(params or {})
     pp = float(p.pop("p", 4.0))
     qq = float(p.pop("q", 4.0))
-    if not in_integrability_class(pp, qq):
-        raise InvalidParameterError(f"(p, q) = ({pp}, {qq}) outside the admissible class")
+    if not (in_integrability_class(pp, qq) and math.isfinite(qq)):
+        raise InvalidParameterError(
+            f"(p, q) = ({pp}, {qq}) outside the admissible class with finite q")
     if name == "constant":
         c0 = float(p.pop("c0", 0.5))
         if p:
@@ -303,6 +303,8 @@ def builtin_field(name: str, params: dict | None = None) -> SpaceTimeField:
         center = float(p.pop("center", 0.0))
         if p:
             raise InvalidParameterError(f"unknown singular-field parameters: {sorted(p)}")
+        if not coeff > 0:
+            raise InvalidParameterError(f"singular_power: coeff must be positive, got {coeff}")
         return SpaceTimeField(fn=lambda t, x: power_singularity(x, center, coeff, gamma),
                               p=pp, q=qq, cap_coeff=coeff, cap_exponent=gamma,
                               name="singular_power")
@@ -333,10 +335,9 @@ class KhasminskiiReport:
     time_integral_norm: float
 
 
-def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float,
-                         n_time: int = 129):
+def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float):
     """(||f||_{~L^p_q(s,t)}, int_s^t ||f_r||_{~L^p}^q dr) on the grid, capped."""
-    times = np.linspace(s, t, n_time)
+    times = np.linspace(s, t, _FIELD_TIME_NODES)
     vals = np.stack([f.evaluate(float(tt), grid.centers, grid.dx) for tt in times])
     if not np.all(np.isfinite(vals)):
         return float("inf"), float("inf")
@@ -347,7 +348,7 @@ def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float,
         nodes, mat = times, vals
     tg = TimeGrid(nodes)
     norm = tilde_spacetime_norm(mat, f.p, f.q, s, t, time_grid=tg, grid=grid)
-    per_node = np.array([tilde_norm(vals[i], f.p, grid) for i in range(n_time)])
+    per_node = np.array([tilde_norm(v, f.p, grid) for v in vals])
     integral = float(np.trapezoid(per_node ** f.q, x=times))
     return norm, integral
 
@@ -366,8 +367,10 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     lam = np.asarray(lambda_grid, dtype=np.float64)
     if lam.size < 2 or np.any(lam <= 0):
         raise InvalidParameterError("lambda grid must be positive with >= 2 entries")
-    if not (0 <= s < t):
-        raise InvalidParameterError("need 0 <= s < t")
+    if not (0 <= s < t < np.inf):
+        raise InvalidParameterError("need 0 <= s < t < inf")
+    if n_paths < 1 or not 0 < dt < np.inf:
+        raise InvalidParameterError("need n_paths >= 1 and a finite dt > 0")
     norm, integral = field_spacetime_norm(f, grid, s, t)
     if not np.isfinite(norm):
         raise InvalidParameterError("field has infinite localized space-time norm")

@@ -1,8 +1,9 @@
 """Independent reference routines that only the test suite uses.
 
 Exact transport on small atomic measures (monotone coupling and a
-transportation linear program), a one-path Girsanov log-weight, a single
-Fokker-Planck step, and a probe of a diffusion coefficient's declared bounds.
+transportation linear program), the localized measure distance, a one-path
+Girsanov log-weight, a single Fokker-Planck step, and a probe of a diffusion
+coefficient's declared bounds.
 """
 
 import math
@@ -12,8 +13,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from denslab.dynamics import DiffusionSpec, DriftSpec, _advance, drift_at_positions
-from denslab.density_core import DensityFlow, Grid1D, GridDensity
+from denslab.density_core import DensityFlow, Grid1D, GridDensity, tilde_norm
 from denslab.errors import (
+    GridMismatchError,
     InvalidDriftError,
     InvalidParameterError,
     NotAProbabilityError,
@@ -107,6 +109,22 @@ def wasserstein_lp_oracle(xs, ws, ys, vs, q: float = 1.0) -> float:
         raise InvalidParameterError("q must be >= 1")
     cost = lambda x, y: abs(x - y) ** q
     return coupling_lp_cost(xs, ws, ys, vs, cost) ** (1.0 / q)
+
+
+# ---------------------------------------------------------------------------
+# localized measure distance
+# ---------------------------------------------------------------------------
+
+def tilde_measure_distance_l1(mu: GridDensity, nu: GridDensity) -> float:
+    """Localized total-variation-type distance: sup_z int_{[z-1,z+1]} |rho_mu - rho_nu|.
+
+    The inner supremum over test functions |f| <= 1 is attained at
+    f = sign(rho_mu - rho_nu), so this is the windowed L^1 norm of the
+    density difference; it never exceeds the global L^1 distance.
+    """
+    if mu.grid != nu.grid:
+        raise GridMismatchError("densities live on different grids")
+    return tilde_norm(mu.values - nu.values, 1.0, mu.grid)
 
 
 # ---------------------------------------------------------------------------

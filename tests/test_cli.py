@@ -8,7 +8,7 @@ import pytest
 
 from denslab import Grid1D, KhasminskiiReport, gaussian_density, load_flow, save_density
 from denslab.cli import main
-from denslab.config import parse_config
+from denslab.config import SCHEMA, parse_config
 from denslab.errors import ConfigError
 
 
@@ -66,6 +66,24 @@ class TestParseConfig:
         assert cfg2.data == cfg.data
 
 
+# tiny bases for the schema sweep: 16 cells and a handful of steps each
+_TINY = ["--set", "grid.cells=16", "--set", "grid.x_min=-2", "--set", "grid.x_max=2",
+         "--set", "init.sigma=0.5", "--set", "solver.rel_dt=0.1", "--set", "solver.dt_max=0.01",
+         "--set", "time.T=0.01", "--set", "time.refine=uniform", "--set", "time.uniform_nodes=2",
+         "--set", "particles.n=10", "--set", "particles.dt=0.005",
+         "--set", "khasminskii.t=0.01", "--set", "khasminskii.dt=0.005"]
+SWEEP_BASES = {
+    "solve": ["solve", "--drift", "linear_ou"] + _TINY,
+    "particles": ["particles", "--drift", "linear_ou"] + _TINY,
+    "khasminskii": ["khasminskii"] + _TINY,
+    "experiment-smoothing": ["experiment", "smoothing", "--set", "drift.name=zero",
+                             "--set", "grid.cells=16", "--set", "grid.x_min=-2",
+                             "--set", "grid.x_max=2", "--set", "init.sigma=0.5",
+                             "--set", "solver.rel_dt=0.5", "--set", "solver.dt_max=1",
+                             "--set", "time.nodes_per_decade=2", "--set", "experiment.n_t=5"],
+}
+
+
 class TestExitCodes:
     def test_invalid_grid_is_config_error(self, tmp_path):
         rc = main(["experiment", "smoothing", "--set", "grid.cells=4",
@@ -97,12 +115,42 @@ class TestExitCodes:
         ["solve", "--drift", "linear_ou", "--set", "solver.dt_max=-1"],
         ["solve", "--drift", "linear_ou", "--threads", "-3"],
         ["experiment", "smoothing"],   # experiment.t_hi = 1.0 beyond time.T = 0.01
+        ["particles", "--set", "particles.bandwidth=inf"],
+        ["khasminskii", "--set", "particles.n=0"],
+        ["khasminskii", "--set", "particles.n=-1"],
+        ["khasminskii", "--set", "khasminskii.dt=0"],
+        ["experiment", "smoothing", "--set", "experiment.t_lo=0.001",
+         "--set", "experiment.t_hi=0.01", "--set", "experiment.n_t=0"],
+        ["experiment", "smoothing", "--set", "experiment.t_lo=0.001",
+         "--set", "experiment.t_hi=0.01", "--set", "experiment.n_t=-1"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
-            "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T"])
+            "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
+            "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
+            "zero-n-t", "negative-n-t"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_BASES))
+    def test_schema_sweep_exits_with_a_contract_code(self, tmp_path, command):
+        # every non-string key at 0, -1, nan and (float keys only) inf
+        for key, (kind, _) in SCHEMA.items():
+            if kind == "str":
+                continue
+            for val in ("0", "-1", "nan") + (("inf",) if kind == "float" else ()):
+                argv = SWEEP_BASES[command] + ["--set", f"{key}={val}",
+                                               "--out", str(tmp_path / "o")]
+                try:
+                    rc = main(argv)
+                except Exception as exc:
+                    pytest.fail(f"{command} {key}={val} raised {exc!r}")
+                assert rc in (0, 1, 2, 3), (command, key, val, rc)
+
+    def test_params_alias_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--params", "run.cfg", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     def test_solve_rejects_density_dependent_drift(self, tmp_path):
         rc = main(["solve", "--drift", "capped_density", "--out", str(tmp_path / "o")])

@@ -15,7 +15,6 @@ from denslab import (
     normalize,
     save_density,
     save_flow,
-    tilde_measure_distance_l1,
     tilde_norm,
     tilde_spacetime_norm,
     uniform_density,
@@ -26,6 +25,7 @@ from denslab.errors import (
     GridMismatchError,
     InvalidParameterError,
 )
+from oracles import tilde_measure_distance_l1
 
 
 def brute_force_tilde_norm(values, grid, k):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from denslab.config import parse_config
+from denslab.density_core import uniform_density
 from denslab.errors import InsufficientSpanError, InvalidDataError
 from denslab.experiments import (
+    _paired_flows,
     experiment_entropy_cost,
     experiment_khasminskii,
     experiment_renyi,
@@ -14,6 +16,7 @@ from denslab.experiments import (
     experiment_supercontinuity,
     fit_loglog,
 )
+from denslab.metrics import wasserstein_1d
 
 
 class TestFitLoglog:
@@ -78,6 +81,20 @@ class TestSmoothing:
                            "experiment.slope_tol": 0.0})
         rep = experiment_smoothing(cfg)
         assert rep.passed and rep.max_ratio_violation <= 3.0
+
+
+class TestPairedFlows:
+    def test_nu_is_the_configured_law_shifted(self):
+        # a uniform initial law is translated by experiment.delta, not
+        # replaced by a Gaussian
+        cfg = parse_config(base={"drift.name": "zero", "grid.cells": 400,
+                                 "init.kind": "uniform", "experiment.delta": 0.1,
+                                 "time.T": 0.01, "time.refine": "uniform",
+                                 "time.uniform_nodes": 4, "experiment.t_lo": 1e-3,
+                                 "experiment.t_hi": 0.01})
+        mu, nu, *_ = _paired_flows(cfg)
+        assert wasserstein_1d(mu, nu, 1.0) == pytest.approx(0.1, abs=mu.grid.dx)
+        assert np.array_equal(nu.values, uniform_density(mu.grid, 0.1, 1.1).values)
 
 
 class TestSupercontinuity:

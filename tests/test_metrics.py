@@ -29,6 +29,7 @@ from denslab.errors import (
 from oracles import (
     coupling_lp_cost,
     quantile_coupling_cost,
+    tilde_measure_distance_l1,
     wasserstein_atoms,
     wasserstein_lp_oracle,
 )
@@ -311,7 +312,6 @@ class TestTotalVariation:
         g = Grid1D(-4.0, 4.0, 300)
         a = gaussian_density(g, 0.0, 0.5)
         b = gaussian_density(g, 1.0, 0.7)
-        from denslab import tilde_measure_distance_l1
         assert tilde_measure_distance_l1(a, b) <= total_variation(a, b) + 1e-12
 
 
