@@ -13,10 +13,12 @@ with an adaptively escalated discount rate, since the theoretically
 sufficient rate is not explicit.
 
 Scheme: conservative finite volume, upwind advective flux (explicit) and
-centered diffusive flux assembled implicitly (one tridiagonal solve per
-step), no-flux boundaries.  Mass is conserved to rounding; the implicit
-diffusion is unconditionally stable and the explicit advection is kept under
-a CFL guard.
+centered diffusive flux assembled implicitly, no-flux boundaries.  The
+tridiagonal diffusion matrix is factored once per node interval (again only
+if a(t, x) changes inside it) and each sub-step is one solve with those
+factors.  Mass is conserved to rounding; the implicit diffusion is
+unconditionally stable and the explicit advection is kept under a CFL guard
+checked at every sub-step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import fftconvolve
 
 from .density_core import DensityFlow, Grid1D, GridDensity, TimeGrid, tilde_norm
@@ -191,8 +193,9 @@ def density_features(rho_values: np.ndarray, grid: Grid1D, drift: DriftSpec) -> 
     return feats
 
 
-def _singular_sum(drift: DriftSpec, t: float, x: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(x)
+def _singular_sum(drift: DriftSpec, t: float, x: np.ndarray, dx: float):
+    """Sum of the capped singular terms at x; the scalar 0.0 when there are none."""
+    out = 0.0
     for part in drift.singular_parts:
         v = np.asarray(part.term(t, x), dtype=np.float64)
         if part.cap_coeff > 0:
@@ -264,6 +267,9 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
                           admissible only when gamma * p2 < 1.
     """
     p = dict(params or {})
+    nonfinite = sorted(k for k, v in p.items() if not math.isfinite(float(v)))
+    if nonfinite:
+        raise InvalidDriftError(f"{name}: parameters {nonfinite} must be finite")
     theta = float(p.pop("theta", 1.0))
 
     def ou(t, x):
@@ -360,8 +366,8 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.rel_dt) and self.rel_dt > 0):
             raise InvalidParameterError(f"rel_dt must be finite and > 0, got {self.rel_dt}")
-        if not self.cfl > 0:
-            raise InvalidParameterError(f"cfl must be > 0, got {self.cfl}")
+        if not 0 < self.cfl <= 1:
+            raise InvalidParameterError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.dt_max is not None and not self.dt_max > 0:
             raise InvalidParameterError(f"dt_max must be > 0, got {self.dt_max}")
 
@@ -372,27 +378,30 @@ def _initial_time_scale(mu: GridDensity, diff: DiffusionSpec) -> float:
     return width ** 2 / diff.k_bound
 
 
-def _advance(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float, dx: float) -> np.ndarray:
-    n = v.size
-    # upwind advective flux at interior faces, zero at the boundary
-    bf = 0.5 * (b[:-1] + b[1:])
-    flux = np.where(bf > 0, bf * v[:-1], bf * v[1:])
-    rhs = v.copy()
-    rhs[:-1] -= dt / dx * flux
-    rhs[1:] += dt / dx * flux
-    # implicit diffusive flux (a rho)' / 2 at interior faces
+def _factor(a: np.ndarray, dt: float, dx: float) -> tuple:
+    """LU factors (LAPACK dgttrf) of the implicit-diffusion matrix
+    I - dt/2 d^2/dx^2 (a .) with no-flux faces, for `_advance`."""
+    n = a.size
     alpha = dt / (2.0 * dx * dx)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -alpha * a[1:]          # super-diagonal
-    ab[2, :-1] = -alpha * a[:-1]        # sub-diagonal
     diag = np.ones(n)
     diag[:-1] += alpha * a[:-1]
     diag[1:] += alpha * a[1:]
-    ab[1, :] = diag
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - a >= 1/K prevents this
-        raise SolverFailureError(f"tridiagonal solve failed: {exc}") from exc
+    dl, d, du, du2, ipiv, info = dgttrf(-alpha * a[:-1], diag, -alpha * a[1:])
+    if info != 0:  # pragma: no cover - a >= 1/K keeps the matrix diagonally dominant
+        raise SolverFailureError(f"tridiagonal factorization failed (info = {info})")
+    return dl, d, du, du2, ipiv
+
+
+def _advance(v: np.ndarray, b: np.ndarray, lu: tuple, dt: float, dx: float) -> np.ndarray:
+    """One step: explicit upwind advection with drift b, then the implicit
+    diffusion solve with the factors `lu = _factor(a, dt, dx)`."""
+    # upwind advective flux at interior faces, zero at the boundary
+    bf = 0.5 * (b[:-1] + b[1:])
+    moved = dt / dx * (bf * np.where(bf > 0, v[:-1], v[1:]))
+    rhs = v.copy()
+    rhs[:-1] -= moved
+    rhs[1:] += moved
+    return dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
 def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpec,
@@ -402,7 +411,12 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
 
     Marches the conservative scheme across the time grid, evaluating the
     drift at each sub-step start with gamma's density interpolated in time;
-    snapshot 0 is the initial density itself.
+    snapshot 0 is the initial density itself.  The sub-step is fixed within
+    a node interval, so the diffusion matrix is factored at the interval's
+    first sub-step and again only when a(t, x) changes.  Every sub-step must
+    satisfy dt * max|b| <= dx, else SolverFailureError: dt is chosen from the
+    drift at the interval start, and a drift that grows inside the interval
+    can outrun it.
     """
     opts = options or SolverOptions()
     if drift.density_dependent and gamma is None:
@@ -421,18 +435,28 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
         rho_g = gamma.values_at(t0) if gamma is not None else None
         b0 = drift_field(drift, t0, grid, rho_g)
         max_b = float(np.max(np.abs(b0)))
+        if not math.isfinite(max_b):
+            raise SolverFailureError(f"non-finite drift at t = {t0:.4g}")
         dt_target = min(dt_max, max(opts.rel_dt * (t0 + t_init), 1e-14))
         if max_b > 0:
             dt_target = min(dt_target, opts.cfl * dx / max_b)
         n_sub = max(1, int(math.ceil(gap / dt_target - 1e-12)))
         dt = gap / n_sub
+        a_lu = None
         for sidx in range(n_sub):
             ts = t0 + sidx * dt
             if sidx > 0:
                 rho_g = gamma.values_at(ts) if gamma is not None else None
                 b0 = drift_field(drift, ts, grid, rho_g)
+                max_b = float(np.max(np.abs(b0)))
+            if not dt * max_b <= dx * (1.0 + 1e-9):
+                raise SolverFailureError(
+                    f"dt * max|b| = {dt * max_b:.3e} exceeds the grid scale {dx:.3e} "
+                    f"at t = {ts:.4g}")
             a0 = np.asarray(diff.a(ts, x), dtype=np.float64)
-            v = _advance(v, b0, a0, dt, dx)
+            if a_lu is None or not np.array_equal(a0, a_lu):
+                lu, a_lu = _factor(a0, dt, dx), a0
+            v = _advance(v, b0, lu, dt, dx)
         if not np.all(np.isfinite(v)):
             raise SolverFailureError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
         snaps.append(GridDensity(grid, np.maximum(v, 0.0)))

@@ -36,7 +36,13 @@ from .errors import (
     NumericOverflowError,
     SolverFailureError,
 )
-from .metrics import exp_wasserstein, relative_entropy, renyi_entropy, wasserstein_1d
+from .metrics import (
+    _log_exp_moment,
+    _quantile_gap2,
+    relative_entropy,
+    renyi_entropy,
+    wasserstein_1d,
+)
 from .particles import KhasminskiiReport, khasminskii_mc
 
 _SPAN_DECADES = 2.0
@@ -261,12 +267,13 @@ class RenyiReport:
     flags: tuple = ()
 
 
-def _smallest_expw_constant(mu, nu, target: float) -> float:
-    """Smallest c with exp_wasserstein(mu, nu, c) >= target (0 at noise level)."""
+def _smallest_expw_constant(gap2: np.ndarray, target: float) -> float:
+    """Smallest c with exp_wasserstein(mu, nu, c) >= target (0 at noise level),
+    given the pair's squared quantile gap `gap2 = _quantile_gap2(mu, nu)`."""
     if target <= 1e-12:
         return 0.0
     lo, hi = 0.0, 1e-6
-    while exp_wasserstein(mu, nu, hi) < target:
+    while _log_exp_moment(gap2, hi) < target:
         hi *= 2.0
         if hi > 1e12:
             raise NumericOverflowError("dominance calibration diverged")
@@ -274,7 +281,7 @@ def _smallest_expw_constant(mu, nu, target: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= 0:
             break
-        if exp_wasserstein(mu, nu, mid) >= target:
+        if _log_exp_moment(gap2, mid) >= target:
             hi = mid
         else:
             lo = mid
@@ -300,11 +307,12 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
     limit_gap = float(np.max(np.abs(limit_vals - np.array(kl_vals))))
     limit_ok = limit_gap <= 1e-3
     # calibrate the transport-term constant on the even-index nodes, all alphas
+    gap2 = _quantile_gap2(mu, nu)
     c_cal = 0.0
     for i_t in range(0, len(t), 2):
         for j, a in enumerate(alphas):
             target = a * ent[i_t, j]
-            c_needed = _smallest_expw_constant(mu, nu, target) * 2.0 * float(t[i_t])
+            c_needed = _smallest_expw_constant(gap2, target) * 2.0 * float(t[i_t])
             c_cal = max(c_cal, c_needed)
     c_cal *= 1.05
     dominance_ok = True
@@ -315,7 +323,7 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
             bound_base = 0.0
         else:
             try:
-                bound_base = exp_wasserstein(mu, nu, c_cal / (2.0 * tt))
+                bound_base = _log_exp_moment(gap2, c_cal / (2.0 * tt))
             except NumericOverflowError:
                 dropped.append(tt)
                 flags.append(f"expw-overflow@t={tt:.6g}")

@@ -57,7 +57,7 @@ def _check_probability(d: GridDensity) -> None:
 def _quantile_grid(mu: GridDensity, nu: GridDensity):
     n_u = max(4 * mu.grid.n_cells, 1024)
     u = (np.arange(n_u) + 0.5) / n_u
-    return density_quantiles(mu, u), density_quantiles(nu, u), n_u
+    return density_quantiles(mu, u), density_quantiles(nu, u)
 
 
 def wasserstein_1d(mu: GridDensity, nu: GridDensity, q: float = 1.0) -> float:
@@ -71,7 +71,7 @@ def wasserstein_1d(mu: GridDensity, nu: GridDensity, q: float = 1.0) -> float:
     _check_pair(mu, nu)
     _check_probability(mu)
     _check_probability(nu)
-    qa, qb, _ = _quantile_grid(mu, nu)
+    qa, qb = _quantile_grid(mu, nu)
     return float(np.mean(np.abs(qa - qb) ** q) ** (1.0 / q))
 
 
@@ -81,20 +81,31 @@ def exp_wasserstein(mu: GridDensity, nu: GridDensity, c: float) -> float:
 
     Evaluated on the monotone coupling, which is optimal in 1D because the
     cost is convex increasing in |x-y| (cross-checked against the LP oracle
-    in the test suite).
+    in the test suite).  A caller that needs many values of c for one pair
+    computes `_quantile_gap2` once and calls `_log_exp_moment` per c.
     """
     if c <= 0:
         raise InvalidParameterError("c must be positive")
+    return _log_exp_moment(_quantile_gap2(mu, nu), c)
+
+
+def _quantile_gap2(mu: GridDensity, nu: GridDensity) -> np.ndarray:
+    """Squared monotone-coupling gap (F_mu^-1(u) - F_nu^-1(u))^2 on the
+    uniform quantile grid of `_quantile_grid`, for a checked probability pair."""
     _check_pair(mu, nu)
     _check_probability(mu)
     _check_probability(nu)
-    qa, qb, n_u = _quantile_grid(mu, nu)
-    gap2 = (qa - qb) ** 2
+    qa, qb = _quantile_grid(mu, nu)
+    return (qa - qb) ** 2
+
+
+def _log_exp_moment(gap2: np.ndarray, c: float) -> float:
+    """log of the mean of exp(c * gap2): `exp_wasserstein` for c > 0."""
     if c * float(gap2.max()) > 700.0:
         raise NumericOverflowError(
             f"c * max_gap^2 = {c * gap2.max():.1f} > 700 would overflow"
         )
-    return float(logsumexp(c * gap2) - np.log(n_u))
+    return float(logsumexp(c * gap2) - np.log(gap2.size))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +139,8 @@ def renyi_entropy(mu: GridDensity, nu: GridDensity, alpha: float) -> float:
     Computed in log space through logsumexp so large density ratios stay
     representable.
     """
-    if alpha <= 0:
-        raise InvalidParameterError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise InvalidParameterError(f"alpha must be positive and finite, got {alpha}")
     _check_pair(mu, nu)
     keep = _entropy_support(mu, nu)
     if keep is None:

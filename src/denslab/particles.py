@@ -157,11 +157,10 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
         rho = density(t, x) if density is not None else None
         b = drift_at_positions(drift, t, x, grid, rho)
         sigma = np.sqrt(np.asarray(diff.a(t, x), dtype=np.float64))
-        if s == 0:
-            cfl = float(np.max(np.abs(b))) * dt
-            if cfl > grid.dx * (1.0 + 1e-9):
-                raise InvalidParameterError(
-                    f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e}")
+        cfl = float(np.max(np.abs(b))) * dt
+        if cfl > grid.dx * (1.0 + 1e-9):
+            raise InvalidParameterError(
+                f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} at step {s}")
         dw = sqrt_dt * normal_increments(seed, _STREAM_EVOLVE, s, x.size)
         x_next = _reflect(x + b * dt + sigma * dw, grid.x_min, grid.x_max)
         if not np.all(np.isfinite(x_next)):

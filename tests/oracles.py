@@ -1,8 +1,10 @@
 """Independent reference routines that only the test suite uses.
 
 Exact transport on small atomic measures (monotone coupling and a
-transportation linear program), the localized measure distance, a one-path
-Girsanov log-weight, a single Fokker-Planck step, and a probe of a diffusion
+transportation linear program), the expW calibration bisected on
+`exp_wasserstein` itself, the localized measure distance, a one-path
+Girsanov log-weight, a single Fokker-Planck step, the reference step that
+assembles and solves the banded matrix afresh, and a probe of a diffusion
 coefficient's declared bounds.
 """
 
@@ -10,17 +12,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import linprog
 
-from denslab.dynamics import DiffusionSpec, DriftSpec, _advance, drift_at_positions
+from denslab.dynamics import (
+    DiffusionSpec,
+    DriftSpec,
+    _advance,
+    _factor,
+    drift_at_positions,
+)
 from denslab.density_core import DensityFlow, Grid1D, GridDensity, tilde_norm
 from denslab.errors import (
     GridMismatchError,
     InvalidDriftError,
     InvalidParameterError,
     NotAProbabilityError,
+    NumericOverflowError,
     SolverFailureError,
 )
+from denslab.metrics import exp_wasserstein
 
 _MASS_TOL = 1e-6
 
@@ -112,6 +123,32 @@ def wasserstein_lp_oracle(xs, ws, ys, vs, q: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
+# expW calibration by bisection on exp_wasserstein
+# ---------------------------------------------------------------------------
+
+def smallest_expw_constant(mu: GridDensity, nu: GridDensity, target: float) -> float:
+    """Smallest c with exp_wasserstein(mu, nu, c) >= target (0 at noise level),
+    each probe a full `exp_wasserstein` call; the Renyi experiment bisects
+    the same way on the pair's quantile gap computed once."""
+    if target <= 1e-12:
+        return 0.0
+    lo, hi = 0.0, 1e-6
+    while exp_wasserstein(mu, nu, hi) < target:
+        hi *= 2.0
+        if hi > 1e12:
+            raise NumericOverflowError("dominance calibration diverged")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid <= 0:
+            break
+        if exp_wasserstein(mu, nu, mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# ---------------------------------------------------------------------------
 # localized measure distance
 # ---------------------------------------------------------------------------
 
@@ -177,8 +214,31 @@ def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray,
     a = np.asarray(a_field_values, dtype=np.float64)
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
         raise SolverFailureError("non-finite coefficient field")
-    new = _advance(rho.values, b, a, dt, rho.grid.dx)
+    dx = rho.grid.dx
+    new = _advance(rho.values, b, _factor(a, dt, dx), dt, dx)
     return GridDensity(rho.grid, np.maximum(new, 0.0))
+
+
+def reference_step(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float,
+                   dx: float) -> np.ndarray:
+    """The step `_advance` takes, with the banded diffusion matrix assembled
+    and passed to scipy's solve_banded afresh: what the factored march must
+    reproduce bit for bit."""
+    n = v.size
+    bf = 0.5 * (b[:-1] + b[1:])
+    flux = np.where(bf > 0, bf * v[:-1], bf * v[1:])
+    rhs = v.copy()
+    rhs[:-1] -= dt / dx * flux
+    rhs[1:] += dt / dx * flux
+    alpha = dt / (2.0 * dx * dx)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -alpha * a[1:]          # super-diagonal
+    ab[2, :-1] = -alpha * a[:-1]        # sub-diagonal
+    diag = np.ones(n)
+    diag[:-1] += alpha * a[:-1]
+    diag[1:] += alpha * a[1:]
+    ab[1, :] = diag
+    return solve_banded((1, 1), ab, rhs)
 
 
 def validate_diffusion(spec: DiffusionSpec, T: float, x_lo: float, x_hi: float,

@@ -123,10 +123,16 @@ class TestExitCodes:
          "--set", "experiment.t_hi=0.01", "--set", "experiment.n_t=0"],
         ["experiment", "smoothing", "--set", "experiment.t_lo=0.001",
          "--set", "experiment.t_hi=0.01", "--set", "experiment.n_t=-1"],
+        ["solve", "--drift", "singular_well", "--set", "drift.coeff=inf"],
+        ["picard", "--set", "drift.kappa=inf"],
+        ["solve", "--drift", "linear_ou", "--set", "solver.cfl=1.5"],
+        ["experiment", "renyi", "--set", "experiment.alpha_limit=inf",
+         "--set", "experiment.t_lo=0.001", "--set", "experiment.t_hi=0.01"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
             "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
             "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
-            "zero-n-t", "negative-n-t"])
+            "zero-n-t", "negative-n-t", "infinite-well-coeff", "infinite-kappa",
+            "cfl-above-one", "infinite-alpha-limit"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])

@@ -24,9 +24,15 @@ from denslab import (
     validate_drift,
     wasserstein_1d,
 )
-from denslab.dynamics import in_integrability_class
-from denslab.errors import InvalidDriftError, InvalidParameterError, NoConvergenceError
-from oracles import fokker_planck_step, validate_diffusion
+from denslab import dynamics
+from denslab.dynamics import _advance, _factor, in_integrability_class
+from denslab.errors import (
+    InvalidDriftError,
+    InvalidParameterError,
+    NoConvergenceError,
+    SolverFailureError,
+)
+from oracles import fokker_planck_step, reference_step, validate_diffusion
 
 DIFF2 = constant_diffusion(2.0)
 
@@ -114,6 +120,16 @@ class TestBuiltinDrifts:
         with pytest.raises(InvalidDriftError):
             builtin_drift("linear_ou", {"kapa": 0.1})
 
+    @pytest.mark.parametrize("name, params", [
+        ("singular_well", {"coeff": np.inf}),
+        ("capped_density", {"kappa": np.inf}),
+        ("linear_ou", {"theta": np.nan}),
+        ("smoothed_interaction", {"tau": -np.inf}),
+    ])
+    def test_non_finite_parameter_rejected(self, name, params):
+        with pytest.raises(InvalidDriftError, match="must be finite"):
+            builtin_drift(name, params)
+
     def test_lipschitz_probe_rejects_understated_k(self):
         bad = DriftSpec(b1=lambda t, x: -5.0 * x, K=1.0, name="bad")
         with pytest.raises(InvalidDriftError):
@@ -165,10 +181,109 @@ class TestFokkerPlanckStep:
             assert snap.values.min() >= -1e-12
 
 
+class TestFactoredStep:
+    """The march factors the diffusion matrix once per node interval; each
+    step must equal the reference that assembles and solves it afresh."""
+
+    DIFFUSIONS = {
+        "constant": DIFF2,
+        "x-varying": DiffusionSpec(a=lambda t, x: 1.5 + 0.4 * np.cos(x), k_bound=1.9,
+                                   k_inv_bound=1.0),
+        "t-varying": DiffusionSpec(a=lambda t, x: 1.5 + 0.4 * np.sin(3.0 * x + 40.0 * t),
+                                   k_bound=1.9, k_inv_bound=1.0),
+    }
+
+    def test_step_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(3, 600))
+            v = rng.uniform(0.0, 2.0, n)
+            b = rng.normal(0.0, 3.0, n)
+            a = rng.uniform(0.2, 4.0, n)
+            dt, dx = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-3, -1)
+            assert np.array_equal(_advance(v, b, _factor(a, dt, dx), dt, dx),
+                                  reference_step(v, b, a, dt, dx))
+
+    @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
+    def test_march_bitwise_equal_to_reference(self, monkeypatch, diff_name):
+        diff = self.DIFFUSIONS[diff_name]
+        evaluated = []    # a(t, x) of the current sub-step, for the reference
+
+        def a_probe(t, x):
+            evaluated.append(np.asarray(diff.a(t, x), dtype=np.float64))
+            return evaluated[-1]
+
+        probe = DiffusionSpec(a=a_probe, k_bound=diff.k_bound, k_inv_bound=diff.k_inv_bound)
+        rng = np.random.default_rng(5)
+        grid = Grid1D(-5.0, 5.0, int(rng.integers(150, 400)))
+        tg = TimeGrid.geometric(0.2, nodes_per_decade=int(rng.integers(4, 10)))
+        mu = normalize(GridDensity(grid, rng.uniform(0.0, 1.0, grid.n_cells)))
+        cd = builtin_drift("capped_density", {"theta": float(rng.uniform(0.5, 2.0)),
+                                              "kappa": 0.3, "tau": 0.6, "cap": 5.0})
+        gamma = random_flow(grid, tg, rng)
+        factored = frozen_semigroup(mu, gamma, cd, probe, tg)
+        monkeypatch.setattr(dynamics, "_factor", lambda a, dt, dx: None)
+        monkeypatch.setattr(dynamics, "_advance", lambda v, b, lu, dt, dx:
+                            reference_step(v, b, evaluated[-1], dt, dx))
+        reference = frozen_semigroup(mu, gamma, cd, probe, tg)
+        assert np.array_equal(factored.values_matrix(), reference.values_matrix())
+
+    @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
+    def test_factorizations_per_node_interval(self, monkeypatch, diff_name):
+        counts = {"dgttrf": 0, "dgttrs": 0}
+
+        def counted(name):
+            fn = getattr(dynamics, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(dynamics, name, counted(name))
+        grid = Grid1D(-5.0, 5.0, 200)
+        tg = TimeGrid.uniform(0.1, 7)
+        frozen_semigroup(gaussian_density(grid, 0.0, 0.5), None,
+                         builtin_drift("linear_ou", {"theta": 1.0}),
+                         self.DIFFUSIONS[diff_name], tg)
+        assert counts["dgttrs"] > 2 * (len(tg.nodes) - 1)       # several sub-steps each
+        if diff_name == "t-varying":
+            assert counts["dgttrf"] == counts["dgttrs"]
+        else:
+            assert counts["dgttrf"] == len(tg.nodes) - 1
+
+
+class TestStabilityGuard:
+    GRID = Grid1D(-6.0, 6.0, 200)
+    # steps as long as the CFL bound allows, so dt * max|b| = cfl * dx at t = 0
+    OPTS = SolverOptions(rel_dt=10.0, dt_max=1.0)
+
+    @pytest.mark.parametrize("jump, caught", [(1.5, False), (3.0, True)])
+    def test_drift_growing_inside_a_node_interval(self, jump, caught):
+        grow = DriftSpec(b1=lambda t, x: -(jump if t >= 0.05 else 1.0) * x, K=3.0,
+                         name="grow")
+        mu = gaussian_density(self.GRID, 0.0, 0.5)
+        tg = TimeGrid.uniform(0.1, 1)
+        run = lambda: frozen_semigroup(mu, None, grow, DIFF2, tg, self.OPTS)
+        if caught:
+            with pytest.raises(SolverFailureError, match="exceeds the grid scale"):
+                run()
+        else:
+            assert abs(run().snapshots[-1].mass() - 1.0) <= 1e-9
+
+    def test_non_finite_drift_is_solver_failure(self):
+        blowup = DriftSpec(b1=lambda t, x: np.where(np.abs(x) < 0.1, np.inf, -x), K=1.0,
+                           name="blowup")
+        mu = gaussian_density(self.GRID, 0.0, 0.5)
+        with pytest.raises(SolverFailureError, match="non-finite drift"):
+            frozen_semigroup(mu, None, blowup, DIFF2, TimeGrid.uniform(0.01, 2))
+
+
 class TestSolverOptions:
     @pytest.mark.parametrize("kwargs", [{"rel_dt": 0.0}, {"rel_dt": -1e-3},
                                         {"rel_dt": float("nan")}, {"rel_dt": float("inf")},
-                                        {"cfl": 0.0}, {"cfl": float("nan")}])
+                                        {"cfl": 0.0}, {"cfl": float("nan")}, {"cfl": 1.5}])
     def test_rejects_nonpositive_or_nan_steps(self, kwargs):
         # constructed only: a solve at rel_dt = 0 would crawl at the 1e-14 step floor
         with pytest.raises(InvalidParameterError):

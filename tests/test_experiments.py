@@ -4,11 +4,13 @@ reduced desk scale (full-scale runs live in the acceptance suite)."""
 import numpy as np
 import pytest
 
+from denslab import metrics
 from denslab.config import parse_config
-from denslab.density_core import uniform_density
+from denslab.density_core import Grid1D, gaussian_density, uniform_density
 from denslab.errors import InsufficientSpanError, InvalidDataError
 from denslab.experiments import (
     _paired_flows,
+    _smallest_expw_constant,
     experiment_entropy_cost,
     experiment_khasminskii,
     experiment_renyi,
@@ -16,7 +18,8 @@ from denslab.experiments import (
     experiment_supercontinuity,
     fit_loglog,
 )
-from denslab.metrics import wasserstein_1d
+from denslab.metrics import _quantile_gap2, wasserstein_1d
+from oracles import smallest_expw_constant
 
 
 class TestFitLoglog:
@@ -151,6 +154,31 @@ class TestRenyi:
         rep = experiment_renyi(cfg)
         assert rep.passed
         assert max(max(row) for row in rep.ent_alpha) <= 1e-8
+
+    def test_calibration_on_the_shared_gap_matches_exp_wasserstein(self):
+        grid = Grid1D(-6.0, 6.0, 500)
+        mu = gaussian_density(grid, 0.0, 0.3)
+        nu = gaussian_density(grid, 0.25, 0.4)
+        gap2 = _quantile_gap2(mu, nu)
+        for target in (0.0, 1e-13, 1e-6, 0.01, 0.3, 2.0):
+            assert _smallest_expw_constant(gap2, target) == smallest_expw_constant(mu, nu, target)
+
+    def test_quantiles_computed_once_per_pair(self, monkeypatch):
+        calls = []
+        quantiles = metrics.density_quantiles
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quantiles(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "density_quantiles", counted)
+        cfg = small_cfg(**{"drift.name": "zero", "init.sigma": 0.05, "grid.cells": 400,
+                           "time.nodes_per_decade": 10, "experiment.n_t": 5,
+                           "experiment.delta": 0.1, "experiment.t_lo": 1e-2,
+                           "experiment.t_hi": 1.0})
+        rep = experiment_renyi(cfg)
+        assert rep.c_calibrated > 0
+        assert len(calls) <= 4
 
 
 class TestKhasminskiiExperiment:

@@ -198,6 +198,12 @@ class TestRenyiEntropy:
         with pytest.raises(InvalidParameterError):
             renyi_entropy(d, d, 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_non_finite_alpha(self, alpha):
+        d = gaussian_density(GRID, 0.0, 1.0)
+        with pytest.raises(InvalidParameterError):
+            renyi_entropy(d, d, alpha)
+
 
 class TestExpWasserstein:
     def test_identical(self):

@@ -105,6 +105,21 @@ class TestEulerMaruyama:
             euler_maruyama_mkv(("gaussian", 0.0, 0.3), fast, DIFF2, 100,
                                1e-2, 0.1, GRID, seed=1)
 
+    @pytest.mark.parametrize("jump, caught", [(1.5, False), (3.0, True)])
+    def test_cfl_guard_at_every_step(self, jump, caught):
+        # dt * |b| is half a cell at step 0, then the drift jumps at t = 0.05
+        dt = 1e-2
+        v = 0.5 * GRID.dx / dt
+        steps = DriftSpec(b1=lambda t, x: np.full_like(x, v * (jump if t >= 0.05 else 1.0)),
+                          K=0.0, name="step")
+        run = lambda: euler_maruyama_mkv(("gaussian", 0.0, 0.3), steps, DIFF2, 100,
+                                         dt, 0.1, GRID, seed=1)
+        if caught:
+            with pytest.raises(InvalidParameterError, match="at step 5"):
+                run()
+        else:
+            run()
+
     def test_record_times_are_step_times(self):
         # a geometric record grid is far finer than dt near 0: one snapshot
         # per distinct step, labelled with that step's time
