@@ -346,16 +346,19 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> GridDensity:
         raise DegenerateDensityError("all particles fall outside the grid")
     if n_in < x.size:
         log.info("kde: %d of %d particles outside the grid", x.size - n_in, x.size)
-    xin = x[inside]
+    xin = x if n_in == x.size else x[inside]
     dx = grid.dx
-    rel = (xin - (grid.x_min + 0.5 * dx)) / dx
-    i0 = np.floor(rel).astype(np.int64)
-    frac = rel - i0
-    i0c = np.clip(i0, 0, grid.n_cells - 1)
-    i1c = np.clip(i0 + 1, 0, grid.n_cells - 1)
+    rel = np.subtract(xin, grid.x_min + 0.5 * dx)
+    rel /= dx
+    lower = np.floor(rel)
+    i0 = lower.astype(np.int64)
+    frac = np.subtract(rel, lower, out=rel)
+    i1 = i0 + 1
+    for i in (i0, i1):
+        np.minimum(np.maximum(i, 0, out=i), grid.n_cells - 1, out=i)
     hist = np.zeros(grid.n_cells)
-    np.add.at(hist, i0c, 1.0 - frac)
-    np.add.at(hist, i1c, frac)
+    np.add.at(hist, i0, np.subtract(1.0, frac, out=lower))
+    np.add.at(hist, i1, frac)
     hist /= n_in * dx
     half = int(np.ceil(8.0 * bandwidth / dx))
     u = np.arange(-half, half + 1) * dx

@@ -218,18 +218,64 @@ def drift_field(drift: DriftSpec, t: float, grid: Grid1D,
     return b
 
 
+def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray) -> list:
+    """Each y (values at the cell centres) linearly interpolated at x, bit for
+    bit what np.interp(x, grid.centers, y) returns.
+
+    The uniform grid finds each position's cell by one floor instead of a
+    search; a one-cell fix-up each way then makes c[j] <= x < c[j+1] hold
+    exactly despite rounding in the floor's argument.  The cell is found once
+    and shared by every y.  np.interp's special cases carry over: x is
+    clamped to [c[0], c[-1]] (its end values y[0] and y[-1]), and a position
+    on a centre (x == c[j], including both clamped ends) reads y[j] itself.
+    Work arrays are reused in place: a fresh array of N floats costs page
+    faults comparable to the arithmetic on it.  Every index is in range, so
+    np.take runs with mode="clip", which skips the bounds check and the
+    buffering that mode="raise" does for `out`.
+    """
+    c = grid.centers
+    n = c.size
+    c_up = np.append(c, np.inf)
+    xc = np.clip(np.asarray(x, dtype=np.float64), c[0], c[-1])
+    w = np.subtract(xc, c[0])
+    w /= grid.dx
+    np.floor(w, out=w)
+    np.fmin(np.fmax(w, 0.0, out=w), n - 1, out=w)     # fmax sends NaN to cell 0
+    j = w.astype(np.intp)
+    # j + 1 - [x < c[j]] - [x < c[j+1]]: one cell down or up where the floor erred
+    below = xc < np.take(c, j, out=w, mode="clip")
+    j += 1
+    not_above = xc < np.take(c_up, j, out=w, mode="clip")
+    j -= below
+    j -= not_above
+    d = np.subtract(xc, np.take(c, j, out=w, mode="clip"), out=w)
+    on_centre = np.flatnonzero(d == 0.0)
+    j_on = j[on_centre]
+    gaps = np.diff(c)
+    out = []
+    for y in ys:
+        slopes = np.append(np.diff(y) / gaps, 0.0)    # the 0 is for j = n-1, where d == 0
+        v = slopes.take(j, mode="clip")
+        v *= d
+        v += np.take(y, j, out=xc, mode="clip")       # xc is spent: reuse it for y[j]
+        v[on_centre] = y[j_on]
+        out.append(v)
+    return out
+
+
 def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
                        rho_values: np.ndarray | None) -> np.ndarray:
-    """Drift evaluated at arbitrary positions; density and features are
-    linearly interpolated from the grid."""
+    """Drift evaluated at arbitrary positions.  The density and its features
+    are linearly interpolated from the grid exactly as np.interp would, with
+    one cell search per call shared by all of them (`_gather`)."""
     b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
         if rho_values is None:
             raise InvalidParameterError("density-dependent drift needs a density")
-        r = np.interp(x, grid.centers, rho_values)
         feats_grid = density_features(rho_values, grid, drift)
-        feats = {k: np.interp(x, grid.centers, v) for k, v in feats_grid.items()}
-        b = b + np.asarray(drift.nemytskii(t, x, r, feats), dtype=np.float64)
+        r, *vals = _gather(x, grid, rho_values, *feats_grid.values())
+        feats = dict(zip(feats_grid, vals))
+        b += np.asarray(drift.nemytskii(t, x, r, feats), dtype=np.float64)
     return b
 
 
@@ -240,10 +286,9 @@ def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
 def power_singularity(x, center: float, coeff: float, gamma: float) -> np.ndarray:
     """coeff |x - center|^(-gamma) on |x - center| <= 1, inf at the centre, 0 outside."""
     r = np.abs(np.asarray(x, dtype=np.float64) - center)
-    out = np.zeros_like(r)
-    near = r <= 1.0
     with np.errstate(divide="ignore"):
-        out[near] = coeff * r[near] ** (-gamma)
+        out = coeff * r ** (-gamma)
+    out[~(r <= 1.0)] = 0.0          # beyond the unit window, and at a NaN x
     out[~np.isfinite(out)] = np.inf
     return out
 

@@ -18,6 +18,13 @@ grid density its drift reads: none, a frozen flow, or the ensemble KDE.  On
 the steps, `euler_maruyama_mkv` records KDE snapshots, `girsanov_log_weights_mc`
 sums the Girsanov log-weight, and `path_relative_entropy_mc` and
 `khasminskii_mc` integrate f(r, X_r)^2 by the trapezoid rule.
+
+A step's drift reads the grid density (and its features) at every particle:
+`drift_at_positions` interpolates linearly, bit for bit as np.interp does,
+but finds each particle's cell once per step by arithmetic on the uniform
+grid instead of a search per array.  The step's uniforms, increments and
+reflection work in place on fresh arrays, with the same roundings as the
+out-of-place formulas kept in the tests.
 """
 
 from __future__ import annotations
@@ -65,12 +72,17 @@ def raw_uniforms(seed: int, tag: int, step: int, n: int) -> np.ndarray:
     bg = np.random.Philox(key=np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64))
     bg.advance((step * res) >> 2)  # advance() skips 4 raw 64-bit words per unit
     raw = bg.random_raw(res)[:n]
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 def normal_increments(seed: int, tag: int, step: int, n: int) -> np.ndarray:
     """Standard normals via the inverse CDF, deterministic per (seed, tag, step, i)."""
-    return ndtri(raw_uniforms(seed, tag, step, n))
+    u = raw_uniforms(seed, tag, step, n)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -114,9 +126,13 @@ def _bandwidth(rule, positions: np.ndarray) -> float:
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    x = np.where(x > hi, 2.0 * hi - x, x)
-    x = np.where(x < lo, 2.0 * lo - x, x)
-    return np.clip(x, lo, hi)
+    """x mirrored once at hi, then at lo, then clipped to [lo, hi] (a copy)."""
+    y = np.array(x, dtype=np.float64)
+    np.subtract(2.0 * hi, y, out=y, where=y > hi)
+    np.subtract(2.0 * lo, y, out=y, where=y < lo)
+    y[y > hi] = hi
+    y[y < lo] = lo
+    return y
 
 
 def _density_rule(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None = None,
@@ -161,8 +177,12 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
         if cfl > grid.dx * (1.0 + 1e-9):
             raise InvalidParameterError(
                 f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} at step {s}")
-        dw = sqrt_dt * normal_increments(seed, _STREAM_EVOLVE, s, x.size)
-        x_next = _reflect(x + b * dt + sigma * dw, grid.x_min, grid.x_max)
+        dw = normal_increments(seed, _STREAM_EVOLVE, s, x.size)
+        dw *= sqrt_dt
+        move = b * dt
+        move += x                   # x + b dt, then + sigma dw: the same roundings
+        move += sigma * dw
+        x_next = _reflect(move, grid.x_min, grid.x_max)
         if not np.all(np.isfinite(x_next)):
             raise SolverFailureError(f"non-finite particle position at step {s}")
         yield _Step(t, x, rho, b, sigma, dw, x_next)

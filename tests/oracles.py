@@ -3,9 +3,11 @@
 Exact transport on small atomic measures (monotone coupling and a
 transportation linear program), the expW calibration bisected on
 `exp_wasserstein` itself, the localized measure distance, a one-path
-Girsanov log-weight, a single Fokker-Planck step, the reference step that
-assembles and solves the banded matrix afresh, and a probe of a diffusion
-coefficient's declared bounds.
+Girsanov log-weight, the particle step written out of place (np.interp
+gather, np.where reflection, uniforms, cloud-in-cell KDE) with a march built
+from it, a single Fokker-Planck step, the reference step that assembles and
+solves the banded matrix afresh, and a probe of a diffusion coefficient's
+declared bounds.
 """
 
 import math
@@ -14,15 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import linprog
+from scipy.signal import fftconvolve
+from scipy.special import ndtri
 
 from denslab.dynamics import (
     DiffusionSpec,
     DriftSpec,
     _advance,
     _factor,
+    _singular_sum,
+    density_features,
     drift_at_positions,
 )
-from denslab.density_core import DensityFlow, Grid1D, GridDensity, tilde_norm
+from denslab.density_core import (
+    DensityFlow,
+    Grid1D,
+    GridDensity,
+    normalize,
+    tilde_norm,
+)
 from denslab.errors import (
     GridMismatchError,
     InvalidDriftError,
@@ -199,6 +211,102 @@ def girsanov_log_weight(path: ParticlePath, drift_ref: DriftSpec, drift_alt: Dri
             raise SolverFailureError("non-finite Girsanov integrand along the path")
         total += xi * float(dw[i]) - 0.5 * xi * xi * float(t[i + 1] - t[i])
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# the particle step, out of place, and a march built from it
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: tells -0.0 from 0.0 and compares NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_uniforms(seed: int, tag: int, step: int, n: int) -> np.ndarray:
+    """Uniforms of draw (seed, tag, step * block + i), block = n rounded up to
+    a multiple of 4, with the arithmetic out of place."""
+    block = 4 * ((n + 3) // 4)
+    mask = (1 << 64) - 1
+    bg = np.random.Philox(key=np.array([seed & mask, tag & mask], dtype=np.uint64))
+    bg.advance((step * block) >> 2)
+    raw = bg.random_raw(block)[:n]
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def reference_reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mirror at hi, then at lo, then clip: three np.where passes."""
+    x = np.where(x > hi, 2.0 * hi - x, x)
+    x = np.where(x < lo, 2.0 * lo - x, x)
+    return np.clip(x, lo, hi)
+
+
+def reference_drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
+                                 rho_values: np.ndarray | None) -> np.ndarray:
+    """The drift at x with the density and every feature read by np.interp."""
+    b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
+    if drift.nemytskii is not None:
+        r = np.interp(x, grid.centers, rho_values)
+        feats_grid = density_features(rho_values, grid, drift)
+        feats = {k: np.interp(x, grid.centers, v) for k, v in feats_grid.items()}
+        b = b + np.asarray(drift.nemytskii(t, x, r, feats), dtype=np.float64)
+    return b
+
+
+def reference_power_singularity(x, center: float, coeff: float, gamma: float) -> np.ndarray:
+    """coeff |x - center|^(-gamma) computed only where |x - center| <= 1
+    (inf at the centre), 0 elsewhere."""
+    r = np.abs(np.asarray(x, dtype=np.float64) - center)
+    out = np.zeros_like(r)
+    near = r <= 1.0
+    with np.errstate(divide="ignore"):
+        out[near] = coeff * r[near] ** (-gamma)
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
+def reference_kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> GridDensity:
+    """Cloud-in-cell deposit of the particles on the grid (those outside it
+    dropped), by two np.add.at calls, then Gaussian smoothing by FFT."""
+    x = np.asarray(positions, dtype=np.float64)
+    xin = x[(x >= grid.x_min) & (x <= grid.x_max)]
+    dx = grid.dx
+    rel = (xin - (grid.x_min + 0.5 * dx)) / dx
+    i0 = np.floor(rel).astype(np.int64)
+    frac = rel - i0
+    hist = np.zeros(grid.n_cells)
+    np.add.at(hist, np.clip(i0, 0, grid.n_cells - 1), 1.0 - frac)
+    np.add.at(hist, np.clip(i0 + 1, 0, grid.n_cells - 1), frac)
+    hist /= xin.size * dx
+    half = int(np.ceil(8.0 * bandwidth / dx))
+    u = np.arange(-half, half + 1) * dx
+    kern = np.exp(-0.5 * (u / bandwidth) ** 2)
+    kern /= kern.sum()
+    smooth = fftconvolve(hist, kern, mode="same")
+    return normalize(GridDensity(grid, np.maximum(smooth, 0.0)))
+
+
+def reference_mkv(mean: float, sd: float, drift: DriftSpec, diff: DiffusionSpec, n: int,
+                  dt: float, n_steps: int, grid: Grid1D, seed: int, bandwidth,
+                  record_steps) -> tuple:
+    """The interacting-particle march from a ("gaussian", mean, sd) start:
+    each step reads the ensemble's KDE, gathers the drift by np.interp, draws
+    step s's normals from stream 2 and reflects.  Returns the final positions
+    and the KDE values at step 0 and at each step in `record_steps`.
+    `bandwidth` maps positions to the kernel width."""
+    x = reference_reflect(mean + sd * ndtri(reference_uniforms(seed, 1, 0, n)),
+                          grid.x_min, grid.x_max)
+    snaps = [reference_kde(x, bandwidth(x), grid).values]
+    for s in range(n_steps):
+        t = s * dt
+        rho = reference_kde(x, bandwidth(x), grid).values
+        b = reference_drift_at_positions(drift, t, x, grid, rho)
+        sigma = np.sqrt(np.asarray(diff.a(t, x), dtype=np.float64))
+        dw = math.sqrt(dt) * ndtri(reference_uniforms(seed, 2, s, n))
+        x = reference_reflect(x + b * dt + sigma * dw, grid.x_min, grid.x_max)
+        if s + 1 in record_steps:
+            snaps.append(reference_kde(x, bandwidth(x), grid).values)
+    return x, snaps
 
 
 # ---------------------------------------------------------------------------

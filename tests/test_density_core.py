@@ -25,7 +25,7 @@ from denslab.errors import (
     GridMismatchError,
     InvalidParameterError,
 )
-from oracles import tilde_measure_distance_l1
+from oracles import reference_kde, same_bits, tilde_measure_distance_l1
 
 
 def brute_force_tilde_norm(values, grid, k):
@@ -273,6 +273,15 @@ class TestKde:
         a = kde(pts, 0.1, g)
         b = kde(pts, 0.1, g)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("spread", [0.8, 3.0])
+    def test_bitwise_equal_to_reference(self, spread):
+        # at spread 3.0 part of the sample falls outside [-4, 4] and is dropped
+        g = Grid1D(-4.0, 4.0, 500)
+        pts = np.random.default_rng(6).normal(0.0, spread, 20_000)
+        pts[:3] = [g.x_min, g.x_max, g.centers[7]]
+        assert np.all(np.abs(pts) <= 4.0) == (spread < 1.0)
+        assert same_bits(kde(pts, 0.1, g).values, reference_kde(pts, 0.1, g).values)
 
     def test_all_outside(self):
         g = Grid1D(-1.0, 1.0, 64)

@@ -25,14 +25,30 @@ from denslab import (
     wasserstein_1d,
 )
 from denslab import dynamics
-from denslab.dynamics import _advance, _factor, in_integrability_class
+from denslab.dynamics import (
+    _advance,
+    _factor,
+    _gather,
+    density_features,
+    drift_at_positions,
+    in_integrability_class,
+    power_singularity,
+)
 from denslab.errors import (
     InvalidDriftError,
     InvalidParameterError,
     NoConvergenceError,
     SolverFailureError,
 )
-from oracles import fokker_planck_step, reference_step, validate_diffusion
+from oracles import (
+    fokker_planck_step,
+    reference_drift_at_positions,
+    reference_kde,
+    reference_power_singularity,
+    reference_step,
+    same_bits,
+    validate_diffusion,
+)
 
 DIFF2 = constant_diffusion(2.0)
 
@@ -252,6 +268,78 @@ class TestFactoredStep:
             assert counts["dgttrf"] == counts["dgttrs"]
         else:
             assert counts["dgttrf"] == len(tg.nodes) - 1
+
+
+def probe_positions(grid, rng, n_random=20_000):
+    """Random positions on and a cell beyond the grid, every centre, both
+    bounds, the half-cells beyond the outer centres, and the float
+    neighbours of each centre and bound."""
+    c = grid.centers
+    ends = np.array([grid.x_min, grid.x_max])
+    half_cells = np.concatenate((rng.uniform(grid.x_min, c[0], 50),
+                                 rng.uniform(c[-1], grid.x_max, 50)))
+    special = np.concatenate((c, ends, half_cells))
+    return np.concatenate((rng.uniform(grid.x_min - grid.dx, grid.x_max + grid.dx, n_random),
+                           special, np.nextafter(special, np.inf),
+                           np.nextafter(special, -np.inf)))
+
+
+class TestGather:
+    """The particle drift reads grid arrays at the positions: the one-floor
+    cell search must give np.interp's result bit for bit."""
+
+    @pytest.mark.parametrize("lo,hi,n", [(-6.0, 6.0, 2000), (-1.0, 3.0, 8),
+                                         (0.1, 0.7, 37), (1e3, 1e3 + 1.0, 1000)])
+    def test_one_array_bitwise_equal_to_interp(self, lo, hi, n):
+        grid = Grid1D(lo, hi, n)
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=n)
+        y[3], y[4] = -0.0, 0.0
+        x = probe_positions(grid, rng)
+        (got,) = _gather(x, grid, y)
+        assert same_bits(got, np.interp(x, grid.centers, y))
+
+    def test_density_and_features_bitwise_equal_to_interp(self):
+        grid = Grid1D(-6.0, 6.0, 2000)
+        rng = np.random.default_rng(8)
+        drift = builtin_drift("smoothed_interaction", {"kappa": 0.3, "kernel_width": 0.2})
+        rho = reference_kde(rng.normal(0.0, 0.5, 5000), 0.1, grid).values
+        feats = density_features(rho, grid, drift)
+        x = probe_positions(grid, rng)
+        got = _gather(x, grid, rho, *feats.values())
+        want = [np.interp(x, grid.centers, v) for v in (rho, *feats.values())]
+        assert len(got) == 2 and all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_nonfinite_positions_as_interp(self):
+        grid = Grid1D(-1.0, 1.0, 16)
+        y = np.linspace(0.0, 1.0, 16) ** 2
+        x = np.array([np.nan, np.inf, -np.inf, 0.0])
+        (got,) = _gather(x, grid, y)
+        assert same_bits(got, np.interp(x, grid.centers, y))
+
+    @pytest.mark.parametrize("name,params", [
+        ("linear_ou", {"theta": 1.3}),
+        ("capped_density", {"kappa": 0.4, "cap": 0.6}),
+        ("smoothed_interaction", {"kappa": 0.3, "kernel_width": 0.2}),
+        ("singular_well", {"gamma": 0.2, "coeff": 0.5, "center": 0.3}),
+    ])
+    def test_drift_at_positions_bitwise_equal_to_reference(self, name, params):
+        grid = Grid1D(-6.0, 6.0, 2000)
+        rng = np.random.default_rng(13)
+        drift = builtin_drift(name, params)
+        rho = reference_kde(rng.normal(0.0, 0.5, 5000), 0.1, grid).values
+        x = probe_positions(grid, rng)
+        for t in (0.0, 0.37):
+            assert same_bits(drift_at_positions(drift, t, x, grid, rho),
+                             reference_drift_at_positions(drift, t, x, grid, rho))
+
+    def test_power_singularity_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate((rng.uniform(-3.0, 3.0, 10_000),
+                            [0.5, -0.5, 1.5, np.nextafter(1.5, 0.0), 2.5, np.nan, np.inf]))
+        for gamma in (0.3, 0.45):
+            assert same_bits(power_singularity(x, 0.5, 2.0, gamma),
+                             reference_power_singularity(x, 0.5, 2.0, gamma))
 
 
 class TestStabilityGuard:

@@ -20,12 +20,20 @@ from denslab import (
 from denslab.dynamics import DriftSpec
 from denslab.errors import InvalidParameterError
 from denslab.particles import (
+    _reflect,
     field_spacetime_norm,
     normal_increments,
     raw_uniforms,
     sample_initial,
 )
-from oracles import ParticlePath, girsanov_log_weight
+from oracles import (
+    ParticlePath,
+    girsanov_log_weight,
+    reference_mkv,
+    reference_reflect,
+    reference_uniforms,
+    same_bits,
+)
 
 GRID = Grid1D(-6.0, 6.0, 2000)
 DIFF1 = constant_diffusion(1.0)
@@ -56,11 +64,35 @@ class TestStreams:
         b = normal_increments(5, 2, 1, 256)
         assert not np.any(np.isin(a, b))
 
+    @pytest.mark.parametrize("seed,tag,step,n", [(9, 2, 3, 1024), (1, 1, 0, 7),
+                                                 (2 ** 63 + 5, 2, 999, 100_001)])
+    def test_uniforms_bitwise_equal_to_reference(self, seed, tag, step, n):
+        assert same_bits(raw_uniforms(seed, tag, step, n),
+                         reference_uniforms(seed, tag, step, n))
+
     def test_sampling_from_density(self):
         d = gaussian_density(GRID, 0.5, 0.7)
         x = sample_initial(d, 200_000, seed=3, grid=GRID)
         assert np.mean(x) == pytest.approx(0.5, abs=0.01)
         assert np.std(x) == pytest.approx(0.7, abs=0.01)
+
+
+class TestReflect:
+    @pytest.mark.parametrize("lo,hi", [(GRID.x_min, GRID.x_max), (0.0, 1.0), (-1.0, -0.0)])
+    def test_bitwise_equal_to_reference(self, lo, hi):
+        # up to 1.5 domain widths out: some positions still lie outside after
+        # both mirrors and are clipped
+        w = hi - lo
+        x = np.concatenate((np.random.default_rng(4).uniform(lo - 1.5 * w, hi + 1.5 * w, 20_000),
+                            [lo, hi, -0.0, 0.0, np.nextafter(hi, np.inf),
+                             np.nextafter(lo, -np.inf), np.nan, np.inf, -np.inf]))
+        assert same_bits(_reflect(x, lo, hi), reference_reflect(x, lo, hi))
+
+    def test_input_not_mutated(self):
+        x = np.array([-7.0, -6.0, 0.5, 6.0, 6.5, 30.0])
+        before = x.copy()
+        _reflect(x, GRID.x_min, GRID.x_max)
+        assert same_bits(x, before)
 
 
 class TestEulerMaruyama:
@@ -134,6 +166,26 @@ class TestEulerMaruyama:
         for i in range(len(snaps)):
             for j in range(i):
                 assert not np.array_equal(snaps[i], snaps[j])
+
+    @pytest.mark.parametrize("name,params", [
+        ("capped_density", {"theta": 1.0, "kappa": 0.5, "tau": 0.6, "cap": 5.0}),
+        ("smoothed_interaction", {"theta": 1.0, "kappa": 0.5, "kernel_width": 0.2}),
+    ])
+    def test_march_bitwise_equal_to_reference(self, name, params):
+        # the in-place step, the one-floor gather and the KDE deposit against
+        # the out-of-place oracles, over 20 steps and 3 record nodes
+        drift = builtin_drift(name, params)
+        dt, n_steps, n = 1e-3, 20, 2000
+        ens, flow = euler_maruyama_mkv(("gaussian", 0.1, 0.4), drift, DIFF2, n, dt,
+                                       n_steps * dt, GRID, seed=17,
+                                       record_grid=TimeGrid(np.array([0.0, 0.007, 0.02])))
+        silverman = lambda x: 1.06 * max(float(np.std(x)), 1e-12) * x.size ** (-0.2)
+        x_ref, snaps_ref = reference_mkv(0.1, 0.4, drift, DIFF2, n, dt, n_steps, GRID,
+                                         17, silverman, {7, 20})
+        assert same_bits(ens.positions, x_ref)
+        assert len(flow.snapshots) == len(snaps_ref) == 3
+        for snap, ref in zip(flow.snapshots, snaps_ref):
+            assert same_bits(snap.values, ref)
 
     def test_feedback_needs_ensemble(self):
         cd = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.1,
