@@ -16,7 +16,6 @@ from .density_core import (
     gaussian_density,
     kde,
     load_density,
-    load_flow,
     normalize,
     save_density,
     save_flow,
@@ -48,7 +47,6 @@ from .experiments import (
 )
 from .metrics import (
     FlowMetricSpec,
-    d_lambda,
     exp_wasserstein,
     relative_entropy,
     renyi_entropy,

@@ -433,12 +433,3 @@ def save_flow(flow: DensityFlow, out_dir: str) -> None:
     _atomic_write(os.path.join(out_dir, "timegrid.csv"), "\n".join(lines) + "\n")
     for i, snap in enumerate(flow.snapshots):
         save_density(snap, os.path.join(out_dir, f"density_{i:04d}.csv"))
-
-
-def load_flow(in_dir: str) -> DensityFlow:
-    manifest = np.loadtxt(os.path.join(in_dir, "timegrid.csv"), delimiter=",", skiprows=1)
-    manifest = np.atleast_2d(manifest)
-    nodes = manifest[:, 1]
-    snaps = [load_density(os.path.join(in_dir, f"density_{i:04d}.csv"))
-             for i in range(len(nodes))]
-    return DensityFlow(TimeGrid(nodes), tuple(snaps))

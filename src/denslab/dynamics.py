@@ -14,9 +14,9 @@ sufficient rate is not explicit.
 
 Scheme: conservative finite volume, upwind advective flux (explicit) and
 centered diffusive flux assembled implicitly, no-flux boundaries.  The
-tridiagonal diffusion matrix is factored once per node interval (again only
-if a(t, x) changes inside it) and each sub-step is one solve with those
-factors.  Mass is conserved to rounding; the implicit diffusion is
+diffusion coefficient a is one positive number, so the tridiagonal diffusion
+matrix is factored once per node interval and each sub-step is one solve
+with those factors.  Mass is conserved to rounding; the implicit diffusion is
 unconditionally stable and the explicit advection is kept under a CFL guard
 checked at every sub-step.
 """
@@ -57,22 +57,18 @@ def in_integrability_class(p: float, q: float) -> bool:
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Diffusion coefficient a(t, x) = sigma sigma^T with two-sided bounds."""
+    """Constant diffusion coefficient a = sigma^2, with 0 < a < inf."""
 
-    a: object                      # callable (t, x array) -> array
-    k_bound: float                 # sup a
-    k_inv_bound: float             # sup 1/a
+    a: float
 
     def __post_init__(self):
-        if self.k_bound <= 0 or self.k_inv_bound <= 0:
-            raise InvalidParameterError("diffusion bounds must be positive")
+        if not 0 < self.a < np.inf:
+            raise InvalidParameterError(
+                f"diffusion coefficient must be positive and finite, got {self.a}")
 
 
 def constant_diffusion(a0: float) -> DiffusionSpec:
-    if a0 <= 0:
-        raise InvalidParameterError("constant diffusion must be positive")
-    return DiffusionSpec(a=lambda t, x: np.full_like(np.asarray(x, dtype=float), a0),
-                         k_bound=a0, k_inv_bound=1.0 / a0)
+    return DiffusionSpec(a=float(a0))
 
 
 @dataclass(frozen=True)
@@ -400,7 +396,7 @@ class SolverOptions:
     Sub-steps inside a node interval obey dt <= rel_dt * (t + t_init): the
     solution's smoothing scale grows linearly in t, so proportional steps keep
     the per-step relative perturbation uniform, which is what the singular
-    t -> 0 region requires.  t_init is (initial width)^2 / sup a.
+    t -> 0 region requires.  t_init is (initial width)^2 / a.
     cfl bounds the explicit upwind advection: dt <= cfl * dx / max|b|.
     """
 
@@ -420,19 +416,20 @@ class SolverOptions:
 def _initial_time_scale(mu: GridDensity, diff: DiffusionSpec) -> float:
     peak = float(mu.values.max())
     width = max(1.0 / (np.sqrt(2.0 * np.pi) * peak), mu.grid.dx) if peak > 0 else mu.grid.dx
-    return width ** 2 / diff.k_bound
+    return width ** 2 / diff.a
 
 
 def _factor(a: np.ndarray, dt: float, dx: float) -> tuple:
     """LU factors (LAPACK dgttrf) of the implicit-diffusion matrix
-    I - dt/2 d^2/dx^2 (a .) with no-flux faces, for `_advance`."""
+    I - dt/2 d^2/dx^2 (a .) with no-flux faces, for `_advance`; `a` holds
+    the coefficient per cell."""
     n = a.size
     alpha = dt / (2.0 * dx * dx)
     diag = np.ones(n)
     diag[:-1] += alpha * a[:-1]
     diag[1:] += alpha * a[1:]
     dl, d, du, du2, ipiv, info = dgttrf(-alpha * a[:-1], diag, -alpha * a[1:])
-    if info != 0:  # pragma: no cover - a >= 1/K keeps the matrix diagonally dominant
+    if info != 0:  # pragma: no cover - a > 0 keeps the matrix diagonally dominant
         raise SolverFailureError(f"tridiagonal factorization failed (info = {info})")
     return dl, d, du, du2, ipiv
 
@@ -457,18 +454,17 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
     Marches the conservative scheme across the time grid, evaluating the
     drift at each sub-step start with gamma's density interpolated in time;
     snapshot 0 is the initial density itself.  The sub-step is fixed within
-    a node interval, so the diffusion matrix is factored at the interval's
-    first sub-step and again only when a(t, x) changes.  Every sub-step must
-    satisfy dt * max|b| <= dx, else SolverFailureError: dt is chosen from the
-    drift at the interval start, and a drift that grows inside the interval
-    can outrun it.
+    a node interval and a is constant, so the diffusion matrix is factored
+    once per node interval.  Every sub-step must satisfy dt * max|b| <= dx,
+    else SolverFailureError: dt is chosen from the drift at the interval
+    start, and a drift that grows inside the interval can outrun it.
     """
     opts = options or SolverOptions()
     if drift.density_dependent and gamma is None:
         raise InvalidParameterError("density-dependent drift needs a frozen flow")
     grid = mu.grid
     dx = grid.dx
-    x = grid.centers
+    a = np.full(grid.n_cells, diff.a)
     t_init = _initial_time_scale(mu, diff)
     dt_max = opts.dt_max if opts.dt_max is not None else tg.T / 500.0
     v = mu.values.copy()
@@ -487,7 +483,7 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
             dt_target = min(dt_target, opts.cfl * dx / max_b)
         n_sub = max(1, int(math.ceil(gap / dt_target - 1e-12)))
         dt = gap / n_sub
-        a_lu = None
+        lu = _factor(a, dt, dx)
         for sidx in range(n_sub):
             ts = t0 + sidx * dt
             if sidx > 0:
@@ -498,9 +494,6 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
                 raise SolverFailureError(
                     f"dt * max|b| = {dt * max_b:.3e} exceeds the grid scale {dx:.3e} "
                     f"at t = {ts:.4g}")
-            a0 = np.asarray(diff.a(ts, x), dtype=np.float64)
-            if a_lu is None or not np.array_equal(a0, a_lu):
-                lu, a_lu = _factor(a0, dt, dx), a0
             v = _advance(v, b0, lu, dt, dx)
         if not np.all(np.isfinite(v)):
             raise SolverFailureError(f"non-finite density after node {i + 1} (t = {t1:.4g})")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .density_core import DensityFlow, GridDensity, density_quantiles, tilde_norm
+from .density_core import GridDensity, density_quantiles
 from .errors import (
     GridMismatchError,
     InvalidParameterError,
@@ -54,10 +54,15 @@ def _check_probability(d: GridDensity) -> None:
         raise NotAProbabilityError(f"density mass {d.mass():.8f} is not 1")
 
 
-def _quantile_grid(mu: GridDensity, nu: GridDensity):
+def _quantile_gap(mu: GridDensity, nu: GridDensity) -> np.ndarray:
+    """Monotone-coupling gap F_mu^-1(u) - F_nu^-1(u) on a uniform quantile
+    grid of max(4 * cells, 1024) midpoints, for a checked probability pair."""
+    _check_pair(mu, nu)
+    _check_probability(mu)
+    _check_probability(nu)
     n_u = max(4 * mu.grid.n_cells, 1024)
     u = (np.arange(n_u) + 0.5) / n_u
-    return density_quantiles(mu, u), density_quantiles(nu, u)
+    return density_quantiles(mu, u) - density_quantiles(nu, u)
 
 
 def wasserstein_1d(mu: GridDensity, nu: GridDensity, q: float = 1.0) -> float:
@@ -68,11 +73,7 @@ def wasserstein_1d(mu: GridDensity, nu: GridDensity, q: float = 1.0) -> float:
     """
     if q < 1:
         raise InvalidParameterError("q must be >= 1")
-    _check_pair(mu, nu)
-    _check_probability(mu)
-    _check_probability(nu)
-    qa, qb = _quantile_grid(mu, nu)
-    return float(np.mean(np.abs(qa - qb) ** q) ** (1.0 / q))
+    return float(np.mean(np.abs(_quantile_gap(mu, nu)) ** q) ** (1.0 / q))
 
 
 def exp_wasserstein(mu: GridDensity, nu: GridDensity, c: float) -> float:
@@ -90,13 +91,8 @@ def exp_wasserstein(mu: GridDensity, nu: GridDensity, c: float) -> float:
 
 
 def _quantile_gap2(mu: GridDensity, nu: GridDensity) -> np.ndarray:
-    """Squared monotone-coupling gap (F_mu^-1(u) - F_nu^-1(u))^2 on the
-    uniform quantile grid of `_quantile_grid`, for a checked probability pair."""
-    _check_pair(mu, nu)
-    _check_probability(mu)
-    _check_probability(nu)
-    qa, qb = _quantile_grid(mu, nu)
-    return (qa - qb) ** 2
+    """The squared `_quantile_gap`."""
+    return _quantile_gap(mu, nu) ** 2
 
 
 def _log_exp_moment(gap2: np.ndarray, c: float) -> float:
@@ -185,19 +181,6 @@ class FlowMetricSpec:
         start = 1 if e > 0 else 0
         t = nodes[start:]
         return float(np.max(np.exp(-self.lam * t) * t ** e * gap_norms[start:]))
-
-
-def d_lambda(gamma: DensityFlow, eta: DensityFlow, spec: FlowMetricSpec) -> float:
-    """Discounted sup-in-time distance between two density flows:
-    max over nodes of exp(-lambda t) t^e ||gamma(t) - eta(t)||_{~L^k}
-    (node 0 as in `FlowMetricSpec.weighted_sup`)."""
-    if not np.array_equal(gamma.time_grid.nodes, eta.time_grid.nodes):
-        raise GridMismatchError("flows live on different time grids")
-    if gamma.grid != eta.grid:
-        raise GridMismatchError("flows live on different spatial grids")
-    diffs = gamma.values_matrix() - eta.values_matrix()
-    gaps = np.array([tilde_norm(row, spec.k, gamma.grid) for row in diffs])
-    return spec.weighted_sup(gamma.time_grid.nodes, gaps)
 
 
 def total_variation(mu: GridDensity, nu: GridDensity) -> float:

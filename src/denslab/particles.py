@@ -102,17 +102,15 @@ class ParticleEnsemble:
 
 
 def sample_initial(init, n: int, seed: int, grid: Grid1D | None = None) -> np.ndarray:
-    """Draw initial positions from a GridDensity (inverse CDF), a ("gaussian",
-    mean, sigma) spec, or an explicit array; reflected into `grid` if given."""
+    """Draw initial positions from a GridDensity (inverse CDF) or a
+    ("gaussian", mean, sigma) spec; reflected into `grid` if given."""
     if isinstance(init, GridDensity):
         x = density_quantiles(init, raw_uniforms(seed, _STREAM_INIT, 0, n))
     elif isinstance(init, (tuple, list)) and len(init) == 3 and init[0] == "gaussian":
         _, mean, sigma = init
         x = float(mean) + float(sigma) * normal_increments(seed, _STREAM_INIT, 0, n)
     else:
-        x = np.array(init, dtype=np.float64)
-        if not (x.ndim == 1 and x.size == n):
-            raise InvalidParameterError("unsupported initial sampling spec")
+        raise InvalidParameterError("unsupported initial sampling spec")
     return x if grid is None else _reflect(x, grid.x_min, grid.x_max)
 
 
@@ -154,7 +152,7 @@ class _Step(NamedTuple):
     x: np.ndarray                # positions at t
     rho: np.ndarray | None       # grid density the drift read at t
     b: np.ndarray                # drift at (t, x)
-    sigma: np.ndarray            # sqrt(a(t, x))
+    sigma: float                 # sqrt(a)
     dw: np.ndarray               # Brownian increments
     x_next: np.ndarray           # reflected positions at t + dt
 
@@ -167,12 +165,12 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
     if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise InvalidParameterError("(t_end - t_start) must be a multiple of dt")
     sqrt_dt = math.sqrt(dt)
+    sigma = math.sqrt(diff.a)
     x = x0
     for s in range(n_steps):
         t = t_start + s * dt
         rho = density(t, x) if density is not None else None
         b = drift_at_positions(drift, t, x, grid, rho)
-        sigma = np.sqrt(np.asarray(diff.a(t, x), dtype=np.float64))
         cfl = float(np.max(np.abs(b))) * dt
         if cfl > grid.dx * (1.0 + 1e-9):
             raise InvalidParameterError(
@@ -264,14 +262,14 @@ def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: Diffu
     if n_paths < 2:
         raise InvalidParameterError("need at least 2 paths")
     x0 = sample_initial(init, n_paths, seed, grid)
+    sigma = math.sqrt(diff.a)
 
     def xi_fn(ts, xs):
         rho_a = flow_a.values_at(ts) if flow_a is not None else None
         rho_b = flow_b.values_at(ts) if flow_b is not None else None
         b_a = drift_at_positions(drift_a, ts, xs, grid, rho_a)
         b_b = drift_at_positions(drift_b, ts, xs, grid, rho_b)
-        a_vals = np.asarray(diff.a(ts, xs), dtype=np.float64)
-        return (b_a - b_b) / np.sqrt(a_vals)
+        return (b_a - b_b) / sigma
 
     march = _march(x0, drift_a, diff, grid, 0.0, t, dt, seed,
                    _density_rule(drift_a, grid, flow_a))

@@ -2,15 +2,16 @@
 
 Exact transport on small atomic measures (monotone coupling and a
 transportation linear program), the expW calibration bisected on
-`exp_wasserstein` itself, the localized measure distance, a one-path
-Girsanov log-weight, the particle step written out of place (np.interp
-gather, np.where reflection, uniforms, cloud-in-cell KDE) with a march built
-from it, a single Fokker-Planck step, the reference step that assembles and
-solves the banded matrix afresh, and a probe of a diffusion coefficient's
-declared bounds.
+`exp_wasserstein` itself, the localized measure distance, the discounted
+flow distance, a one-path Girsanov log-weight, the particle step written out
+of place (np.interp gather, np.where reflection, uniforms, cloud-in-cell
+KDE) with a march built from it, a single Fokker-Planck step, the reference
+step that assembles and solves the banded matrix afresh, and a reader for
+the flow directories the CLI writes.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +33,19 @@ from denslab.density_core import (
     DensityFlow,
     Grid1D,
     GridDensity,
+    TimeGrid,
+    load_density,
     normalize,
     tilde_norm,
 )
 from denslab.errors import (
     GridMismatchError,
-    InvalidDriftError,
     InvalidParameterError,
     NotAProbabilityError,
     NumericOverflowError,
     SolverFailureError,
 )
-from denslab.metrics import exp_wasserstein
+from denslab.metrics import FlowMetricSpec, exp_wasserstein
 
 _MASS_TOL = 1e-6
 
@@ -177,6 +179,23 @@ def tilde_measure_distance_l1(mu: GridDensity, nu: GridDensity) -> float:
 
 
 # ---------------------------------------------------------------------------
+# discounted flow distance
+# ---------------------------------------------------------------------------
+
+def d_lambda(gamma: DensityFlow, eta: DensityFlow, spec: FlowMetricSpec) -> float:
+    """Discounted sup-in-time distance between two density flows:
+    max over nodes of exp(-lambda t) t^e ||gamma(t) - eta(t)||_{~L^k}
+    (node 0 as in `FlowMetricSpec.weighted_sup`)."""
+    if not np.array_equal(gamma.time_grid.nodes, eta.time_grid.nodes):
+        raise GridMismatchError("flows live on different time grids")
+    if gamma.grid != eta.grid:
+        raise GridMismatchError("flows live on different spatial grids")
+    diffs = gamma.values_matrix() - eta.values_matrix()
+    gaps = np.array([tilde_norm(row, spec.k, gamma.grid) for row in diffs])
+    return spec.weighted_sup(gamma.time_grid.nodes, gaps)
+
+
+# ---------------------------------------------------------------------------
 # one stored path: Girsanov log-weight
 # ---------------------------------------------------------------------------
 
@@ -205,8 +224,7 @@ def girsanov_log_weight(path: ParticlePath, drift_ref: DriftSpec, drift_alt: Dri
         rho_alt = flow_alt.values_at(ti) if flow_alt is not None else None
         b_ref = drift_at_positions(drift_ref, ti, xi_pos, grid, rho_ref)[0]
         b_alt = drift_at_positions(drift_alt, ti, xi_pos, grid, rho_alt)[0]
-        a_val = float(np.asarray(diff.a(ti, xi_pos))[0])
-        xi = (b_alt - b_ref) / math.sqrt(a_val)
+        xi = (b_alt - b_ref) / math.sqrt(diff.a)
         if not np.isfinite(xi):
             raise SolverFailureError("non-finite Girsanov integrand along the path")
         total += xi * float(dw[i]) - 0.5 * xi * xi * float(t[i + 1] - t[i])
@@ -301,16 +319,15 @@ def reference_mkv(mean: float, sd: float, drift: DriftSpec, diff: DiffusionSpec,
         t = s * dt
         rho = reference_kde(x, bandwidth(x), grid).values
         b = reference_drift_at_positions(drift, t, x, grid, rho)
-        sigma = np.sqrt(np.asarray(diff.a(t, x), dtype=np.float64))
         dw = math.sqrt(dt) * ndtri(reference_uniforms(seed, 2, s, n))
-        x = reference_reflect(x + b * dt + sigma * dw, grid.x_min, grid.x_max)
+        x = reference_reflect(x + b * dt + math.sqrt(diff.a) * dw, grid.x_min, grid.x_max)
         if s + 1 in record_steps:
             snaps.append(reference_kde(x, bandwidth(x), grid).values)
     return x, snaps
 
 
 # ---------------------------------------------------------------------------
-# Fokker-Planck: one step, and the diffusion-coefficient bounds
+# Fokker-Planck: one step
 # ---------------------------------------------------------------------------
 
 def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray,
@@ -349,18 +366,14 @@ def reference_step(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float,
     return solve_banded((1, 1), ab, rhs)
 
 
-def validate_diffusion(spec: DiffusionSpec, T: float, x_lo: float, x_hi: float,
-                       n_probe: int = 200) -> None:
-    """Probe a on an n_probe x n_probe lattice against the declared bounds."""
-    ts = np.linspace(1e-12, T, n_probe)
-    xs = np.linspace(x_lo, x_hi, n_probe)
-    for t in ts:
-        vals = np.asarray(spec.a(float(t), xs), dtype=np.float64)
-        if vals.shape != xs.shape:
-            raise InvalidDriftError("diffusion coefficient must be vectorized in x")
-        if np.any(vals > spec.k_bound * (1 + 1e-9)):
-            raise InvalidDriftError(
-                f"sup a = {vals.max():.4g} exceeds declared bound {spec.k_bound}")
-        if np.any(vals < 1.0 / spec.k_inv_bound * (1 - 1e-9)):
-            raise InvalidDriftError(
-                f"inf a = {vals.min():.4g} violates 1/a bound {spec.k_inv_bound}")
+# ---------------------------------------------------------------------------
+# flow directories
+# ---------------------------------------------------------------------------
+
+def load_flow(in_dir: str) -> DensityFlow:
+    manifest = np.loadtxt(os.path.join(in_dir, "timegrid.csv"), delimiter=",", skiprows=1)
+    manifest = np.atleast_2d(manifest)
+    nodes = manifest[:, 1]
+    snaps = [load_density(os.path.join(in_dir, f"density_{i:04d}.csv"))
+             for i in range(len(nodes))]
+    return DensityFlow(TimeGrid(nodes), tuple(snaps))

@@ -6,10 +6,11 @@ import os
 
 import pytest
 
-from denslab import Grid1D, KhasminskiiReport, gaussian_density, load_flow, save_density
+from denslab import Grid1D, KhasminskiiReport, gaussian_density, save_density
 from denslab.cli import main
 from denslab.config import SCHEMA, parse_config
 from denslab.errors import ConfigError
+from oracles import load_flow
 
 
 class TestParseConfig:
@@ -128,11 +129,13 @@ class TestExitCodes:
         ["solve", "--drift", "linear_ou", "--set", "solver.cfl=1.5"],
         ["experiment", "renyi", "--set", "experiment.alpha_limit=inf",
          "--set", "experiment.t_lo=0.001", "--set", "experiment.t_hi=0.01"],
+        ["solve", "--drift", "linear_ou", "--set", "diffusion.a=0"],
+        ["solve", "--drift", "linear_ou", "--set", "diffusion.a=inf"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
             "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
             "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
             "zero-n-t", "negative-n-t", "infinite-well-coeff", "infinite-kappa",
-            "cfl-above-one", "infinite-alpha-limit"])
+            "cfl-above-one", "infinite-alpha-limit", "zero-diffusion", "infinite-diffusion"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])

@@ -11,7 +11,6 @@ from denslab import (
     gaussian_density,
     kde,
     load_density,
-    load_flow,
     normalize,
     save_density,
     save_flow,
@@ -25,7 +24,7 @@ from denslab.errors import (
     GridMismatchError,
     InvalidParameterError,
 )
-from oracles import reference_kde, same_bits, tilde_measure_distance_l1
+from oracles import load_flow, reference_kde, same_bits, tilde_measure_distance_l1
 
 
 def brute_force_tilde_norm(values, grid, k):

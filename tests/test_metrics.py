@@ -9,7 +9,6 @@ from denslab import (
     Grid1D,
     GridDensity,
     TimeGrid,
-    d_lambda,
     exp_wasserstein,
     gaussian_density,
     normalize,
@@ -28,6 +27,7 @@ from denslab.errors import (
 )
 from oracles import (
     coupling_lp_cost,
+    d_lambda,
     quantile_coupling_cost,
     tilde_measure_distance_l1,
     wasserstein_atoms,

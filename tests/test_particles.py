@@ -76,6 +76,13 @@ class TestStreams:
         assert np.mean(x) == pytest.approx(0.5, abs=0.01)
         assert np.std(x) == pytest.approx(0.7, abs=0.01)
 
+    @pytest.mark.parametrize("spec", [np.zeros(10), ("uniform", 0.0, 1.0), ("gaussian", 0.0),
+                                      "gaussian"],
+                             ids=["positions-array", "uniform-tuple", "two-tuple", "bare-name"])
+    def test_unsupported_spec_rejected(self, spec):
+        with pytest.raises(InvalidParameterError, match="unsupported initial sampling spec"):
+            sample_initial(spec, 10, seed=3, grid=GRID)
+
 
 class TestReflect:
     @pytest.mark.parametrize("lo,hi", [(GRID.x_min, GRID.x_max), (0.0, 1.0), (-1.0, -0.0)])
