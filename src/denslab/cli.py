@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameterError, InvalidDriftError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DenslabError as exc:
+    except (DenslabError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .density_core import Grid1D, GridDensity, TimeGrid, gaussian_density, uniform_density
 from .dynamics import (
+    DRIFT_PARAMS,
     DiffusionSpec,
     DriftSpec,
     SolverOptions,
@@ -27,27 +26,19 @@ from .dynamics import (
 )
 from .errors import ConfigError
 from .metrics import FlowMetricSpec
-from .particles import SpaceTimeField, builtin_field
+from .particles import FIELD_PARAMS, SpaceTimeField, builtin_field
 
 SCHEMA_VERSION = 1
 
-# key -> (type tag, default).  Type tags: int, float, str, floatlist.
+# key -> (type tag, default).  Type tags: int, float, str, floatlist.  The drift
+# and field parameters and their defaults come from DRIFT_PARAMS and FIELD_PARAMS.
 SCHEMA = {
     "schema.version": ("int", SCHEMA_VERSION),
     "seed": ("int", 12345),
     "threads": ("int", 1),
 
     "drift.name": ("str", "capped_density"),
-    "drift.theta": ("float", 1.0),
-    "drift.kappa": ("float", 0.1),
-    "drift.tau": ("float", 0.6),
-    "drift.cap": ("float", 5.0),
-    "drift.kernel_width": ("float", 0.2),
-    "drift.gamma": ("float", 0.2),
-    "drift.coeff": ("float", 0.5),
-    "drift.center": ("float", 0.0),
-    "drift.p2": ("float", 4.0),
-    "drift.q2": ("float", 4.0),
+    **{f"drift.{k}": ("float", v) for fam in DRIFT_PARAMS.values() for k, v in fam.items()},
 
     "diffusion.a": ("float", 2.0),
 
@@ -92,11 +83,7 @@ SCHEMA = {
     "experiment.alpha_limit": ("float", 1e-3),
 
     "khasminskii.f_name": ("str", "singular_power"),
-    "khasminskii.c0": ("float", 0.5),
-    "khasminskii.coeff": ("float", 1.0),
-    "khasminskii.gamma": ("float", 0.3),
-    "khasminskii.p": ("float", 4.0),
-    "khasminskii.q": ("float", 4.0),
+    **{f"khasminskii.{k}": ("float", v) for fam in FIELD_PARAMS.values() for k, v in fam.items()},
     "khasminskii.s": ("float", 0.0),
     "khasminskii.t": ("float", 1.0),
     "khasminskii.lambda_grid": ("floatlist", (0.1, 0.15, 0.22, 0.33, 0.5,
@@ -227,26 +214,9 @@ def build_time_grid(cfg: RunConfig) -> TimeGrid:
 
 def build_drift(cfg: RunConfig) -> DriftSpec:
     name = cfg["drift.name"]
-    if name == "linear_ou":
-        params = {"theta": cfg["drift.theta"]}
-    elif name == "capped_density":
-        params = {"theta": cfg["drift.theta"], "kappa": cfg["drift.kappa"],
-                  "tau": cfg["drift.tau"], "cap": cfg["drift.cap"]}
-    elif name == "smoothed_interaction":
-        params = {"theta": cfg["drift.theta"], "kappa": cfg["drift.kappa"],
-                  "tau": cfg["drift.tau"], "kernel_width": cfg["drift.kernel_width"]}
-    elif name == "singular_well":
-        params = {"theta": cfg["drift.theta"], "gamma": cfg["drift.gamma"],
-                  "coeff": cfg["drift.coeff"], "center": cfg["drift.center"],
-                  "p2": cfg["drift.p2"], "q2": cfg["drift.q2"]}
-    elif name == "zero":
-        params = None
-    else:
+    if name not in DRIFT_PARAMS:
         raise ConfigError(f"key 'drift.name' has unknown value {name!r}")
-    if name == "zero":
-        drift = DriftSpec(b1=lambda t, x: np.zeros_like(x), K=0.0, name="zero")
-    else:
-        drift = builtin_drift(name, params)
+    drift = builtin_drift(name, {k: cfg[f"drift.{k}"] for k in DRIFT_PARAMS[name]})
     validate_drift(drift, cfg["time.T"], build_grid(cfg))
     return drift
 
@@ -277,12 +247,6 @@ def build_init_density(cfg: RunConfig, grid: Grid1D, shift: float = 0.0) -> Grid
 
 def build_field(cfg: RunConfig) -> SpaceTimeField:
     name = cfg["khasminskii.f_name"]
-    if name == "constant":
-        params = {"c0": cfg["khasminskii.c0"], "p": cfg["khasminskii.p"],
-                  "q": cfg["khasminskii.q"]}
-    elif name == "singular_power":
-        params = {"coeff": cfg["khasminskii.coeff"], "gamma": cfg["khasminskii.gamma"],
-                  "center": 0.0, "p": cfg["khasminskii.p"], "q": cfg["khasminskii.q"]}
-    else:
+    if name not in FIELD_PARAMS:
         raise ConfigError(f"key 'khasminskii.f_name' has unknown value {name!r}")
-    return builtin_field(name, params)
+    return builtin_field(name, {k: cfg[f"khasminskii.{k}"] for k in FIELD_PARAMS[name]})

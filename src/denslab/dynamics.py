@@ -23,7 +23,6 @@ checked at every sub-step.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -40,10 +39,9 @@ from .errors import (
 )
 from .metrics import FlowMetricSpec
 
-log = logging.getLogger(__name__)
-
 _PROBE_SEED = 1234        # random probes of validate_drift
 _MAX_ESCALATIONS = 6      # discount-rate doublings of picard_fixed_point
+_MAX_SUBSTEPS = 10**6     # sub-steps of one node interval in frozen_semigroup
 
 
 def in_integrability_class(p: float, q: float) -> bool:
@@ -147,6 +145,11 @@ def validate_drift(drift: DriftSpec, T: float, grid: Grid1D) -> None:
         if slopes.max(initial=0.0) > drift.K * (1 + 1e-6) :
             raise InvalidDriftError(
                 f"|grad b1| = {slopes.max():.4g} exceeds declared K = {drift.K}")
+    for k in drift.feature_kernels:
+        if not k.width <= grid.width:
+            raise InvalidDriftError(
+                f"feature kernel '{k.name}' width {k.width:g} exceeds the grid width "
+                f"{grid.width:g}")
     for part in drift.singular_parts:
         if not in_integrability_class(part.p, part.q):
             raise InvalidDriftError(
@@ -280,9 +283,10 @@ def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
 # ---------------------------------------------------------------------------
 
 def power_singularity(x, center: float, coeff: float, gamma: float) -> np.ndarray:
-    """coeff |x - center|^(-gamma) on |x - center| <= 1, inf at the centre, 0 outside."""
+    """coeff |x - center|^(-gamma) on |x - center| <= 1, 0 outside; inf at the
+    centre and wherever the power overflows."""
     r = np.abs(np.asarray(x, dtype=np.float64) - center)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = coeff * r ** (-gamma)
     out[~(r <= 1.0)] = 0.0          # beyond the unit window, and at a NaN x
     out[~np.isfinite(out)] = np.inf
@@ -297,9 +301,36 @@ def _bump_profile(u, width):
     return out
 
 
-def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
-    """Named drift families, each validated against the admissibility checks.
+# family name -> {parameter: default}; config.SCHEMA holds one drift.<parameter>
+# key per name, so a name shared by several families has one default
+DRIFT_PARAMS = {
+    "zero": {},
+    "linear_ou": {"theta": 1.0},
+    "capped_density": {"theta": 1.0, "kappa": 0.1, "tau": 0.6, "cap": 5.0},
+    "smoothed_interaction": {"theta": 1.0, "kappa": 0.1, "tau": 0.6, "kernel_width": 0.2},
+    "singular_well": {"theta": 1.0, "gamma": 0.2, "coeff": 0.5, "center": 0.0,
+                      "p2": 4.0, "q2": 4.0},
+}
 
+
+def _family_params(kind: str, families: dict, name: str, params: dict | None,
+                   error) -> dict:
+    """The defaults of `families[name]` with `params` merged over them, as
+    floats; raises `error` for an unknown name or parameter."""
+    if name not in families:
+        raise error(f"unknown {kind} name '{name}'")
+    given = dict(params or {})
+    unknown = sorted(set(given) - set(families[name]))
+    if unknown:
+        raise error(f"unknown {name} parameters: {unknown}")
+    return {k: float(v) for k, v in {**families[name], **given}.items()}
+
+
+def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
+    """Named drift families of DRIFT_PARAMS, each validated against the
+    admissibility checks.
+
+    zero:                 b = 0
     linear_ou:            b = -theta x
     capped_density:       b = -theta x + t^tau kappa min(r, cap)
     smoothed_interaction: b = -theta x + t^tau kappa (bump_h * rho)(x)
@@ -307,82 +338,69 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
                           -coeff sign(x - x0) |x - x0|^{-gamma} 1_{|x-x0|<=1},
                           admissible only when gamma * p2 < 1.
     """
-    p = dict(params or {})
-    nonfinite = sorted(k for k, v in p.items() if not math.isfinite(float(v)))
+    p = _family_params("drift", DRIFT_PARAMS, name, params, InvalidDriftError)
+    nonfinite = sorted(k for k, v in p.items() if not math.isfinite(v))
     if nonfinite:
         raise InvalidDriftError(f"{name}: parameters {nonfinite} must be finite")
-    theta = float(p.pop("theta", 1.0))
+    if name == "zero":
+        return DriftSpec(b1=lambda t, x: np.zeros_like(x), K=0.0, name=name)
+    theta = p["theta"]
 
     def ou(t, x):
         return -theta * x
 
     if name == "linear_ou":
-        if p:
-            raise InvalidDriftError(f"unknown linear_ou parameters: {sorted(p)}")
         return DriftSpec(b1=ou, K=abs(theta), name=name)
 
-    if name == "capped_density":
-        kappa = float(p.pop("kappa", 0.1))
-        tau = float(p.pop("tau", 0.6))
-        cap = float(p.pop("cap", 5.0))
-        if p:
-            raise InvalidDriftError(f"unknown capped_density parameters: {sorted(p)}")
-        if cap <= 0:
-            raise InvalidDriftError("capped_density: cap must be positive")
+    if name in ("capped_density", "smoothed_interaction"):
+        kappa, tau = p["kappa"], p["tau"]
+        if name == "capped_density":
+            cap = p["cap"]
+            if cap <= 0:
+                raise InvalidDriftError("capped_density: cap must be positive")
+            kernels = ()
+
+            def density(r, feats):
+                return np.minimum(r, cap)
+        else:
+            width = p["kernel_width"]
+            if width <= 0:
+                raise InvalidDriftError("smoothed_interaction: kernel_width must be positive")
+            kernels = (FeatureKernel("bump", lambda u: _bump_profile(u, width), width),)
+
+            def density(r, feats):
+                return feats["bump"]
 
         def nem(t, x, r, feats):
-            return (t ** tau) * kappa * np.minimum(r, cap)
+            return (t ** tau) * kappa * density(r, feats)
 
-        return DriftSpec(b1=ou, nemytskii=nem, K=max(abs(theta), abs(kappa)),
-                         tau=tau, name=name)
-
-    if name == "smoothed_interaction":
-        kappa = float(p.pop("kappa", 0.1))
-        tau = float(p.pop("tau", 0.6))
-        width = float(p.pop("kernel_width", 0.2))
-        if p:
-            raise InvalidDriftError(f"unknown smoothed_interaction parameters: {sorted(p)}")
-        if width <= 0:
-            raise InvalidDriftError("smoothed_interaction: kernel_width must be positive")
-        kern = FeatureKernel("bump", lambda u: _bump_profile(u, width), width)
-
-        def nem(t, x, r, feats):
-            return (t ** tau) * kappa * feats["bump"]
-
-        return DriftSpec(b1=ou, nemytskii=nem, feature_kernels=(kern,),
+        return DriftSpec(b1=ou, nemytskii=nem, feature_kernels=kernels,
                          K=max(abs(theta), abs(kappa)), tau=tau, name=name)
 
-    if name == "singular_well":
-        gamma = float(p.pop("gamma", 0.2))
-        coeff = float(p.pop("coeff", 0.5))
-        x0 = float(p.pop("center", 0.0))
-        p2 = float(p.pop("p2", 4.0))
-        q2 = float(p.pop("q2", 4.0))
-        if p:
-            raise InvalidDriftError(f"unknown singular_well parameters: {sorted(p)}")
-        if not in_integrability_class(p2, q2):
-            raise InvalidDriftError(
-                f"(p2, q2) = ({p2}, {q2}) violates p, q > 2 and 1/p + 2/q < 1")
-        if not 0 < gamma:
-            raise InvalidDriftError("singular_well: gamma must be positive")
-        if gamma * p2 >= 1.0:
-            raise InvalidDriftError(
-                f"gamma * p2 = {gamma * p2:.3g} >= 1: |x|^(-gamma) is not "
-                f"window-L^{p2:g} integrable")
+    gamma, coeff, x0, p2, q2 = (p[k] for k in ("gamma", "coeff", "center", "p2", "q2"))
+    if not in_integrability_class(p2, q2):
+        raise InvalidDriftError(
+            f"(p2, q2) = ({p2}, {q2}) violates p, q > 2 and 1/p + 2/q < 1")
+    if not 0 < gamma:
+        raise InvalidDriftError("singular_well: gamma must be positive")
+    if not 0 < coeff:
+        raise InvalidDriftError(f"singular_well: coeff must be positive, got {coeff}")
+    if gamma * p2 >= 1.0:
+        raise InvalidDriftError(
+            f"gamma * p2 = {gamma * p2:.3g} >= 1: |x|^(-gamma) is not "
+            f"window-L^{p2:g} integrable")
 
-        def envelope(t, x):
-            return power_singularity(x, x0, coeff, gamma)
+    def envelope(t, x):
+        return power_singularity(x, x0, coeff, gamma)
 
-        def well(t, x):
-            # -sign(x - x0) times the envelope; 0 at the centre itself
-            r = x - x0
-            return np.multiply(-np.sign(r), envelope(t, x), out=np.zeros_like(r), where=r != 0)
+    def well(t, x):
+        # -sign(x - x0) times the envelope; 0 at the centre itself
+        r = x - x0
+        return np.multiply(-np.sign(r), envelope(t, x), out=np.zeros_like(r), where=r != 0)
 
-        part = SingularPart(term=well, envelope=envelope, p=p2, q=q2,
-                            cap_coeff=coeff, cap_exponent=gamma)
-        return DriftSpec(b1=ou, singular_parts=(part,), K=abs(theta), name=name)
-
-    raise InvalidDriftError(f"unknown drift name '{name}'")
+    part = SingularPart(term=well, envelope=envelope, p=p2, q=q2,
+                        cap_coeff=coeff, cap_exponent=gamma)
+    return DriftSpec(b1=ou, singular_parts=(part,), K=abs(theta), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +475,9 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
     a node interval and a is constant, so the diffusion matrix is factored
     once per node interval.  Every sub-step must satisfy dt * max|b| <= dx,
     else SolverFailureError: dt is chosen from the drift at the interval
-    start, and a drift that grows inside the interval can outrun it.
+    start, and a drift that grows inside the interval can outrun it.  A node
+    interval that would need more than _MAX_SUBSTEPS sub-steps is a
+    SolverFailureError before it starts.
     """
     opts = options or SolverOptions()
     if drift.density_dependent and gamma is None:
@@ -481,7 +501,12 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
         dt_target = min(dt_max, max(opts.rel_dt * (t0 + t_init), 1e-14))
         if max_b > 0:
             dt_target = min(dt_target, opts.cfl * dx / max_b)
-        n_sub = max(1, int(math.ceil(gap / dt_target - 1e-12)))
+        n_sub = gap / dt_target - 1e-12
+        if n_sub > _MAX_SUBSTEPS:
+            raise SolverFailureError(
+                f"node interval {i + 1} (t = {t0:.4g} to {t1:.4g}) needs {n_sub:.3g} "
+                f"sub-steps, more than {_MAX_SUBSTEPS}")
+        n_sub = max(1, int(math.ceil(n_sub)))
         dt = gap / n_sub
         lu = _factor(a, dt, dx)
         for sidx in range(n_sub):

@@ -9,7 +9,7 @@ class InvalidParameterError(DenslabError):
     """A numeric argument is outside its admissible range."""
 
 
-class DomainTooSmallError(DenslabError):
+class DomainTooSmallError(InvalidParameterError):
     """Spatial domain is narrower than the unit-ball window requires."""
 
 

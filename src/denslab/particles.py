@@ -49,6 +49,7 @@ from .density_core import (
 from .dynamics import (
     DiffusionSpec,
     DriftSpec,
+    _family_params,
     drift_at_positions,
     in_integrability_class,
     power_singularity,
@@ -301,31 +302,31 @@ class SpaceTimeField:
         return v
 
 
+# field name -> {parameter: default}; config.SCHEMA holds one khasminskii.<parameter>
+# key per name
+FIELD_PARAMS = {
+    "constant": {"c0": 0.5, "p": 4.0, "q": 4.0},
+    "singular_power": {"coeff": 1.0, "gamma": 0.3, "p": 4.0, "q": 4.0},
+}
+
+
 def builtin_field(name: str, params: dict | None = None) -> SpaceTimeField:
-    p = dict(params or {})
-    pp = float(p.pop("p", 4.0))
-    qq = float(p.pop("q", 4.0))
+    """Named fields of FIELD_PARAMS: the constant c0, or the power
+    singularity coeff |x|^(-gamma) on |x| <= 1."""
+    p = _family_params("field", FIELD_PARAMS, name, params, InvalidParameterError)
+    pp, qq = p["p"], p["q"]
     if not (in_integrability_class(pp, qq) and math.isfinite(qq)):
         raise InvalidParameterError(
             f"(p, q) = ({pp}, {qq}) outside the admissible class with finite q")
     if name == "constant":
-        c0 = float(p.pop("c0", 0.5))
-        if p:
-            raise InvalidParameterError(f"unknown constant-field parameters: {sorted(p)}")
+        c0 = p["c0"]
         return SpaceTimeField(fn=lambda t, x: np.full_like(np.asarray(x, float), c0),
-                              p=pp, q=qq, name="constant")
-    if name == "singular_power":
-        coeff = float(p.pop("coeff", 1.0))
-        gamma = float(p.pop("gamma", 0.3))
-        center = float(p.pop("center", 0.0))
-        if p:
-            raise InvalidParameterError(f"unknown singular-field parameters: {sorted(p)}")
-        if not coeff > 0:
-            raise InvalidParameterError(f"singular_power: coeff must be positive, got {coeff}")
-        return SpaceTimeField(fn=lambda t, x: power_singularity(x, center, coeff, gamma),
-                              p=pp, q=qq, cap_coeff=coeff, cap_exponent=gamma,
-                              name="singular_power")
-    raise InvalidParameterError(f"unknown field name '{name}'")
+                              p=pp, q=qq, name=name)
+    coeff, gamma = p["coeff"], p["gamma"]
+    if not coeff > 0:
+        raise InvalidParameterError(f"singular_power: coeff must be positive, got {coeff}")
+    return SpaceTimeField(fn=lambda t, x: power_singularity(x, 0.0, coeff, gamma),
+                          p=pp, q=qq, cap_coeff=coeff, cap_exponent=gamma, name=name)
 
 
 @dataclass(frozen=True)
@@ -364,9 +365,14 @@ def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float):
     else:
         nodes, mat = times, vals
     tg = TimeGrid(nodes)
-    norm = tilde_spacetime_norm(mat, f.p, f.q, s, t, time_grid=tg, grid=grid)
-    per_node = np.array([tilde_norm(v, f.p, grid) for v in vals])
-    integral = float(np.trapezoid(per_node ** f.q, x=times))
+    # a power past the float range is inf, and nan once the window sums
+    # subtract two infs: both read as an infinite norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = tilde_spacetime_norm(mat, f.p, f.q, s, t, time_grid=tg, grid=grid)
+        per_node = np.array([tilde_norm(v, f.p, grid) for v in vals])
+        integral = float(np.trapezoid(per_node ** f.q, x=times))
+    if math.isnan(norm):
+        return float("inf"), float("inf")
     return norm, integral
 
 
@@ -389,8 +395,10 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     if n_paths < 1 or not 0 < dt < np.inf:
         raise InvalidParameterError("need n_paths >= 1 and a finite dt > 0")
     norm, integral = field_spacetime_norm(f, grid, s, t)
-    if not np.isfinite(norm):
-        raise InvalidParameterError("field has infinite localized space-time norm")
+    if not 0 < norm < np.inf:
+        raise InvalidParameterError(
+            f"field has localized space-time norm {norm:g} on the grid; it must be "
+            f"positive and finite")
     x_init = np.full(n_paths, float(x0))
     march = _march(x_init, drift, diff, grid, s, t, dt, seed, _density_rule(drift, grid))
     tau = _integral_sq(lambda tt, xx: f.evaluate(tt, xx, grid.dx), march, s, x_init, dt)

@@ -9,7 +9,9 @@ import pytest
 from denslab import Grid1D, KhasminskiiReport, gaussian_density, save_density
 from denslab.cli import main
 from denslab.config import SCHEMA, parse_config
+from denslab.dynamics import DRIFT_PARAMS, builtin_drift
 from denslab.errors import ConfigError
+from denslab.particles import FIELD_PARAMS, builtin_field
 from oracles import load_flow
 
 
@@ -65,6 +67,21 @@ class TestParseConfig:
         path.write_text(cfg.resolved_text())
         cfg2 = parse_config(str(path))
         assert cfg2.data == cfg.data
+
+    @pytest.mark.parametrize("section, table, build", [
+        ("drift", DRIFT_PARAMS, builtin_drift),
+        ("khasminskii", FIELD_PARAMS, builtin_field),
+    ], ids=["drift", "field"])
+    def test_every_family_builds_from_its_schema_defaults(self, section, table, build):
+        for name, params in table.items():
+            assert build(name).name == name == build(name, params).name
+            for key, default in params.items():
+                # one schema key per parameter name, so shared names share a default
+                assert SCHEMA[f"{section}.{key}"] == ("float", default), (name, key)
+
+    def test_drift_keys_are_the_table_keys(self):
+        keys = {k for k in SCHEMA if k.startswith("drift.")} - {"drift.name"}
+        assert keys == {f"drift.{k}" for params in DRIFT_PARAMS.values() for k in params}
 
 
 # tiny bases for the schema sweep: 16 cells and a handful of steps each
@@ -131,11 +148,16 @@ class TestExitCodes:
          "--set", "experiment.t_lo=0.001", "--set", "experiment.t_hi=0.01"],
         ["solve", "--drift", "linear_ou", "--set", "diffusion.a=0"],
         ["solve", "--drift", "linear_ou", "--set", "diffusion.a=inf"],
+        ["picard", "--set", "grid.x_min=-0.9", "--set", "grid.x_max=0.9"],
+        ["solve", "--drift", "singular_well", "--set", "drift.coeff=0"],
+        ["picard", "--drift", "smoothed_interaction", "--set", "drift.kernel_width=1e300"],
+        ["khasminskii", "--f", "constant", "--set", "khasminskii.c0=0"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
             "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
             "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
             "zero-n-t", "negative-n-t", "infinite-well-coeff", "infinite-kappa",
-            "cfl-above-one", "infinite-alpha-limit", "zero-diffusion", "infinite-diffusion"])
+            "cfl-above-one", "infinite-alpha-limit", "zero-diffusion", "infinite-diffusion",
+            "narrow-grid", "zero-well-coeff", "wide-kernel", "zero-field"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])
@@ -155,6 +177,39 @@ class TestExitCodes:
                 except Exception as exc:
                     pytest.fail(f"{command} {key}={val} raised {exc!r}")
                 assert rc in (0, 1, 2, 3), (command, key, val, rc)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--drift", "linear_ou", "--set", "drift.theta=1e300"],
+        ["picard", "--set", "drift.kappa=1e300"],
+        ["picard", "--set", "drift.tau=1e300", "--set", "time.T=2"],
+        ["khasminskii", "--set", "khasminskii.gamma=1e300"],
+    ], ids=["substep-cap-theta", "substep-cap-kappa", "tau-overflow", "field-gamma-overflow"])
+    def test_runaway_value_is_numeric_error(self, tmp_path, argv):
+        # the case's own --set follow _TINY's, so they win
+        assert main(argv[:1] + _TINY + argv[1:] + ["--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("section, table", [("drift", DRIFT_PARAMS),
+                                                ("khasminskii", FIELD_PARAMS)],
+                             ids=["drift", "field"])
+    def test_family_sweep(self, tmp_path, section, table):
+        # each family's own keys at 0, -1, nan, inf and 1e300 on a 17-cell base,
+        # which puts a cell centre on the singularity at x = 0
+        for name, params in table.items():
+            if section == "khasminskii":
+                base = ["khasminskii", "--f", name]
+            else:
+                command = "picard" if builtin_drift(name).density_dependent else "solve"
+                base = [command, "--drift", name]
+            for key in params:
+                for val in ("0", "-1", "nan", "inf", "1e300"):
+                    argv = base + _TINY + ["--set", "grid.cells=17",
+                                           "--set", f"{section}.{key}={val}",
+                                           "--out", str(tmp_path / "o")]
+                    try:
+                        rc = main(argv)
+                    except Exception as exc:
+                        pytest.fail(f"{name} {key}={val} raised {exc!r}")
+                    assert rc in (0, 1, 2, 3), (name, key, val, rc)
 
     def test_params_alias_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
