@@ -212,11 +212,23 @@ def build_time_grid(cfg: RunConfig) -> TimeGrid:
     raise ConfigError(f"key 'time.refine' must be geometric|uniform, got {cfg['time.refine']!r}")
 
 
+def _family(cfg: RunConfig, section: str, name_key: str, families: dict):
+    """(name, parameters) of the family `name_key` picks from `families`;
+    ConfigError for an unknown name, or for a key that only other families
+    read set away from its default (the chosen family would ignore it)."""
+    name = cfg[name_key]
+    if name not in families:
+        raise ConfigError(f"key '{name_key}' has unknown value {name!r}")
+    stray = sorted({f"{section}.{k}" for fam in families.values() for k in fam
+                    if k not in families[name]
+                    and cfg[f"{section}.{k}"] != SCHEMA[f"{section}.{k}"][1]})
+    if stray:
+        raise ConfigError(f"{name_key} = {name} does not read the keys {stray}")
+    return name, {k: cfg[f"{section}.{k}"] for k in families[name]}
+
+
 def build_drift(cfg: RunConfig) -> DriftSpec:
-    name = cfg["drift.name"]
-    if name not in DRIFT_PARAMS:
-        raise ConfigError(f"key 'drift.name' has unknown value {name!r}")
-    drift = builtin_drift(name, {k: cfg[f"drift.{k}"] for k in DRIFT_PARAMS[name]})
+    drift = builtin_drift(*_family(cfg, "drift", "drift.name", DRIFT_PARAMS))
     validate_drift(drift, cfg["time.T"], build_grid(cfg))
     return drift
 
@@ -246,7 +258,4 @@ def build_init_density(cfg: RunConfig, grid: Grid1D, shift: float = 0.0) -> Grid
 
 
 def build_field(cfg: RunConfig) -> SpaceTimeField:
-    name = cfg["khasminskii.f_name"]
-    if name not in FIELD_PARAMS:
-        raise ConfigError(f"key 'khasminskii.f_name' has unknown value {name!r}")
-    return builtin_field(name, {k: cfg[f"khasminskii.{k}"] for k in FIELD_PARAMS[name]})
+    return builtin_field(*_family(cfg, "khasminskii", "khasminskii.f_name", FIELD_PARAMS))

@@ -206,11 +206,16 @@ class DensityFlow:
 # localized (unit-window) norms
 # ---------------------------------------------------------------------------
 
-def _window_half_cells(grid: Grid1D) -> int:
+def _require_window(grid: Grid1D) -> None:
+    """DomainTooSmallError unless the grid holds the unit-ball window."""
     if grid.width < 2.0:
         raise DomainTooSmallError(
             f"grid width {grid.width} is smaller than the unit-ball window (length 2)"
         )
+
+
+def _window_half_cells(grid: Grid1D) -> int:
+    _require_window(grid)
     return int(np.floor(1.0 / grid.dx + 1e-9))
 
 
@@ -244,8 +249,7 @@ def tilde_norm(f, k: float, grid: Grid1D | None = None) -> float:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     v, g = _as_values(f, grid)
     if np.isinf(k):
-        if g.width < 2.0:
-            raise DomainTooSmallError("grid narrower than the unit-ball window")
+        _require_window(g)
         return float(np.max(np.abs(v)))
     m = _window_half_cells(g)
     w = np.abs(v) ** k * g.dx

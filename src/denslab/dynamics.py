@@ -30,7 +30,8 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import fftconvolve
 
-from .density_core import DensityFlow, Grid1D, GridDensity, TimeGrid, tilde_norm
+from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _require_window,
+                           tilde_norm)
 from .errors import (
     InvalidDriftError,
     InvalidParameterError,
@@ -123,10 +124,6 @@ class DriftSpec:
     @property
     def density_dependent(self) -> bool:
         return self.nemytskii is not None
-
-    def stripped(self) -> "DriftSpec":
-        """Regular reference drift: b1 only (initialization of the iteration)."""
-        return DriftSpec(b1=self.b1, K=self.K, tau=self.tau, name=self.name + "_reference")
 
 
 def validate_drift(drift: DriftSpec, T: float, grid: Grid1D) -> None:
@@ -431,12 +428,6 @@ class SolverOptions:
             raise InvalidParameterError(f"dt_max must be > 0, got {self.dt_max}")
 
 
-def _initial_time_scale(mu: GridDensity, diff: DiffusionSpec) -> float:
-    peak = float(mu.values.max())
-    width = max(1.0 / (np.sqrt(2.0 * np.pi) * peak), mu.grid.dx) if peak > 0 else mu.grid.dx
-    return width ** 2 / diff.a
-
-
 def _factor(a: np.ndarray, dt: float, dx: float) -> tuple:
     """LU factors (LAPACK dgttrf) of the implicit-diffusion matrix
     I - dt/2 d^2/dx^2 (a .) with no-flux faces, for `_advance`; `a` holds
@@ -464,38 +455,49 @@ def _advance(v: np.ndarray, b: np.ndarray, lu: tuple, dt: float, dx: float) -> n
     return dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
-def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpec,
-                     diff: DiffusionSpec, tg: TimeGrid,
-                     options: SolverOptions | None = None) -> DensityFlow:
-    """Marginal flow of the linear equation with density slots frozen at gamma.
+def _density_rule(drift: DriftSpec, flow: DensityFlow | None, own):
+    """The grid density `drift` reads at (t, march state): None for a
+    density-free drift, the frozen `flow` interpolated in time when one is
+    given, otherwise `own(t, state)`, the march's own current density."""
+    if not drift.density_dependent:
+        return None
+    if flow is not None:
+        return lambda t, state: flow.values_at(t)
+    return own
 
-    Marches the conservative scheme across the time grid, evaluating the
-    drift at each sub-step start with gamma's density interpolated in time;
-    snapshot 0 is the initial density itself.  The sub-step is fixed within
-    a node interval and a is constant, so the diffusion matrix is factored
-    once per node interval.  Every sub-step must satisfy dt * max|b| <= dx,
-    else SolverFailureError: dt is chosen from the drift at the interval
-    start, and a drift that grows inside the interval can outrun it.  A node
-    interval that would need more than _MAX_SUBSTEPS sub-steps is a
-    SolverFailureError before it starts.
+
+def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
+           options: SolverOptions | None, density) -> DensityFlow:
+    """Marginal flow of the conservative scheme from mu (snapshot 0) across
+    the time grid, the drift evaluated at each sub-step start on the grid
+    density of the `_density_rule` `density`.
+
+    The sub-step is fixed within a node interval and a is constant, so the
+    diffusion matrix is factored once per node interval.  Every sub-step must
+    satisfy dt * max|b| <= dx, else SolverFailureError: dt comes from the
+    drift at the interval start, which can grow inside it.  A node interval
+    needing more than _MAX_SUBSTEPS sub-steps fails before it starts.
     """
     opts = options or SolverOptions()
-    if drift.density_dependent and gamma is None:
-        raise InvalidParameterError("density-dependent drift needs a frozen flow")
     grid = mu.grid
     dx = grid.dx
     a = np.full(grid.n_cells, diff.a)
-    t_init = _initial_time_scale(mu, diff)
+    peak = float(mu.values.max())     # t_init = (initial width)^2 / a
+    width = max(1.0 / (np.sqrt(2.0 * np.pi) * peak), dx) if peak > 0 else dx
+    t_init = width ** 2 / diff.a
     dt_max = opts.dt_max if opts.dt_max is not None else tg.T / 500.0
     v = mu.values.copy()
     snaps = [mu]
     nodes = tg.nodes
+
+    def field(t):     # drift at t and its max |b|, reading the current v
+        b = drift_field(drift, t, grid, density(t, v) if density is not None else None)
+        return b, max(float(b.max()), -float(b.min()))
+
     for i in range(len(nodes) - 1):
         t0, t1 = float(nodes[i]), float(nodes[i + 1])
         gap = t1 - t0
-        rho_g = gamma.values_at(t0) if gamma is not None else None
-        b0 = drift_field(drift, t0, grid, rho_g)
-        max_b = float(np.max(np.abs(b0)))
+        b0, max_b = field(t0)
         if not math.isfinite(max_b):
             raise SolverFailureError(f"non-finite drift at t = {t0:.4g}")
         dt_target = min(dt_max, max(opts.rel_dt * (t0 + t_init), 1e-14))
@@ -512,9 +514,7 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
         for sidx in range(n_sub):
             ts = t0 + sidx * dt
             if sidx > 0:
-                rho_g = gamma.values_at(ts) if gamma is not None else None
-                b0 = drift_field(drift, ts, grid, rho_g)
-                max_b = float(np.max(np.abs(b0)))
+                b0, max_b = field(ts)
             if not dt * max_b <= dx * (1.0 + 1e-9):
                 raise SolverFailureError(
                     f"dt * max|b| = {dt * max_b:.3e} exceeds the grid scale {dx:.3e} "
@@ -524,6 +524,16 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
             raise SolverFailureError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
         snaps.append(GridDensity(grid, np.maximum(v, 0.0)))
     return DensityFlow(tg, tuple(snaps))
+
+
+def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpec,
+                     diff: DiffusionSpec, tg: TimeGrid,
+                     options: SolverOptions | None = None) -> DensityFlow:
+    """Marginal flow of the linear equation with density slots frozen at gamma,
+    interpolated in time (`_march`).  With gamma None a density-dependent
+    drift reads the march's own current density: the self-consistent march."""
+    return _march(mu, drift, diff, tg, options,
+                  _density_rule(drift, gamma, lambda t, v: np.maximum(v, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +551,14 @@ class PicardResult:
 
 def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
                        tg: TimeGrid, spec: FlowMetricSpec, tol: float = 1e-6,
-                       max_iter: int = 25, options: SolverOptions | None = None) -> PicardResult:
+                       max_iter: int = 25, options: SolverOptions | None = None,
+                       warm_start: bool = False) -> PicardResult:
     """Iterate the frozen-density map to its fixed point.
 
     The iteration starts from the flow of the regular reference drift (b1
-    only), which already lies in the smoothing class the map preserves.  The
+    only), which already lies in the smoothing class the map preserves, or
+    with `warm_start` from the self-consistent march, which is near the fixed
+    point: fewer iterations, and fewer contraction factors to monitor.  The
     sup-in-time L^1 gap between successive iterates is the stopping residual.
     Contraction factors are recorded in the discounted metric; whenever an
     observed factor exceeds 0.9 the discount rate is doubled and the factors
@@ -557,26 +570,21 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
         raise InvalidParameterError("tol must be positive")
     if max_iter < 2:
         raise InvalidParameterError("max_iter must be at least 2")
-    gamma = frozen_semigroup(mu, None, drift.stripped(), diff, tg, options)
+    _require_window(mu.grid)      # the gap norms need it; check before marching
+    start = drift if warm_start else DriftSpec(b1=drift.b1, K=drift.K, tau=drift.tau)
+    gamma = frozen_semigroup(mu, None, start, diff, tg, options)
     nodes = tg.nodes
-    dx = mu.grid.dx
     gap_norm_history = []     # per iteration: windowed-L^k gap at every node
     l1_history = []
-    converged = False
-    iterations = 0
     for _ in range(max_iter):
         new = frozen_semigroup(mu, gamma, drift, diff, tg, options)
         diffs = new.values_matrix() - gamma.values_matrix()
-        gap_norms = np.array([tilde_norm(diffs[i], spec.k, mu.grid)
-                              for i in range(len(nodes))])
-        l1_gap = float(np.max(np.sum(np.abs(diffs), axis=1) * dx))
-        gap_norm_history.append(gap_norms)
-        l1_history.append(l1_gap)
+        gap_norm_history.append(np.array([tilde_norm(d, spec.k, mu.grid) for d in diffs]))
+        l1_history.append(float(np.max(np.sum(np.abs(diffs), axis=1) * mu.grid.dx)))
         gamma = new
-        iterations += 1
-        if l1_gap < tol:
-            converged = True
+        if l1_history[-1] < tol:
             break
+    iterations = len(l1_history)
 
     lam = spec.lam
 
@@ -597,7 +605,7 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
         lam *= 2.0
         esc += 1
         ratios = factors(lam)
-    if not converged:
+    if not l1_history[-1] < tol:
         if any(r >= 1.0 for r in ratios[1:]):
             raise NoConvergenceError(
                 f"no contraction after {esc} lambda escalations "

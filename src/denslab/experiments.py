@@ -27,7 +27,7 @@ from .config import (
     build_solver_options,
     build_time_grid,
 )
-from .density_core import DensityFlow, GridDensity, TimeGrid, tilde_norm
+from .density_core import DensityFlow, GridDensity, TimeGrid, _require_window, tilde_norm
 from .dynamics import DriftSpec, frozen_semigroup, picard_fixed_point
 from .errors import (
     ConfigError,
@@ -118,11 +118,10 @@ def _solve_flow(cfg: RunConfig, mu: GridDensity, drift: DriftSpec) -> DensityFlo
     diff = build_diffusion(cfg)
     tg = build_time_grid(cfg)
     opts = build_solver_options(cfg)
-    if drift.density_dependent:
-        spec = build_metric_spec(cfg)
-        result = picard_fixed_point(mu, drift, diff, tg, spec, tol=cfg["picard.tol"],
-                                    max_iter=cfg["picard.max_iter"], options=opts)
-        return result.flow
+    if drift.density_dependent:    # from the self-consistent march: the flow is what counts
+        return picard_fixed_point(mu, drift, diff, tg, build_metric_spec(cfg),
+                                  tol=cfg["picard.tol"], max_iter=cfg["picard.max_iter"],
+                                  options=opts, warm_start=True).flow
     return frozen_semigroup(mu, None, drift, diff, tg, opts)
 
 
@@ -175,9 +174,10 @@ def experiment_smoothing(cfg: RunConfig) -> ScalingReport:
     nonlinear drifts assert calibrated boundedness of measured * t^(1/2).
     """
     grid = build_grid(cfg)
+    _require_window(grid)                                       # before solving
     mu = build_init_density(cfg, grid)
     drift = build_drift(cfg)
-    idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
+    idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))
     _require_span(cfg, t)
     flow = _solve_flow(cfg, mu, drift)
     measured = [tilde_norm(flow.snapshots[i], np.inf) for i in idx]
@@ -194,6 +194,7 @@ def experiment_supercontinuity(cfg: RunConfig) -> ScalingReport:
     Measures ||flow_mu(t) - flow_nu(t)||_{~L^k} / W_1(mu, nu) for translated
     initial Gaussians; theoretical exponent 1/(2k) - 1 (-3/4 at k = 2).
     """
+    _require_window(build_grid(cfg))                            # before solving
     mu, nu, flow_mu, flow_nu, idx, t = _paired_flows(cfg)
     _require_span(cfg, t)
     k = cfg["experiment.k"]
@@ -279,8 +280,6 @@ def _smallest_expw_constant(gap2: np.ndarray, target: float) -> float:
             raise NumericOverflowError("dominance calibration diverged")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid <= 0:
-            break
         if _log_exp_moment(gap2, mid) >= target:
             hi = mid
         else:

@@ -49,6 +49,7 @@ from .density_core import (
 from .dynamics import (
     DiffusionSpec,
     DriftSpec,
+    _density_rule as _grid_density_rule,
     _family_params,
     drift_at_positions,
     in_integrability_class,
@@ -136,14 +137,10 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def _density_rule(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None = None,
                   bandwidth_rule="silverman"):
-    """The grid density `drift` reads at (t, positions): None for a
-    density-free drift, the frozen `flow` when one is given, otherwise the
-    ensemble's own KDE."""
-    if not drift.density_dependent:
-        return None
-    if flow is not None:
-        return lambda t, x: flow.values_at(t)
-    return lambda t, x: kde(x, _bandwidth(bandwidth_rule, x), grid).values
+    """`dynamics._density_rule` at (t, positions), the own density being the
+    ensemble's KDE."""
+    return _grid_density_rule(
+        drift, flow, lambda t, x: kde(x, _bandwidth(bandwidth_rule, x), grid).values)
 
 
 class _Step(NamedTuple):
@@ -172,7 +169,7 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
         t = t_start + s * dt
         rho = density(t, x) if density is not None else None
         b = drift_at_positions(drift, t, x, grid, rho)
-        cfl = float(np.max(np.abs(b))) * dt
+        cfl = max(float(b.max()), -float(b.min())) * dt
         if cfl > grid.dx * (1.0 + 1e-9):
             raise InvalidParameterError(
                 f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} at step {s}")

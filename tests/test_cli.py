@@ -152,12 +152,18 @@ class TestExitCodes:
         ["solve", "--drift", "singular_well", "--set", "drift.coeff=0"],
         ["picard", "--drift", "smoothed_interaction", "--set", "drift.kernel_width=1e300"],
         ["khasminskii", "--f", "constant", "--set", "khasminskii.c0=0"],
+        ["solve", "--drift", "linear_ou", "--set", "drift.kappa=5"],
+        ["solve", "--drift", "zero", "--set", "drift.theta=2"],
+        ["picard", "--set", "drift.gamma=0.3"],
+        ["khasminskii", "--f", "constant", "--set", "khasminskii.gamma=0.5"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
             "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
             "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
             "zero-n-t", "negative-n-t", "infinite-well-coeff", "infinite-kappa",
             "cfl-above-one", "infinite-alpha-limit", "zero-diffusion", "infinite-diffusion",
-            "narrow-grid", "zero-well-coeff", "wide-kernel", "zero-field"])
+            "narrow-grid", "zero-well-coeff", "wide-kernel", "zero-field",
+            "kappa-under-linear-ou", "theta-under-zero", "gamma-under-capped-density",
+            "gamma-under-constant-field"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])

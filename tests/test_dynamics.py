@@ -35,6 +35,7 @@ from denslab.dynamics import (
     power_singularity,
 )
 from denslab.errors import (
+    DomainTooSmallError,
     InvalidDriftError,
     InvalidParameterError,
     NoConvergenceError,
@@ -453,6 +454,52 @@ class TestPicard:
         with pytest.raises(NoConvergenceError) as err:
             picard_fixed_point(mu, wild, DIFF2, tg, self.SPEC, tol=1e-10, max_iter=6)
         assert len(err.value.ratios) >= 1
+
+
+class TestWarmStart:
+    """Picard from the self-consistent march (`warm_start`) against the
+    b1-only reference start."""
+
+    GRID = Grid1D(-6, 6, 300)
+    SPEC = FlowMetricSpec(lam=1.0, p=2.0, k=4.0)
+
+    @pytest.mark.parametrize("kappa", [0.1, 1.0, 3.0])
+    def test_same_fixed_point_in_fewer_iterations(self, kappa):
+        mu = gaussian_density(self.GRID, 0.0, 0.3)
+        tg = TimeGrid.geometric(0.5, nodes_per_decade=10)
+        cd = builtin_drift("capped_density", {"theta": 1.0, "kappa": kappa,
+                                              "tau": 0.6, "cap": 5.0})
+        tol = 1e-6
+        cold = picard_fixed_point(mu, cd, DIFF2, tg, self.SPEC, tol=tol)
+        warm = picard_fixed_point(mu, cd, DIFF2, tg, self.SPEC, tol=tol, warm_start=True)
+        gap = max(l1_distance(a.values, b.values, self.GRID)
+                  for a, b in zip(cold.flow.snapshots, warm.flow.snapshots))
+        assert gap < tol
+        assert warm.iterations < cold.iterations
+        assert warm.final_residual < tol
+
+    def test_own_density_rule_leaves_a_density_free_drift_alone(self):
+        mu = gaussian_density(self.GRID, 0.2, 0.4)
+        tg = TimeGrid.uniform(0.2, 6)
+        ou = builtin_drift("linear_ou", {"theta": 1.0})
+        plain = frozen_semigroup(mu, None, ou, DIFF2, tg)
+        own = dynamics._march(mu, ou, DIFF2, tg, None, lambda t, v: np.maximum(v, 0.0))
+        assert same_bits(own.values_matrix(), plain.values_matrix())
+        # the self-consistent march of a density term that is identically 0
+        cd0 = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.0})
+        coupled = frozen_semigroup(mu, None, cd0, DIFF2, tg)
+        assert same_bits(coupled.values_matrix(), plain.values_matrix())
+
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_narrow_grid_fails_before_marching(self, monkeypatch, warm_start):
+        marches = []
+        monkeypatch.setattr(dynamics, "frozen_semigroup", lambda *a, **k: marches.append(1))
+        grid = Grid1D(-0.9, 0.9, 200)
+        with pytest.raises(DomainTooSmallError):
+            picard_fixed_point(gaussian_density(grid, 0.0, 0.1),
+                               builtin_drift("capped_density"), DIFF2,
+                               TimeGrid.uniform(0.1, 4), self.SPEC, warm_start=warm_start)
+        assert marches == []
 
 
 class TestRateInvariants:

@@ -4,10 +4,10 @@ reduced desk scale (full-scale runs live in the acceptance suite)."""
 import numpy as np
 import pytest
 
-from denslab import metrics
+from denslab import dynamics, metrics
 from denslab.config import parse_config
 from denslab.density_core import Grid1D, gaussian_density, uniform_density
-from denslab.errors import InsufficientSpanError, InvalidDataError
+from denslab.errors import DomainTooSmallError, InsufficientSpanError, InvalidDataError
 from denslab.experiments import (
     _paired_flows,
     _smallest_expw_constant,
@@ -84,6 +84,20 @@ class TestSmoothing:
                            "experiment.slope_tol": 0.0})
         rep = experiment_smoothing(cfg)
         assert rep.passed and rep.max_ratio_violation <= 3.0
+
+
+@pytest.mark.parametrize("drift_name", ["zero", "capped_density"])
+@pytest.mark.parametrize("experiment", [experiment_smoothing, experiment_supercontinuity],
+                         ids=["smoothing", "supercontinuity"])
+def test_narrow_grid_fails_before_solving(monkeypatch, experiment, drift_name):
+    # every solve, frozen or Picard, goes through dynamics._march
+    marches = []
+    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    cfg = small_cfg(**{"drift.name": drift_name, "grid.x_min": -0.9, "grid.x_max": 0.9,
+                       "grid.cells": 200, "init.sigma": 0.05})
+    with pytest.raises(DomainTooSmallError):
+        experiment(cfg)
+    assert marches == []
 
 
 class TestPairedFlows:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from denslab import (
     DensityFlow,
@@ -25,10 +26,12 @@ from denslab.errors import (
     NotAProbabilityError,
     NumericOverflowError,
 )
+from denslab.metrics import _log_exp_moment, _quantile_gap2
 from oracles import (
     coupling_lp_cost,
     d_lambda,
     quantile_coupling_cost,
+    same_bits,
     tilde_measure_distance_l1,
     wasserstein_atoms,
     wasserstein_lp_oracle,
@@ -222,6 +225,30 @@ class TestExpWasserstein:
         b = gaussian_density(GRID, 5.0, 0.3)
         with pytest.raises(NumericOverflowError):
             exp_wasserstein(a, b, 50.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_non_positive_or_non_finite_c(self, c):
+        d = gaussian_density(GRID, 0.0, 1.0)
+        with pytest.raises(InvalidParameterError):
+            exp_wasserstein(d, d, c)
+
+    def test_log_exp_moment_bitwise_equal_to_scipy(self):
+        # real squared quantile gaps, and random arrays with tied maxima
+        rng = np.random.default_rng(23)
+        g = Grid1D(-6.0, 6.0, 500)
+        gaps = [_quantile_gap2(gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5)),
+                               gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5)))
+                for _ in range(10)]
+        for n in rng.integers(1, 3000, 30):
+            gap2 = np.round(rng.uniform(0.0, 1.0, n) ** 2, int(rng.integers(1, 4)))
+            gap2[rng.integers(0, n, 3)] = gap2.max()
+            gaps.append(gap2)
+        gaps.append(np.zeros(7))
+        for gap2 in gaps:
+            for c in np.append(10.0 ** rng.uniform(-8, 2, 20), 0.0):
+                if c * gap2.max() <= 700.0:
+                    expected = logsumexp(c * gap2) - np.log(gap2.size)
+                    assert same_bits(_log_exp_moment(gap2, c), expected)
 
     def test_jensen_vs_w2(self):
         # log E e^{c g^2} >= c E[g^2] = c W2^2 under the same coupling
