@@ -20,13 +20,14 @@ from .dynamics import (
     DiffusionSpec,
     DriftSpec,
     SolverOptions,
+    SpaceTimeField,
     builtin_drift,
     constant_diffusion,
     validate_drift,
 )
 from .errors import ConfigError
 from .metrics import FlowMetricSpec
-from .particles import FIELD_PARAMS, SpaceTimeField, builtin_field
+from .particles import FIELD_PARAMS, builtin_field
 
 SCHEMA_VERSION = 1
 

@@ -49,10 +49,10 @@ from .density_core import (
 from .dynamics import (
     DiffusionSpec,
     DriftSpec,
+    SpaceTimeField,
     _density_rule as _grid_density_rule,
     _family_params,
     drift_at_positions,
-    in_integrability_class,
     power_singularity,
 )
 from .errors import InvalidParameterError, SolverFailureError
@@ -279,26 +279,6 @@ def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: Diffu
 # exponential moment estimation (two-regime bound)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Space-time function f with its declared integrability class (p, q); a
-    positive cap_coeff caps |f| at cap_coeff * dx^{-cap_exponent} on grids."""
-
-    fn: object
-    p: float
-    q: float
-    cap_coeff: float = 0.0
-    cap_exponent: float = 0.0
-    name: str = "field"
-
-    def evaluate(self, t, x, dx: float) -> np.ndarray:
-        v = np.asarray(self.fn(t, x), dtype=np.float64)
-        if self.cap_coeff > 0:
-            cap = self.cap_coeff * dx ** (-self.cap_exponent)
-            v = np.clip(v, -cap, cap)
-        return v
-
-
 # field name -> {parameter: default}; config.SCHEMA holds one khasminskii.<parameter>
 # key per name
 FIELD_PARAMS = {
@@ -312,9 +292,8 @@ def builtin_field(name: str, params: dict | None = None) -> SpaceTimeField:
     singularity coeff |x|^(-gamma) on |x| <= 1."""
     p = _family_params("field", FIELD_PARAMS, name, params, InvalidParameterError)
     pp, qq = p["p"], p["q"]
-    if not (in_integrability_class(pp, qq) and math.isfinite(qq)):
-        raise InvalidParameterError(
-            f"(p, q) = ({pp}, {qq}) outside the admissible class with finite q")
+    if not math.isfinite(qq):
+        raise InvalidParameterError(f"(p, q) = ({pp}, {qq}): q must be finite")
     if name == "constant":
         c0 = p["c0"]
         return SpaceTimeField(fn=lambda t, x: np.full_like(np.asarray(x, float), c0),

@@ -59,6 +59,12 @@ RUNS = {
     "error-negative-cap": ["picard", "--set", "drift.cap=-1"] + _PDE,
     "error-zero-cfl": ["solve", "--drift", "linear_ou", "--set", "solver.cfl=0"] + _PDE,
     "error-unknown-key": ["solve", "--drift", "linear_ou", "--set", "drift.kapa=1"] + _PDE,
+    "error-field-cap-overflow": ["khasminskii", "--set", "khasminskii.gamma=1e300",
+                                 "--set", "grid.cells=16", "--set", "particles.n=100"],
+    "experiment-khasminskii-unreached": ["experiment", "khasminskii", "--set", "khasminskii.x0=5",
+                                         "--set", "khasminskii.lambda_grid=0.1,0.2,0.3",
+                                         "--set", "khasminskii.t=0.1",
+                                         "--set", "khasminskii.dt=0.005"] + _PARTICLES,
 }
 
 

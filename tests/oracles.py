@@ -6,8 +6,8 @@ transportation linear program), the expW calibration bisected on
 flow distance, a one-path Girsanov log-weight, the particle step written out
 of place (np.interp gather, np.where reflection, uniforms, cloud-in-cell
 KDE) with a march built from it, a single Fokker-Planck step, the reference
-step that assembles and solves the banded matrix afresh, and a reader for
-the flow directories the CLI writes.
+step that assembles and solves the banded matrix afresh, the capped
+singular_well term, and a reader for the flow directories the CLI writes.
 """
 
 import math
@@ -281,6 +281,17 @@ def reference_power_singularity(x, center: float, coeff: float, gamma: float) ->
         out[near] = coeff * r[near] ** (-gamma)
     out[~np.isfinite(out)] = np.inf
     return out
+
+
+def reference_singular_sum(x, x0: float, coeff: float, gamma: float,
+                           dx: float) -> np.ndarray:
+    """The singular_well term -sign(x - x0) coeff |x - x0|^(-gamma) on
+    |x - x0| <= 1 (0 at x0 itself), clipped to +-coeff dx^(-gamma)."""
+    r = np.asarray(x, dtype=np.float64) - x0
+    with np.errstate(invalid="ignore"):     # -sign(0) * inf at x0 is replaced by 0
+        v = np.where(r == 0, 0.0, -np.sign(r) * reference_power_singularity(x, x0, coeff, gamma))
+    cap = coeff * dx ** (-gamma)
+    return np.minimum(np.maximum(v, -cap), cap)
 
 
 def reference_kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> GridDensity:

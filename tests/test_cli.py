@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import pytest
 
@@ -236,6 +237,25 @@ class TestExitCodes:
                    "--set", "experiment.slope_tol=0.0005",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_field_cap_overflow_names_the_field(self, tmp_path, capsys):
+        rc = main(["khasminskii", "--set", "khasminskii.gamma=1e300", "--set", "grid.cells=16",
+                   "--set", "particles.n=100", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "field 'singular_power'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambdas", ["0.1,0.2,0.3", "0.1,0.15,0.2,0.3,0.4,0.5"])
+    def test_unreached_field_is_numeric_error(self, tmp_path, lambdas):
+        # no path from x0 = 5 reaches the field on |x| <= 1: every log estimate
+        # is 0, and the growth fit refuses it on either grid size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["experiment", "khasminskii", "--set", "khasminskii.x0=5",
+                       "--set", "particles.n=2000", "--set", "grid.cells=300",
+                       "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005",
+                       "--set", f"khasminskii.lambda_grid={lambdas}",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
 
     def test_single_point_grid_is_insufficient_span(self, tmp_path):
         rc = main(["experiment", "smoothing",

@@ -31,6 +31,7 @@ from denslab.dynamics import (
     _gather,
     density_features,
     drift_at_positions,
+    drift_field,
     in_integrability_class,
     power_singularity,
 )
@@ -46,6 +47,7 @@ from oracles import (
     reference_drift_at_positions,
     reference_kde,
     reference_power_singularity,
+    reference_singular_sum,
     reference_step,
     same_bits,
 )
@@ -95,7 +97,7 @@ class TestBuiltinDrifts:
         x = np.array([-0.75, 0.0, 0.25, 0.5, 1.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            term, env = part.term(0.0, x), part.envelope(0.0, x)
+            term, env = part.fn(0.0, x), power_singularity(x, 0.25, 0.5, 0.2)
         assert term[2] == 0.0 and env[2] == np.inf
         assert np.array_equal(np.abs(term[[0, 1, 3, 4]]), env[[0, 1, 3, 4]])
         assert np.all(np.sign(term[[0, 1, 3]]) == [1.0, 1.0, -1.0])
@@ -112,7 +114,7 @@ class TestBuiltinDrifts:
         d = builtin_drift("singular_well", {"gamma": 0.2, "coeff": 0.5,
                                             "p2": 4.0, "q2": 4.0})
         part = d.singular_parts[0]
-        quad = self._power_law_quadrature(lambda x: part.envelope(0.0, x), 4.0)
+        quad = self._power_law_quadrature(lambda x: power_singularity(x, 0.0, 0.5, 0.2), 4.0)
         exact = 2 * 0.5**4 / (1 - 0.8)
         assert quad == pytest.approx(exact, rel=5e-3)
 
@@ -123,12 +125,26 @@ class TestBuiltinDrifts:
         d = builtin_drift("singular_well", {"gamma": gamma, "coeff": coeff,
                                             "p2": p, "q2": 4.0})
         part = d.singular_parts[0]
-        vals = np.abs(part.term(0.0, grid.centers))
+        vals = np.abs(part.fn(0.0, grid.centers))
         cap = coeff * grid.dx ** (-gamma)
         capped = np.minimum(vals, cap)
         norm_capped = (np.sum(capped**p) * grid.dx) ** (1 / p)
         exact = self._power_law_quadrature(lambda x: coeff * x**-gamma, p) ** (1 / p)
         assert norm_capped == pytest.approx(exact, rel=0.02)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.24])
+    def test_singular_well_cap_bitwise_equal_to_reference(self, gamma):
+        # 2001 cells on [-6, 6]: one cell centre sits on the singularity
+        grid = Grid1D(-6.0, 6.0, 2001)
+        assert np.count_nonzero(grid.centers == 0.0) == 1
+        d = builtin_drift("singular_well", {"theta": 1.0, "gamma": gamma, "coeff": 0.5})
+        x = np.concatenate((probe_positions(grid, np.random.default_rng(5)),
+                            [0.0, 1e-300, -1e-300, 1.0, -1.0, np.nextafter(1.0, 2.0)]))
+        for t, at in ((0.0, grid.centers), (0.4, x)):
+            want = -at + reference_singular_sum(at, 0.0, 0.5, gamma, grid.dx)
+            got = (drift_field(d, t, grid, None) if at is grid.centers
+                   else drift_at_positions(d, t, at, grid, None))
+            assert same_bits(got, want)
 
     def test_unknown_name_and_params(self):
         with pytest.raises(InvalidDriftError):

@@ -100,6 +100,19 @@ def test_narrow_grid_fails_before_solving(monkeypatch, experiment, drift_name):
     assert marches == []
 
 
+@pytest.mark.parametrize("experiment", [experiment_smoothing, experiment_supercontinuity,
+                                        experiment_entropy_cost],
+                         ids=["smoothing", "supercontinuity", "entropy-cost"])
+def test_short_span_fails_before_solving(monkeypatch, experiment):
+    marches = []
+    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": 0.05,
+                       "experiment.t_lo": 0.05, "experiment.t_hi": 0.2, "time.T": 0.2})
+    with pytest.raises(InsufficientSpanError):
+        experiment(cfg)
+    assert marches == []
+
+
 class TestPairedFlows:
     def test_nu_is_the_configured_law_shifted(self):
         # a uniform initial law is translated by experiment.delta, not

@@ -18,7 +18,7 @@ from denslab import (
     relative_entropy,
 )
 from denslab.dynamics import DriftSpec
-from denslab.errors import InvalidParameterError
+from denslab.errors import InvalidParameterError, NumericOverflowError
 from denslab.particles import (
     _reflect,
     field_spacetime_norm,
@@ -338,6 +338,11 @@ class TestKhasminskii:
                          + left.mc_stderr[i] * right.mc_estimates[i]
                          + right.mc_stderr[i] * left.mc_estimates[i])
             assert full.mc_estimates[i] <= prod + slack
+
+    def test_cap_overflow_names_the_field(self):
+        f = builtin_field("singular_power", {"gamma": 1e300})
+        with pytest.raises(NumericOverflowError, match=r"'singular_power'.*1e\+300"):
+            f.evaluate(0.0, np.array([0.0, 0.5]), 0.25)
 
     def test_infinite_norm_rejected(self):
         # uncapped singular field evaluated where a cell center hits the
