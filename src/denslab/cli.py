@@ -64,16 +64,15 @@ EXPERIMENTS = {
     "khasminskii": experiment_khasminskii,
 }
 
+# subcommand or experiment name -> the keys whose config.SCHEMA default it changes
 EXPERIMENT_DEFAULTS = {
-    "smoothing": {"init.sigma": 0.02, "experiment.t_lo": 1e-2, "experiment.t_hi": 1.0},
-    "supercontinuity": {"init.sigma": 0.01, "experiment.delta": 0.02, "time.T": 0.2,
+    "smoothing": {"init.sigma": 0.02},
+    "supercontinuity": {"init.sigma": 0.01, "time.T": 0.2,
                         "experiment.t_lo": 2e-3, "experiment.t_hi": 0.2,
                         "grid.x_min": -4.0, "grid.x_max": 4.0, "grid.cells": 4000,
                         "diffusion.a": 0.5},
-    "entropy-cost": {"init.sigma": 0.05, "experiment.delta": 0.1,
-                     "experiment.t_lo": 1e-2, "experiment.t_hi": 1.0},
-    "renyi": {"init.sigma": 0.05, "experiment.delta": 0.1,
-              "experiment.t_lo": 1e-2, "experiment.t_hi": 1.0},
+    "entropy-cost": {"experiment.delta": 0.1},
+    "renyi": {"experiment.delta": 0.1},
     "khasminskii": {"drift.name": "zero", "diffusion.a": 1.0},
 }
 
@@ -195,7 +194,7 @@ def _particles(cfg, args) -> _Result:
                                         bandwidth_rule=cfg["particles.bandwidth"] or "silverman",
                                         record_grid=record)
     return _Result({"subcommand": "particles", "n": int(cfg["particles.n"]),
-                    "final_time": ensemble.time}, flow=flow, positions=ensemble.positions)
+                    "final_time": cfg["time.T"]}, flow=flow, positions=ensemble.positions)
 
 
 def _khasminskii(cfg, args) -> _Result:

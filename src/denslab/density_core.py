@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -62,21 +63,13 @@ class Grid1D:
     def width(self) -> float:
         return self.x_max - self.x_min
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        c = self.__dict__.get("_centers")
-        if c is None:
-            c = self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
-            self.__dict__["_centers"] = c
-        return c
+        return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        e = self.__dict__.get("_edges")
-        if e is None:
-            e = self.x_min + np.arange(self.n_cells + 1) * self.dx
-            self.__dict__["_edges"] = e
-        return e
+        return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
 
 @dataclass(frozen=True)
@@ -129,9 +122,6 @@ class TimeGrid:
     def T(self) -> float:
         return float(self.nodes[-1])
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     @staticmethod
     def uniform(T: float, n_steps: int) -> "TimeGrid":
         if not 0 < T < np.inf or n_steps < 1:
@@ -182,10 +172,6 @@ class DensityFlow:
             if s.grid != g:
                 raise GridMismatchError("all snapshots must share one spatial grid")
         object.__setattr__(self, "snapshots", snaps)
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.snapshots[-1].grid
 
     def values_matrix(self) -> np.ndarray:
         return np.stack([s.values for s in self.snapshots])

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .metrics import (
     _log_exp_moment,
-    _quantile_gap2,
+    _quantile_gap,
     relative_entropy,
     renyi_entropy,
     wasserstein_1d,
@@ -52,7 +52,6 @@ _SPAN_DECADES = 2.0
 class FitResult:
     slope: float
     intercept: float
-    r_squared: float
 
 
 def fit_loglog(xs, ys) -> FitResult:
@@ -65,11 +64,7 @@ def fit_loglog(xs, ys) -> FitResult:
         raise InvalidDataError("log-log fit needs strictly positive data")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(float(slope), float(intercept), float(r2))
+    return FitResult(float(slope), float(intercept))
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,10 @@ def _select_measure_nodes(cfg: RunConfig, tg: TimeGrid):
 
 
 def _require_span(cfg: RunConfig, t: np.ndarray) -> None:
-    if cfg["experiment.slope_tol"] > 0 and t[-1] / t[0] < 10.0 ** _SPAN_DECADES * (1 - 1e-9):
+    tol = cfg["experiment.slope_tol"]
+    if tol < 0:
+        raise ConfigError(f"key 'experiment.slope_tol' must be >= 0, got {tol}")
+    if tol > 0 and t[-1] / t[0] < 10.0 ** _SPAN_DECADES * (1 - 1e-9):
         raise InsufficientSpanError(
             f"slope fit needs >= {_SPAN_DECADES} decades, got span {t[-1] / t[0]:.3g}")
 
@@ -126,17 +124,13 @@ def _solve_flow(cfg: RunConfig, mu: GridDensity, drift: DriftSpec) -> DensityFlo
 
 
 def _paired_flows(cfg: RunConfig):
-    """(mu, nu, flow_mu, flow_nu, idx, t): the configured initial law mu, its
-    copy nu shifted by experiment.delta, both evolved under the configured
-    drift, and the measurement node indices with their times."""
+    """(mu, nu, flow_mu, flow_nu): the configured initial law mu, its copy nu
+    shifted by experiment.delta, and both evolved under the configured drift."""
     grid = build_grid(cfg)
     mu = build_init_density(cfg, grid)
     nu = build_init_density(cfg, grid, shift=cfg["experiment.delta"])
     drift = build_drift(cfg)
-    idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
-    flow_mu = _solve_flow(cfg, mu, drift)
-    flow_nu = _solve_flow(cfg, nu, drift)
-    return mu, nu, flow_mu, flow_nu, idx, t
+    return mu, nu, _solve_flow(cfg, mu, drift), _solve_flow(cfg, nu, drift)
 
 
 def _ratio_report(quantity, t, measured, exponent, cfg, flags=(), degenerate=False):
@@ -195,8 +189,9 @@ def experiment_supercontinuity(cfg: RunConfig) -> ScalingReport:
     initial Gaussians; theoretical exponent 1/(2k) - 1 (-3/4 at k = 2).
     """
     _require_window(build_grid(cfg))                            # before solving
-    _require_span(cfg, _select_measure_nodes(cfg, build_time_grid(cfg))[1])
-    mu, nu, flow_mu, flow_nu, idx, t = _paired_flows(cfg)
+    idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))
+    _require_span(cfg, t)
+    mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
     k = cfg["experiment.k"]
     exponent = 1.0 / (2.0 * k) - 1.0
     w1 = wasserstein_1d(mu, nu, 1.0)
@@ -221,8 +216,9 @@ def experiment_entropy_cost(cfg: RunConfig) -> ScalingReport:
     supports) are dropped and flagged as resolution failures rather than
     counted as theorem violations.
     """
-    _require_span(cfg, _select_measure_nodes(cfg, build_time_grid(cfg))[1])   # before solving
-    mu, nu, flow_mu, flow_nu, idx, t_all = _paired_flows(cfg)
+    idx, t_all = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
+    _require_span(cfg, t_all)
+    mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
     degenerate = wasserstein_1d(mu, nu, 1.0) < 1e-12
     t_keep, measured, flags = [], [], []
     for i, tt in zip(idx, t_all):
@@ -270,7 +266,7 @@ class RenyiReport:
 
 def _smallest_expw_constant(gap2: np.ndarray, target: float) -> float:
     """Smallest c with exp_wasserstein(mu, nu, c) >= target (0 at noise level),
-    given the pair's squared quantile gap `gap2 = _quantile_gap2(mu, nu)`."""
+    given the pair's squared quantile gap `gap2 = _quantile_gap(mu, nu) ** 2`."""
     if target <= 1e-12:
         return 0.0
     lo, hi = 0.0, 1e-6
@@ -291,7 +287,8 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
     """Verify the three structural properties of the power divergence along
     the flow: monotonicity in alpha, the alpha -> 0 relative-entropy limit,
     and domination by the exponential-transport term with a 1/t parameter."""
-    mu, nu, flow_mu, flow_nu, idx, t = _paired_flows(cfg)
+    idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
+    mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
     snaps = [(flow_mu.snapshots[i], flow_nu.snapshots[i]) for i in idx]
     alphas = tuple(sorted(cfg["experiment.alphas"]))
     alpha_small = cfg["experiment.alpha_limit"]
@@ -306,7 +303,7 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
     limit_gap = float(np.max(np.abs(limit_vals - np.array(kl_vals))))
     limit_ok = limit_gap <= 1e-3
     # calibrate the transport-term constant on the even-index nodes, all alphas
-    gap2 = _quantile_gap2(mu, nu)
+    gap2 = _quantile_gap(mu, nu) ** 2
     c_cal = 0.0
     for i_t in range(0, len(t), 2):
         for j, a in enumerate(alphas):

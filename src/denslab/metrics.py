@@ -83,16 +83,11 @@ def exp_wasserstein(mu: GridDensity, nu: GridDensity, c: float) -> float:
     Evaluated on the monotone coupling, which is optimal in 1D because the
     cost is convex increasing in |x-y| (cross-checked against the LP oracle
     in the test suite).  A caller that needs many values of c for one pair
-    computes `_quantile_gap2` once and calls `_log_exp_moment` per c.
+    squares `_quantile_gap` once and calls `_log_exp_moment` per c.
     """
     if not 0 < c < np.inf:
         raise InvalidParameterError(f"c must be positive and finite, got {c}")
-    return _log_exp_moment(_quantile_gap2(mu, nu), c)
-
-
-def _quantile_gap2(mu: GridDensity, nu: GridDensity) -> np.ndarray:
-    """The squared `_quantile_gap`."""
-    return _quantile_gap(mu, nu) ** 2
+    return _log_exp_moment(_quantile_gap(mu, nu) ** 2, c)
 
 
 def _log_exp_moment(gap2: np.ndarray, c: float) -> float:

@@ -87,25 +87,15 @@ def normal_increments(seed: int, tag: int, step: int, n: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """Ensemble state: particle positions at one time."""
+class ParticleEnsemble(NamedTuple):
+    """Final particle positions of a march (finite, at time T)."""
 
     positions: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        x = np.asarray(self.positions, dtype=np.float64)
-        if x.size < 1:
-            raise InvalidParameterError("ensemble needs at least one particle")
-        if not np.all(np.isfinite(x)):
-            raise InvalidParameterError("particle positions must be finite")
-        object.__setattr__(self, "positions", x)
 
 
-def sample_initial(init, n: int, seed: int, grid: Grid1D | None = None) -> np.ndarray:
+def sample_initial(init, n: int, seed: int, grid: Grid1D) -> np.ndarray:
     """Draw initial positions from a GridDensity (inverse CDF) or a
-    ("gaussian", mean, sigma) spec; reflected into `grid` if given."""
+    ("gaussian", mean, sigma) spec, reflected into `grid`."""
     if isinstance(init, GridDensity):
         x = density_quantiles(init, raw_uniforms(seed, _STREAM_INIT, 0, n))
     elif isinstance(init, (tuple, list)) and len(init) == 3 and init[0] == "gaussian":
@@ -113,7 +103,7 @@ def sample_initial(init, n: int, seed: int, grid: Grid1D | None = None) -> np.nd
         x = float(mean) + float(sigma) * normal_increments(seed, _STREAM_INIT, 0, n)
     else:
         raise InvalidParameterError("unsupported initial sampling spec")
-    return x if grid is None else _reflect(x, grid.x_min, grid.x_max)
+    return _reflect(x, grid.x_min, grid.x_max)
 
 
 def _bandwidth(rule, positions: np.ndarray) -> float:
@@ -224,7 +214,7 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
         x = st.x_next
         if s in steps:
             snaps.append(kde(x, _bandwidth(bandwidth_rule, x), grid))
-    return (ParticleEnsemble(positions=x, time=T),
+    return (ParticleEnsemble(x),
             DensityFlow(TimeGrid(np.array(steps) * dt), tuple(snaps)))
 
 
@@ -370,6 +360,8 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
         raise InvalidParameterError("need 0 <= s < t < inf")
     if n_paths < 1 or not 0 < dt < np.inf:
         raise InvalidParameterError("need n_paths >= 1 and a finite dt > 0")
+    if not grid.x_min <= x0 <= grid.x_max:
+        raise InvalidParameterError(f"x0 = {x0} must lie in [{grid.x_min}, {grid.x_max}]")
     norm, integral = field_spacetime_norm(f, grid, s, t)
     if not 0 < norm < np.inf:
         raise InvalidParameterError(

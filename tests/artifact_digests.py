@@ -65,6 +65,11 @@ RUNS = {
                                          "--set", "khasminskii.lambda_grid=0.1,0.2,0.3",
                                          "--set", "khasminskii.t=0.1",
                                          "--set", "khasminskii.dt=0.005"] + _PARTICLES,
+    "error-khasminskii-x0-inf": ["khasminskii", "--set", "khasminskii.x0=inf",
+                                 "--lambda-grid", "0.2,0.5,1.0", "--set", "khasminskii.t=0.1",
+                                 "--set", "khasminskii.dt=0.005"] + _PARTICLES,
+    "error-negative-slope-tol": ["experiment", "smoothing", "--set", "drift.name=zero",
+                                 "--set", "experiment.slope_tol=-1"] + _EXPERIMENT,
 }
 
 

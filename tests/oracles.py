@@ -188,10 +188,11 @@ def d_lambda(gamma: DensityFlow, eta: DensityFlow, spec: FlowMetricSpec) -> floa
     (node 0 as in `FlowMetricSpec.weighted_sup`)."""
     if not np.array_equal(gamma.time_grid.nodes, eta.time_grid.nodes):
         raise GridMismatchError("flows live on different time grids")
-    if gamma.grid != eta.grid:
+    grid = gamma.snapshots[-1].grid
+    if grid != eta.snapshots[-1].grid:
         raise GridMismatchError("flows live on different spatial grids")
     diffs = gamma.values_matrix() - eta.values_matrix()
-    gaps = np.array([tilde_norm(row, spec.k, gamma.grid) for row in diffs])
+    gaps = np.array([tilde_norm(row, spec.k, grid) for row in diffs])
     return spec.weighted_sup(gamma.time_grid.nodes, gaps)
 
 

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from denslab import Grid1D, KhasminskiiReport, gaussian_density, save_density
-from denslab.cli import main
+from denslab.cli import EXPERIMENT_DEFAULTS, main
 from denslab.config import SCHEMA, parse_config
 from denslab.dynamics import DRIFT_PARAMS, builtin_drift
 from denslab.errors import ConfigError
@@ -22,6 +22,12 @@ class TestParseConfig:
         assert cfg["drift.name"] == "capped_density"
         assert cfg["grid.cells"] == 2000
         assert cfg["time.T"] == 1.0
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_DEFAULTS))
+    def test_experiment_defaults_change_the_schema_defaults(self, name):
+        # an entry that restates its SCHEMA default is a second place deciding it
+        for key, val in EXPERIMENT_DEFAULTS[name].items():
+            assert val != SCHEMA[key][1], (name, key)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as err:
@@ -157,6 +163,8 @@ class TestExitCodes:
         ["solve", "--drift", "zero", "--set", "drift.theta=2"],
         ["picard", "--set", "drift.gamma=0.3"],
         ["khasminskii", "--f", "constant", "--set", "khasminskii.gamma=0.5"],
+        ["experiment", "smoothing", "--set", "experiment.slope_tol=-1",
+         "--set", "experiment.t_lo=0.0001", "--set", "experiment.t_hi=0.01"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
             "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
             "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
@@ -164,7 +172,7 @@ class TestExitCodes:
             "cfl-above-one", "infinite-alpha-limit", "zero-diffusion", "infinite-diffusion",
             "narrow-grid", "zero-well-coeff", "wide-kernel", "zero-field",
             "kappa-under-linear-ou", "theta-under-zero", "gamma-under-capped-density",
-            "gamma-under-constant-field"])
+            "gamma-under-constant-field", "negative-slope-tol"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])
@@ -243,6 +251,19 @@ class TestExitCodes:
                    "--set", "particles.n=100", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "field 'singular_power'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x0", ["inf", "-inf", "6.5"])
+    def test_khasminskii_x0_off_the_grid_is_config_error(self, tmp_path, capsys, x0):
+        # off the grid, the paths were reflected onto the boundary, where the
+        # field is 0: every log estimate was 0 and the bounds "held"
+        out = tmp_path / "o"
+        rc = main(["khasminskii", "--set", f"khasminskii.x0={x0}", "--set", "particles.n=2000",
+                   "--set", "grid.cells=300", "--set", "khasminskii.t=0.1",
+                   "--set", "khasminskii.dt=0.005", "--lambda-grid", "0.2,0.5,1.0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "x0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lambdas", ["0.1,0.2,0.3", "0.1,0.15,0.2,0.3,0.4,0.5"])
     def test_unreached_field_is_numeric_error(self, tmp_path, lambdas):

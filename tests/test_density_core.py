@@ -58,7 +58,7 @@ class TestTimeGrid:
         tg = TimeGrid.uniform(2.0, 10)
         assert tg.nodes[0] == 0.0
         assert tg.T == 2.0
-        assert len(tg) == 11
+        assert len(tg.nodes) == 11
 
     def test_geometric_prefix_ratio(self):
         tg = TimeGrid.geometric(1.0, t_min=1e-4, nodes_per_decade=40)
@@ -143,14 +143,14 @@ class TestSpacetimeNorm:
         g = Grid1D(-4.0, 4.0, 800)
         d = uniform_density(g, 0.0, 1.0)
         tg = TimeGrid.uniform(1.0, 50)
-        mat = np.tile(d.values, (len(tg), 1))
+        mat = np.tile(d.values, (len(tg.nodes), 1))
         val = tilde_spacetime_norm(mat, 1.0, 2.0, 0.0, 1.0, time_grid=tg, grid=g)
         assert val == pytest.approx(1.0, abs=2 * g.dx)
 
     def test_zero(self):
         g = Grid1D(-4.0, 4.0, 100)
         tg = TimeGrid.uniform(1.0, 10)
-        mat = np.zeros((len(tg), g.n_cells))
+        mat = np.zeros((len(tg.nodes), g.n_cells))
         assert tilde_spacetime_norm(mat, 2.0, 2.0, 0.0, 1.0, time_grid=tg, grid=g) == 0.0
 
     def test_time_singular_profile(self):
@@ -158,7 +158,7 @@ class TestSpacetimeNorm:
         g = Grid1D(-4.0, 4.0, 800)
         ind = ((g.centers >= 0) & (g.centers <= 1)).astype(float)
         tg = TimeGrid.geometric(1.0, t_min=1e-5, nodes_per_decade=60)
-        mat = np.zeros((len(tg), g.n_cells))
+        mat = np.zeros((len(tg.nodes), g.n_cells))
         mat[1:] = tg.nodes[1:, None] ** (-0.25) * ind[None, :]
         val = tilde_spacetime_norm(mat, 1.0, 2.0, 0.0, 1.0, time_grid=tg, grid=g)
         assert val == pytest.approx(np.sqrt(2.0), rel=0.02)
@@ -166,7 +166,7 @@ class TestSpacetimeNorm:
     def test_empty_window_error(self):
         g = Grid1D(-4.0, 4.0, 100)
         tg = TimeGrid.uniform(1.0, 10)
-        mat = np.zeros((len(tg), g.n_cells))
+        mat = np.zeros((len(tg.nodes), g.n_cells))
         with pytest.raises(InvalidParameterError):
             tilde_spacetime_norm(mat, 1.0, 2.0, 0.501, 0.55, time_grid=tg, grid=g)
 

@@ -7,7 +7,12 @@ import pytest
 from denslab import dynamics, metrics
 from denslab.config import parse_config
 from denslab.density_core import Grid1D, gaussian_density, uniform_density
-from denslab.errors import DomainTooSmallError, InsufficientSpanError, InvalidDataError
+from denslab.errors import (
+    ConfigError,
+    DomainTooSmallError,
+    InsufficientSpanError,
+    InvalidDataError,
+)
 from denslab.experiments import (
     _paired_flows,
     _smallest_expw_constant,
@@ -18,8 +23,15 @@ from denslab.experiments import (
     experiment_supercontinuity,
     fit_loglog,
 )
-from denslab.metrics import _quantile_gap2, wasserstein_1d
+from denslab.metrics import _quantile_gap, wasserstein_1d
 from oracles import smallest_expw_constant
+
+
+def _r_squared(xs, ys, fit) -> float:
+    """Coefficient of determination of `fit` on (log x, log y)."""
+    lx, ly = np.log(xs), np.log(ys)
+    ss_res = np.sum((ly - (fit.slope * lx + fit.intercept)) ** 2)
+    return float(1.0 - ss_res / np.sum((ly - np.mean(ly)) ** 2))
 
 
 class TestFitLoglog:
@@ -27,7 +39,7 @@ class TestFitLoglog:
         xs = np.linspace(1.0, 10.0, 8)
         fit = fit_loglog(xs, xs)
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert _r_squared(xs, xs, fit) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_power_law(self):
         xs = np.geomspace(0.01, 10.0, 9)
@@ -42,7 +54,7 @@ class TestFitLoglog:
         ys = 2.0 * xs**-0.75 * np.exp(rng.normal(0, 0.05, 40))
         fit = fit_loglog(xs, ys)
         assert fit.slope == pytest.approx(-0.75, abs=0.05)
-        assert fit.r_squared > 0.98
+        assert _r_squared(xs, ys, fit) > 0.98
 
     def test_guards(self):
         with pytest.raises(InvalidDataError):
@@ -109,6 +121,20 @@ def test_short_span_fails_before_solving(monkeypatch, experiment):
     cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": 0.05,
                        "experiment.t_lo": 0.05, "experiment.t_hi": 0.2, "time.T": 0.2})
     with pytest.raises(InsufficientSpanError):
+        experiment(cfg)
+    assert marches == []
+
+
+@pytest.mark.parametrize("experiment", [experiment_smoothing, experiment_supercontinuity,
+                                        experiment_entropy_cost],
+                         ids=["smoothing", "supercontinuity", "entropy-cost"])
+def test_negative_slope_tol_fails_before_solving(monkeypatch, experiment):
+    # 0 is the documented "no slope assertion"; below 0 is a config error
+    marches = []
+    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": -1.0,
+                       "experiment.t_lo": 2e-3, "experiment.t_hi": 0.2, "time.T": 0.2})
+    with pytest.raises(ConfigError, match="experiment.slope_tol"):
         experiment(cfg)
     assert marches == []
 
@@ -186,7 +212,7 @@ class TestRenyi:
         grid = Grid1D(-6.0, 6.0, 500)
         mu = gaussian_density(grid, 0.0, 0.3)
         nu = gaussian_density(grid, 0.25, 0.4)
-        gap2 = _quantile_gap2(mu, nu)
+        gap2 = _quantile_gap(mu, nu) ** 2
         for target in (0.0, 1e-13, 1e-6, 0.01, 0.3, 2.0):
             assert _smallest_expw_constant(gap2, target) == smallest_expw_constant(mu, nu, target)
 

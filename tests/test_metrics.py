@@ -26,7 +26,7 @@ from denslab.errors import (
     NotAProbabilityError,
     NumericOverflowError,
 )
-from denslab.metrics import _log_exp_moment, _quantile_gap2
+from denslab.metrics import _log_exp_moment, _quantile_gap
 from oracles import (
     coupling_lp_cost,
     d_lambda,
@@ -236,8 +236,8 @@ class TestExpWasserstein:
         # real squared quantile gaps, and random arrays with tied maxima
         rng = np.random.default_rng(23)
         g = Grid1D(-6.0, 6.0, 500)
-        gaps = [_quantile_gap2(gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5)),
-                               gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5)))
+        gaps = [_quantile_gap(gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5)),
+                              gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5))) ** 2
                 for _ in range(10)]
         for n in rng.integers(1, 3000, 30):
             gap2 = np.round(rng.uniform(0.0, 1.0, n) ** 2, int(rng.integers(1, 4)))

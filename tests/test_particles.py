@@ -19,6 +19,7 @@ from denslab import (
 )
 from denslab.dynamics import DriftSpec
 from denslab.errors import InvalidParameterError, NumericOverflowError
+from denslab import particles
 from denslab.particles import (
     _reflect,
     field_spacetime_norm,
@@ -338,6 +339,22 @@ class TestKhasminskii:
                          + left.mc_stderr[i] * right.mc_estimates[i]
                          + right.mc_stderr[i] * left.mc_estimates[i])
             assert full.mc_estimates[i] <= prod + slack
+
+    @pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan, 6.5, -6.0 - 1e-9])
+    def test_x0_off_the_grid_rejected_before_marching(self, monkeypatch, x0):
+        marches = []
+        monkeypatch.setattr(particles, "_march", lambda *a, **k: marches.append(1))
+        f = builtin_field("constant", {"c0": 0.5})
+        with pytest.raises(InvalidParameterError, match="x0"):
+            khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 0.1, [0.2, 0.5], 10, 1e-2, GRID,
+                           seed=3, x0=x0)
+        assert marches == []
+
+    def test_x0_on_the_grid_edge_accepted(self):
+        f = builtin_field("constant", {"c0": 0.5})
+        rep = khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 0.1, [0.2, 0.5], 10, 1e-2, GRID,
+                             seed=3, x0=GRID.x_max)
+        assert rep.bounds_hold
 
     def test_cap_overflow_names_the_field(self):
         f = builtin_field("singular_power", {"gamma": 1e300})
