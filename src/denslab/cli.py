@@ -29,6 +29,7 @@ from .config import RunConfig, parse_config
 from .density_core import (
     DensityFlow,
     _atomic_write,
+    _write_csv,
     load_density,
     normalize,
     save_flow,
@@ -109,26 +110,19 @@ def _jsonable(obj):
 
 def write_report(report, out_dir: str, runtime: float) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "report.json"),
-                  json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
     meta = {"runtime_seconds": runtime, "schema_version": cfgmod.SCHEMA_VERSION}
-    _atomic_write(os.path.join(out_dir, "run_meta.json"),
-                  json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    for name, obj in (("report.json", _jsonable(report)), ("run_meta.json", meta)):
+        _atomic_write(os.path.join(out_dir, name), json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_curve(report, out_dir: str) -> None:
-    if not hasattr(report, "t_values") or not hasattr(report, "measured"):
+    if not hasattr(report, "measured") or not report.t_values:
         return
-    t = np.asarray(report.t_values)
-    m = np.asarray(report.measured)
-    if t.size == 0:
-        return
-    const = m[0] / t[0] ** report.theoretical_exponent if m[0] > 0 else 0.0
-    lines = ["t,measured,bound"]
-    for i in range(t.size):
-        bound = const * t[i] ** report.theoretical_exponent
-        lines.append(f"{float(t[i])!r},{float(m[i])!r},{float(bound)!r}")
-    _atomic_write(os.path.join(out_dir, "curve.csv"), "\n".join(lines) + "\n")
+    t, m, e = np.asarray(report.t_values), np.asarray(report.measured), report.theoretical_exponent
+    const = m[0] / t[0] ** e if m[0] > 0 else 0.0
+    # one scalar power per node: an array ** can differ in the last bit
+    _write_csv(os.path.join(out_dir, "curve.csv"), "t,measured,bound",
+               t, m, [const * ti ** e for ti in t])
 
 
 def _build_cfg(args, defaults=None) -> RunConfig:
@@ -218,8 +212,7 @@ def _run(args) -> int:
     if res.flow is not None:
         save_flow(res.flow, os.path.join(args.out, "flow"))
     if res.positions is not None:
-        lines = ["position"] + [repr(float(v)) for v in res.positions]
-        _atomic_write(os.path.join(args.out, "ensemble_final.csv"), "\n".join(lines) + "\n")
+        _write_csv(os.path.join(args.out, "ensemble_final.csv"), "position", res.positions)
     write_report(res.report, args.out, runtime)
     _write_curve(res.report, args.out)
     return EXIT_PASS if res.passed else EXIT_FAIL

@@ -131,7 +131,6 @@ class DriftSpec:
     feature_kernels: tuple = ()
     K: float = 1.0
     tau: float = 0.0
-    name: str = "custom"
 
     def __post_init__(self):
         if self.K < 0 or self.tau < 0:
@@ -340,14 +339,14 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
     if nonfinite:
         raise InvalidDriftError(f"{name}: parameters {nonfinite} must be finite")
     if name == "zero":
-        return DriftSpec(b1=lambda t, x: np.zeros_like(x), K=0.0, name=name)
+        return DriftSpec(b1=lambda t, x: np.zeros_like(x), K=0.0)
     theta = p["theta"]
 
     def ou(t, x):
         return -theta * x
 
     if name == "linear_ou":
-        return DriftSpec(b1=ou, K=abs(theta), name=name)
+        return DriftSpec(b1=ou, K=abs(theta))
 
     if name in ("capped_density", "smoothed_interaction"):
         kappa, tau = p["kappa"], p["tau"]
@@ -372,7 +371,7 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
             return (t ** tau) * kappa * density(r, feats)
 
         return DriftSpec(b1=ou, nemytskii=nem, feature_kernels=kernels,
-                         K=max(abs(theta), abs(kappa)), tau=tau, name=name)
+                         K=max(abs(theta), abs(kappa)), tau=tau)
 
     gamma, coeff, x0, p2, q2 = (p[k] for k in ("gamma", "coeff", "center", "p2", "q2"))
     if not 0 < gamma:
@@ -391,7 +390,7 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
                            out=np.zeros_like(r), where=r != 0)
 
     part = SpaceTimeField(fn=well, p=p2, q=q2, cap_coeff=coeff, cap_exponent=gamma, name=name)
-    return DriftSpec(b1=ou, singular_parts=(part,), K=abs(theta), name=name)
+    return DriftSpec(b1=ou, singular_parts=(part,), K=abs(theta))
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def experiment_smoothing(cfg: RunConfig) -> ScalingReport:
     idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))
     _require_span(cfg, t)
     flow = _solve_flow(cfg, mu, drift)
-    measured = [tilde_norm(flow.snapshots[i], np.inf) for i in idx]
+    measured = [tilde_norm(flow.snapshots[i].values, np.inf, grid) for i in idx]
     return _ratio_report("smoothing_sup_norm", t, measured, -0.5, cfg)
 
 

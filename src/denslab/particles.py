@@ -147,32 +147,39 @@ class _Step(NamedTuple):
 
 def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
            t_start: float, t_end: float, dt: float, seed: int, density):
-    """Yield every step of the Euler-Maruyama march from x0; `density` is a
-    `_density_rule`.  Step s draws its increments from (seed, s)."""
+    """Check the inputs and return a generator of every Euler-Maruyama step from x0;
+    `density` is a `_density_rule`.  Step s draws its increments from (seed, s)."""
+    if x0.size < 1 or not 0 < dt < np.inf or not t_start < t_end < np.inf:
+        raise InvalidParameterError(
+            f"need n >= 1, 0 < dt < inf and t_start < t_end < inf, got n = {x0.size}, "
+            f"dt = {dt}, [{t_start}, {t_end}]")
     n_steps = int(round((t_end - t_start) / dt))
     if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise InvalidParameterError("(t_end - t_start) must be a multiple of dt")
     sqrt_dt = math.sqrt(dt)
     sigma = math.sqrt(diff.a)
-    x = x0
-    for s in range(n_steps):
-        t = t_start + s * dt
-        rho = density(t, x) if density is not None else None
-        b = drift_at_positions(drift, t, x, grid, rho)
-        cfl = max(float(b.max()), -float(b.min())) * dt
-        if cfl > grid.dx * (1.0 + 1e-9):
-            raise InvalidParameterError(
-                f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} at step {s}")
-        dw = normal_increments(seed, _STREAM_EVOLVE, s, x.size)
-        dw *= sqrt_dt
-        move = b * dt
-        move += x                   # x + b dt, then + sigma dw: the same roundings
-        move += sigma * dw
-        x_next = _reflect(move, grid.x_min, grid.x_max)
-        if not np.all(np.isfinite(x_next)):
-            raise SolverFailureError(f"non-finite particle position at step {s}")
-        yield _Step(t, x, rho, b, sigma, dw, x_next)
-        x = x_next
+
+    def steps(x):
+        for s in range(n_steps):
+            t = t_start + s * dt
+            rho = density(t, x) if density is not None else None
+            b = drift_at_positions(drift, t, x, grid, rho)
+            cfl = max(float(b.max()), -float(b.min())) * dt
+            if cfl > grid.dx * (1.0 + 1e-9):
+                raise InvalidParameterError(
+                    f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} at step {s}")
+            dw = normal_increments(seed, _STREAM_EVOLVE, s, x.size)
+            dw *= sqrt_dt
+            move = b * dt
+            move += x                   # x + b dt, then + sigma dw: the same roundings
+            move += sigma * dw
+            x_next = _reflect(move, grid.x_min, grid.x_max)
+            if not np.all(np.isfinite(x_next)):
+                raise SolverFailureError(f"non-finite particle position at step {s}")
+            yield _Step(t, x, rho, b, sigma, dw, x_next)
+            x = x_next
+
+    return steps(x0)
 
 
 def _integral_sq(f, march, t_start: float, x0: np.ndarray, dt: float) -> np.ndarray:
@@ -198,18 +205,16 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     domain matches the PDE solver's no-flux choice.  The flow holds one KDE
     per distinct step that a record node rounds to, at that step's time.
     """
-    if n_particles < 1 or not 0 < dt < np.inf or not 0 < T < np.inf:
-        raise InvalidParameterError("need n_particles >= 1 and finite dt > 0, T > 0")
     if drift.density_dependent and n_particles < 1000:
         raise InvalidParameterError("density feedback needs at least 1000 particles")
     x = sample_initial(init, n_particles, seed, grid)
+    march = _march(x, drift, diff, grid, 0.0, T, dt, seed,
+                   _density_rule(drift, grid, bandwidth_rule=bandwidth_rule))
     tg = record_grid if record_grid is not None else TimeGrid.uniform(T, max(1, int(round(T / dt))))
     if tg.T > T * (1 + 1e-9):
         raise InvalidParameterError(f"record grid extends to {tg.T} beyond T = {T}")
     steps = sorted({int(round(t / dt)) for t in tg.nodes})
     snaps = [kde(x, _bandwidth(bandwidth_rule, x), grid)]   # node 0 is step 0
-    march = _march(x, drift, diff, grid, 0.0, T, dt, seed,
-                   _density_rule(drift, grid, bandwidth_rule=bandwidth_rule))
     for s, st in enumerate(march, start=1):
         x = st.x_next
         if s in steps:
@@ -227,7 +232,7 @@ def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: Di
     Without `flow_alt` the alternative drift reads the same density as the
     reference drift."""
     x0 = sample_initial(init, n_paths, seed, grid)
-    log_r = np.zeros(n_paths)
+    log_r = np.zeros(x0.size)       # empty for n_paths < 1, which _march rejects
     for st in _march(x0, drift_ref, diff, grid, 0.0, t, dt, seed,
                      _density_rule(drift_ref, grid, flow_ref)):
         rho_alt = flow_alt.values_at(st.t) if flow_alt is not None else st.rho
@@ -325,16 +330,10 @@ def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float):
     vals = np.stack([f.evaluate(float(tt), grid.centers, grid.dx) for tt in times])
     if not np.all(np.isfinite(vals)):
         return float("inf"), float("inf")
-    if s > 0:
-        nodes = np.concatenate(([0.0], times))
-        mat = np.vstack([np.zeros(grid.n_cells), vals])
-    else:
-        nodes, mat = times, vals
-    tg = TimeGrid(nodes)
     # a power past the float range is inf, and nan once the window sums
     # subtract two infs: both read as an infinite norm
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = tilde_spacetime_norm(mat, f.p, f.q, s, t, time_grid=tg, grid=grid)
+        norm = tilde_spacetime_norm(vals, times, f.p, f.q, grid)
         per_node = np.array([tilde_norm(v, f.p, grid) for v in vals])
         integral = float(np.trapezoid(per_node ** f.q, x=times))
     if math.isnan(norm):
@@ -356,19 +355,17 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     lam = np.asarray(lambda_grid, dtype=np.float64)
     if lam.size < 2 or np.any(lam <= 0):
         raise InvalidParameterError("lambda grid must be positive with >= 2 entries")
-    if not (0 <= s < t < np.inf):
-        raise InvalidParameterError("need 0 <= s < t < inf")
-    if n_paths < 1 or not 0 < dt < np.inf:
-        raise InvalidParameterError("need n_paths >= 1 and a finite dt > 0")
+    if not s >= 0:
+        raise InvalidParameterError(f"need s >= 0, got {s}")
     if not grid.x_min <= x0 <= grid.x_max:
         raise InvalidParameterError(f"x0 = {x0} must lie in [{grid.x_min}, {grid.x_max}]")
+    x_init = np.full(max(n_paths, 0), float(x0))     # empty for n_paths < 1: _march rejects it
+    march = _march(x_init, drift, diff, grid, s, t, dt, seed, _density_rule(drift, grid))
     norm, integral = field_spacetime_norm(f, grid, s, t)
     if not 0 < norm < np.inf:
         raise InvalidParameterError(
             f"field has localized space-time norm {norm:g} on the grid; it must be "
             f"positive and finite")
-    x_init = np.full(n_paths, float(x0))
-    march = _march(x_init, drift, diff, grid, s, t, dt, seed, _density_rule(drift, grid))
     tau = _integral_sq(lambda tt, xx: f.evaluate(tt, xx, grid.dx), march, s, x_init, dt)
     log_est, est, se, ess_arr, unrel = [], [], [], [], []
     n = float(n_paths)

@@ -2,6 +2,7 @@
 refactor leaves every output byte-identical.
 
     python tests/artifact_digests.py SRC > digests.txt
+    python tests/artifact_digests.py SRC_A SRC_B
 
 SRC is a directory holding the `denslab` package, such as the `src` of this
 checkout or of another commit's.  Each run is `python -m denslab ...` with
@@ -9,7 +10,12 @@ PYTHONPATH=SRC in a fresh temporary directory.  For each run the script
 prints its name and exit code, then `sha256  path` for every file the run
 wrote except `run_meta.json`, which holds wall-clock times.  Two trees that
 print the same lines wrote the same bytes.  The runs take about 30 s on a
-two-core machine.  pytest does not collect this file.
+two-core machine.
+
+Given two trees, the script runs each run in both and prints only the runs
+whose lines differ: the name, then `-` before each line only SRC_A printed
+and `+` before each line only SRC_B printed.  It exits 1 if any run differs.
+pytest does not collect this file.
 """
 
 import hashlib
@@ -95,13 +101,23 @@ def digest_run(src: str, argv: list) -> list:
 
 def main() -> int:
     args = sys.argv[1:]
-    if len(args) != 1 or not os.path.isdir(os.path.join(args[0], "denslab")):
+    if len(args) not in (1, 2) or not all(os.path.isdir(os.path.join(a, "denslab"))
+                                          for a in args):
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    differ = False
     for name, run in RUNS.items():
-        print(name)
-        print("\n".join(digest_run(args[0], run)), flush=True)
-    return 0
+        lines = [digest_run(src, run) for src in args]
+        if len(lines) == 1:
+            print(name)
+            print("\n".join(lines[0]), flush=True)
+        elif lines[0] != lines[1]:
+            differ = True
+            a, b = lines
+            print(name)
+            print("\n".join([f"-{line}" for line in a if line not in b]
+                            + [f"+{line}" for line in b if line not in a]), flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

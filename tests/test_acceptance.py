@@ -188,7 +188,7 @@ def test_criterion_9_girsanov_suite():
     diff1 = constant_diffusion(1.0)
     zero = builtin_drift("linear_ou", {"theta": 0.0})
     v = 0.5
-    shift = DriftSpec(b1=lambda t, x: np.full_like(x, v), K=0.0, name="shift")
+    shift = DriftSpec(b1=lambda t, x: np.full_like(x, v), K=0.0)
     n = 100_000
     lw = girsanov_log_weights_mc(zero, shift, diff1, ("gaussian", 0.0, 1.0),
                                  1.0, n, 1e-3, GRID, seed=11)

@@ -5,6 +5,7 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from denslab import Grid1D, KhasminskiiReport, gaussian_density, save_density
@@ -81,7 +82,11 @@ class TestParseConfig:
     ], ids=["drift", "field"])
     def test_every_family_builds_from_its_schema_defaults(self, section, table, build):
         for name, params in table.items():
-            assert build(name).name == name == build(name, params).name
+            implicit, explicit = build(name), build(name, params)
+            if section == "drift":      # a DriftSpec has no name: compare its K and tau
+                assert (implicit.K, implicit.tau) == (explicit.K, explicit.tau)
+            else:
+                assert implicit.name == name == explicit.name
             for key, default in params.items():
                 # one schema key per parameter name, so shared names share a default
                 assert SCHEMA[f"{section}.{key}"] == ("float", default), (name, key)
@@ -286,6 +291,44 @@ class TestExitCodes:
                    "--set", "experiment.n_t=1",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @staticmethod
+    def _density_csv_commands(tmp_path, path):
+        """`metrics` and `solve --mu` on the density CSV at path, whose grid is
+        meant to be the 120-cell grid on [-6, 6]."""
+        good = str(tmp_path / "good.csv")
+        save_density(gaussian_density(Grid1D(-6.0, 6.0, 120), 0.0, 1.0), good)
+        return (["metrics", "--a", path, "--b", good, "--metric", "w1"],
+                ["solve", "--mu", path, "--drift", "linear_ou", "--cells", "120",
+                 "--T", "0.01", "--set", "time.refine=uniform",
+                 "--set", "time.uniform_nodes=2", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("broken", ["empty", "non-numeric"])
+    def test_unreadable_density_csv_is_config_error(self, tmp_path, capsys, broken):
+        bad = tmp_path / "bad.csv"
+        save_density(gaussian_density(Grid1D(-6.0, 6.0, 120), 0.0, 1.0), str(bad))
+        rows = bad.read_text().splitlines()
+        rows[8] = rows[8].split(",")[0] + ",abc"
+        bad.write_text("" if broken == "empty" else "\n".join(rows) + "\n")
+        for argv in self._density_csv_commands(tmp_path, str(bad)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")      # numpy warns on an empty file
+                assert main(argv) == 2
+            assert "is not a density CSV" in capsys.readouterr().err
+
+    def test_non_uniform_density_csv_is_config_error(self, tmp_path, capsys):
+        # the end rows are the 120-cell grid's end centers; the rows between
+        # are off their centers by 0.3 of a cell, alternately left and right
+        g = Grid1D(-6.0, 6.0, 120)
+        xs = g.centers.copy()
+        xs[1:-1] += 0.3 * g.dx * (-1.0) ** np.arange(1, 119)
+        values = gaussian_density(g, 0.0, 1.0).values
+        bad = tmp_path / "uneven.csv"
+        rows = "".join(f"{x!r},{v!r}\n" for x, v in zip(xs.tolist(), values.tolist()))
+        bad.write_text("x,value\n" + rows)
+        for argv in self._density_csv_commands(tmp_path, str(bad)):
+            assert main(argv) == 2
+            assert "not a uniform grid" in capsys.readouterr().err
 
 
 class TestArtifacts:

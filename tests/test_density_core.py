@@ -81,13 +81,13 @@ class TestTildeNorm:
         g = Grid1D(-4.0, 4.0, 800)
         d = uniform_density(g, 0.0, 1.0)
         # window of length 2 covers the whole unit support
-        assert tilde_norm(d, 1.0) == pytest.approx(1.0, abs=g.dx)
+        assert tilde_norm(d.values, 1.0, g) == pytest.approx(1.0, abs=g.dx)
 
     def test_uniform_wide_support(self):
         g = Grid1D(-1.0, 5.0, 1200)
         d = uniform_density(g, 0.0, 4.0)
         # value 1/4, best window captures mass 1/4 * 2
-        assert tilde_norm(d, 1.0) == pytest.approx(0.5, abs=g.dx)
+        assert tilde_norm(d.values, 1.0, g) == pytest.approx(0.5, abs=g.dx)
 
     def test_gaussian_k2_vs_quadrature_oracle(self):
         g = Grid1D(-6.0, 6.0, 2400)
@@ -100,12 +100,12 @@ class TestTildeNorm:
             mask = np.abs(fine.centers - z) <= 1.0
             best = max(best, np.sum(phi[mask] ** 2) * fine.dx)
         oracle = np.sqrt(best)
-        assert tilde_norm(d, 2.0) == pytest.approx(oracle, rel=1e-3)
+        assert tilde_norm(d.values, 2.0, g) == pytest.approx(oracle, rel=1e-3)
 
     def test_infinity_norm(self):
         g = Grid1D(-4.0, 4.0, 400)
         d = gaussian_density(g, 0.3, 0.5)
-        assert tilde_norm(d, np.inf) == pytest.approx(d.values.max())
+        assert tilde_norm(d.values, np.inf, g) == pytest.approx(d.values.max())
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -144,14 +144,14 @@ class TestSpacetimeNorm:
         d = uniform_density(g, 0.0, 1.0)
         tg = TimeGrid.uniform(1.0, 50)
         mat = np.tile(d.values, (len(tg.nodes), 1))
-        val = tilde_spacetime_norm(mat, 1.0, 2.0, 0.0, 1.0, time_grid=tg, grid=g)
+        val = tilde_spacetime_norm(mat, tg.nodes, 1.0, 2.0, g)
         assert val == pytest.approx(1.0, abs=2 * g.dx)
 
     def test_zero(self):
         g = Grid1D(-4.0, 4.0, 100)
         tg = TimeGrid.uniform(1.0, 10)
         mat = np.zeros((len(tg.nodes), g.n_cells))
-        assert tilde_spacetime_norm(mat, 2.0, 2.0, 0.0, 1.0, time_grid=tg, grid=g) == 0.0
+        assert tilde_spacetime_norm(mat, tg.nodes, 2.0, 2.0, g) == 0.0
 
     def test_time_singular_profile(self):
         # f_r = r^{-1/4} 1_[0,1], p=1, q=2 -> (int_0^1 r^{-1/2} dr)^(1/2) = sqrt(2)
@@ -160,15 +160,16 @@ class TestSpacetimeNorm:
         tg = TimeGrid.geometric(1.0, t_min=1e-5, nodes_per_decade=60)
         mat = np.zeros((len(tg.nodes), g.n_cells))
         mat[1:] = tg.nodes[1:, None] ** (-0.25) * ind[None, :]
-        val = tilde_spacetime_norm(mat, 1.0, 2.0, 0.0, 1.0, time_grid=tg, grid=g)
+        val = tilde_spacetime_norm(mat, tg.nodes, 1.0, 2.0, g)
         assert val == pytest.approx(np.sqrt(2.0), rel=0.02)
 
     def test_empty_window_error(self):
+        # fewer than two node times, or times that do not increase strictly
         g = Grid1D(-4.0, 4.0, 100)
-        tg = TimeGrid.uniform(1.0, 10)
-        mat = np.zeros((len(tg.nodes), g.n_cells))
-        with pytest.raises(InvalidParameterError):
-            tilde_spacetime_norm(mat, 1.0, 2.0, 0.501, 0.55, time_grid=tg, grid=g)
+        for times in ([0.5], [0.0, 0.5, 0.5], [0.0, 0.6, 0.5]):
+            mat = np.zeros((len(times), g.n_cells))
+            with pytest.raises(InvalidParameterError):
+                tilde_spacetime_norm(mat, times, 1.0, 2.0, g)
 
 
 class TestMeasureDistance:

@@ -163,7 +163,7 @@ class TestBuiltinDrifts:
             builtin_drift(name, params)
 
     def test_lipschitz_probe_rejects_understated_k(self):
-        bad = DriftSpec(b1=lambda t, x: -5.0 * x, K=1.0, name="bad")
+        bad = DriftSpec(b1=lambda t, x: -5.0 * x, K=1.0)
         with pytest.raises(InvalidDriftError):
             validate_drift(bad, 1.0, Grid1D(-6, 6, 500))
 
@@ -197,7 +197,7 @@ class TestFokkerPlanckStep:
         grid = Grid1D(-8, 8, 2000)
         mu = gaussian_density(grid, -1.0, 0.4)
         v = 0.7
-        drift = DriftSpec(b1=lambda t, x: np.full_like(x, v), K=0.0, name="const")
+        drift = DriftSpec(b1=lambda t, x: np.full_like(x, v), K=0.0)
         tg = TimeGrid.uniform(1.0, 200)
         flow = frozen_semigroup(mu, None, drift, DIFF2, tg, SolverOptions())
         mean = float(np.sum(flow.snapshots[-1].values * grid.centers) * grid.dx)
@@ -350,8 +350,7 @@ class TestStabilityGuard:
 
     @pytest.mark.parametrize("jump, caught", [(1.5, False), (3.0, True)])
     def test_drift_growing_inside_a_node_interval(self, jump, caught):
-        grow = DriftSpec(b1=lambda t, x: -(jump if t >= 0.05 else 1.0) * x, K=3.0,
-                         name="grow")
+        grow = DriftSpec(b1=lambda t, x: -(jump if t >= 0.05 else 1.0) * x, K=3.0)
         mu = gaussian_density(self.GRID, 0.0, 0.5)
         tg = TimeGrid.uniform(0.1, 1)
         run = lambda: frozen_semigroup(mu, None, grow, DIFF2, tg, self.OPTS)
@@ -362,8 +361,7 @@ class TestStabilityGuard:
             assert abs(run().snapshots[-1].mass() - 1.0) <= 1e-9
 
     def test_non_finite_drift_is_solver_failure(self):
-        blowup = DriftSpec(b1=lambda t, x: np.where(np.abs(x) < 0.1, np.inf, -x), K=1.0,
-                           name="blowup")
+        blowup = DriftSpec(b1=lambda t, x: np.where(np.abs(x) < 0.1, np.inf, -x), K=1.0)
         mu = gaussian_density(self.GRID, 0.0, 0.5)
         with pytest.raises(SolverFailureError, match="non-finite drift"):
             frozen_semigroup(mu, None, blowup, DIFF2, TimeGrid.uniform(0.01, 2))
@@ -529,7 +527,7 @@ class TestRateInvariants:
         res = picard_fixed_point(mu, cd, DIFF2, tg, FlowMetricSpec(1.0, 2.0, 4.0),
                                  tol=1e-5)
         sel = [i for i, t in enumerate(tg.nodes) if 1e-3 <= t <= 1.0]
-        prods = [tilde_norm(res.flow.snapshots[i], np.inf) * np.sqrt(tg.nodes[i])
+        prods = [tilde_norm(res.flow.snapshots[i].values, np.inf, grid) * np.sqrt(tg.nodes[i])
                  for i in sel]
         assert max(prods) <= 3.0 * prods[0]
 

@@ -43,7 +43,7 @@ ZERO_DRIFT = builtin_drift("linear_ou", {"theta": 0.0})
 
 
 def shift_drift(v):
-    return DriftSpec(b1=lambda t, x: np.full_like(x, v), K=0.0, name="shift")
+    return DriftSpec(b1=lambda t, x: np.full_like(x, v), K=0.0)
 
 
 class TestStreams:
@@ -140,7 +140,7 @@ class TestEulerMaruyama:
         assert np.all(ens.positions <= GRID.x_max)
 
     def test_cfl_guard(self):
-        fast = DriftSpec(b1=lambda t, x: np.full_like(x, 50.0), K=0.0, name="fast")
+        fast = DriftSpec(b1=lambda t, x: np.full_like(x, 50.0), K=0.0)
         with pytest.raises(InvalidParameterError):
             euler_maruyama_mkv(("gaussian", 0.0, 0.3), fast, DIFF2, 100,
                                1e-2, 0.1, GRID, seed=1)
@@ -151,7 +151,7 @@ class TestEulerMaruyama:
         dt = 1e-2
         v = 0.5 * GRID.dx / dt
         steps = DriftSpec(b1=lambda t, x: np.full_like(x, v * (jump if t >= 0.05 else 1.0)),
-                          K=0.0, name="step")
+                          K=0.0)
         run = lambda: euler_maruyama_mkv(("gaussian", 0.0, 0.3), steps, DIFF2, 100,
                                          dt, 0.1, GRID, seed=1)
         if caught:
@@ -375,3 +375,25 @@ class TestKhasminskii:
         with pytest.raises(InvalidParameterError):
             khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 1.0, [0.1, 0.2], 100, 1e-2,
                            grid_odd, seed=1)
+
+
+_ESTIMATORS = {
+    "euler_maruyama_mkv": lambda n, dt, t: euler_maruyama_mkv(
+        ("gaussian", 0.0, 0.3), ZERO_DRIFT, DIFF1, n, dt, t, GRID, seed=1),
+    "girsanov_log_weights_mc": lambda n, dt, t: girsanov_log_weights_mc(
+        ZERO_DRIFT, shift_drift(0.1), DIFF1, ("gaussian", 0.0, 0.3), t, n, dt, GRID, seed=1),
+    "path_relative_entropy_mc": lambda n, dt, t: path_relative_entropy_mc(
+        ZERO_DRIFT, shift_drift(0.1), DIFF1, ("gaussian", 0.0, 0.3), t, n, dt, GRID, seed=1),
+    "khasminskii_mc": lambda n, dt, t: khasminskii_mc(
+        builtin_field("constant"), ZERO_DRIFT, DIFF1, 0.0, t, [0.2, 0.5], n, dt, GRID, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_estimators_reject_bad_march_inputs(name):
+    run = _ESTIMATORS[name]
+    run(10, 0.01, 0.1)      # the valid base
+    for n, dt, t in ((10, 0.0, 0.1), (10, np.nan, 0.1), (10, -1e-3, 0.1),
+                     (0, 0.01, 0.1), (-1, 0.01, 0.1), (10, 0.01, np.inf)):
+        with pytest.raises(InvalidParameterError):
+            run(n, dt, t)
