@@ -36,7 +36,7 @@ from .density_core import (
     tilde_norm,
 )
 from .dynamics import frozen_semigroup, picard_fixed_point
-from .errors import ConfigError, DenslabError, InvalidDriftError, InvalidParameterError
+from .errors import DenslabError, InvalidParameterError
 from .experiments import (
     _khasminskii_run,
     experiment_entropy_cost,
@@ -150,7 +150,7 @@ def _load_mu(args, cfg, grid):
     if getattr(args, "mu", None):
         mu = load_density(args.mu)
         if mu.grid != grid:
-            raise ConfigError("--mu density grid does not match grid.* configuration")
+            raise InvalidParameterError("--mu density grid does not match grid.* configuration")
         return normalize(mu)
     return cfgmod.build_init_density(cfg, grid)
 
@@ -159,7 +159,7 @@ def _solve(cfg, args) -> _Result:
     grid = cfgmod.build_grid(cfg)
     drift = cfgmod.build_drift(cfg)
     if drift.density_dependent:
-        raise ConfigError("drift is density-dependent: use the 'picard' subcommand")
+        raise InvalidParameterError("drift is density-dependent: use the 'picard' subcommand")
     flow = frozen_semigroup(_load_mu(args, cfg, grid), None, drift, cfgmod.build_diffusion(cfg),
                             cfgmod.build_time_grid(cfg), cfgmod.build_solver_options(cfg))
     return _Result({"subcommand": "solve", "nodes": len(flow.time_grid.nodes),
@@ -240,12 +240,12 @@ def _cmd_metrics(args) -> int:
         try:
             arg = float(arg)
         except ValueError:
-            raise ConfigError(f"metric '{args.metric}' has a malformed numeric argument")
+            raise InvalidParameterError(f"metric '{args.metric}' has a malformed numeric argument")
     if name not in METRICS:
-        raise ConfigError(f"unknown metric '{args.metric}'")
+        raise InvalidParameterError(f"unknown metric '{args.metric}'")
     fn, arg_name = METRICS[name]
     if arg_name and not colon:
-        raise ConfigError(f"metric '{name}' needs an argument, e.g. '{name}:2'")
+        raise InvalidParameterError(f"metric '{name}' needs an argument, e.g. '{name}:2'")
     print(repr(float(fn(a, b, arg if colon else None))))
     return EXIT_PASS
 
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidParameterError, InvalidDriftError, OSError) as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DenslabError, OverflowError) as exc:

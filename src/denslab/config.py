@@ -25,7 +25,7 @@ from .dynamics import (
     constant_diffusion,
     validate_drift,
 )
-from .errors import ConfigError
+from .errors import InvalidParameterError
 from .metrics import FlowMetricSpec
 from .particles import FIELD_PARAMS, builtin_field
 
@@ -97,7 +97,7 @@ SCHEMA = {
 def _no_nan(key: str, vals):
     # inf stays legal: k = inf is a valid metric exponent
     if any(math.isnan(v) for v in vals):
-        raise ConfigError(f"key '{key}' must not be NaN")
+        raise InvalidParameterError(f"key '{key}' must not be NaN")
 
 
 def _coerce(key: str, raw, kind: str):
@@ -108,7 +108,8 @@ def _coerce(key: str, raw, kind: str):
             try:
                 vals = tuple(float(v) for v in str(raw).split(",") if v.strip() != "")
             except ValueError:
-                raise ConfigError(f"key '{key}' expects a comma-separated float list, got {raw!r}")
+                raise InvalidParameterError(
+                    f"key '{key}' expects a comma-separated float list, got {raw!r}")
         _no_nan(key, vals)
         return vals
     if isinstance(raw, str):
@@ -125,8 +126,8 @@ def _coerce(key: str, raw, kind: str):
         if kind == "str":
             return str(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' expects type {kind}, got {raw!r}")
-    raise ConfigError(f"key '{key}' has unknown schema type {kind}")
+        raise InvalidParameterError(f"key '{key}' expects type {kind}, got {raw!r}")
+    raise InvalidParameterError(f"key '{key}' has unknown schema type {kind}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ class RunConfig:
 
     def __getitem__(self, key: str):
         if key not in SCHEMA:
-            raise ConfigError(f"unknown key '{key}'")
+            raise InvalidParameterError(f"unknown key '{key}'")
         return self.data[key]
 
     def resolved_text(self) -> str:
@@ -156,13 +157,13 @@ def parse_config(path: str | None = None, overrides=(), base: dict | None = None
     """Resolve defaults, optional file, then overrides into a RunConfig.
 
     `overrides` are "key=value" strings (from repeated --set flags).  Unknown
-    keys and malformed values raise ConfigError naming the key.
+    keys and malformed values raise InvalidParameterError naming the key.
     """
     data = {k: _coerce(k, d, t) for k, (t, d) in SCHEMA.items()}
 
     def put(key, val, where=""):
         if key not in SCHEMA:
-            raise ConfigError(f"{where}unknown key '{key}'")
+            raise InvalidParameterError(f"{where}unknown key '{key}'")
         data[key] = _coerce(key, val, SCHEMA[key][0])
 
     for key, val in (base or {}).items():
@@ -172,25 +173,25 @@ def parse_config(path: str | None = None, overrides=(), base: dict | None = None
             with open(path) as fh:
                 lines = fh.readlines()
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}")
+            raise InvalidParameterError(f"cannot read config file {path}: {exc}")
         for ln, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+                raise InvalidParameterError(f"{path}:{ln}: expected 'key = value'")
             key, val = (s.strip() for s in line.split("=", 1))
             put(key, val, f"{path}:{ln}: ")
     for ov in overrides:
         if "=" not in ov:
-            raise ConfigError(f"override '{ov}' must look like key=value")
+            raise InvalidParameterError(f"override '{ov}' must look like key=value")
         key, val = (s.strip() for s in ov.split("=", 1))
         put(key, val)
     if data["schema.version"] != SCHEMA_VERSION:
-        raise ConfigError(
+        raise InvalidParameterError(
             f"schema.version {data['schema.version']} does not match {SCHEMA_VERSION}")
     if data["threads"] < 1:
-        raise ConfigError(f"key 'threads' must be >= 1, got {data['threads']}")
+        raise InvalidParameterError(f"key 'threads' must be >= 1, got {data['threads']}")
     return RunConfig(data)
 
 
@@ -210,21 +211,22 @@ def build_time_grid(cfg: RunConfig) -> TimeGrid:
                                   nodes_per_decade=cfg["time.nodes_per_decade"])
     if cfg["time.refine"] == "uniform":
         return TimeGrid.uniform(T, cfg["time.uniform_nodes"])
-    raise ConfigError(f"key 'time.refine' must be geometric|uniform, got {cfg['time.refine']!r}")
+    raise InvalidParameterError(
+        f"key 'time.refine' must be geometric|uniform, got {cfg['time.refine']!r}")
 
 
 def _family(cfg: RunConfig, section: str, name_key: str, families: dict):
     """(name, parameters) of the family `name_key` picks from `families`;
-    ConfigError for an unknown name, or for a key that only other families
+    InvalidParameterError for an unknown name, or for a key that only other families
     read set away from its default (the chosen family would ignore it)."""
     name = cfg[name_key]
     if name not in families:
-        raise ConfigError(f"key '{name_key}' has unknown value {name!r}")
+        raise InvalidParameterError(f"key '{name_key}' has unknown value {name!r}")
     stray = sorted({f"{section}.{k}" for fam in families.values() for k in fam
                     if k not in families[name]
                     and cfg[f"{section}.{k}"] != SCHEMA[f"{section}.{k}"][1]})
     if stray:
-        raise ConfigError(f"{name_key} = {name} does not read the keys {stray}")
+        raise InvalidParameterError(f"{name_key} = {name} does not read the keys {stray}")
     return name, {k: cfg[f"{section}.{k}"] for k in families[name]}
 
 
@@ -255,7 +257,7 @@ def build_init_density(cfg: RunConfig, grid: Grid1D, shift: float = 0.0) -> Grid
         return gaussian_density(grid, cfg["init.mean"] + shift, cfg["init.sigma"])
     if kind == "uniform":
         return uniform_density(grid, cfg["init.lo"] + shift, cfg["init.hi"] + shift)
-    raise ConfigError(f"key 'init.kind' must be gaussian|uniform, got {kind!r}")
+    raise InvalidParameterError(f"key 'init.kind' must be gaussian|uniform, got {kind!r}")
 
 
 def build_field(cfg: RunConfig) -> SpaceTimeField:

@@ -27,12 +27,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 from scipy.signal import fftconvolve
 
-from .errors import (
-    DegenerateDensityError,
-    DomainTooSmallError,
-    GridMismatchError,
-    InvalidParameterError,
-)
+from .errors import InvalidParameterError, NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -165,13 +160,13 @@ class DensityFlow:
     def __post_init__(self):
         snaps = tuple(self.snapshots)
         if len(snaps) != len(self.time_grid.nodes):
-            raise GridMismatchError(
+            raise NumericalError(
                 f"{len(snaps)} snapshots for {len(self.time_grid.nodes)} time nodes"
             )
         g = snaps[0].grid
         for s in snaps:
             if s.grid != g:
-                raise GridMismatchError("all snapshots must share one spatial grid")
+                raise NumericalError("all snapshots must share one spatial grid")
         object.__setattr__(self, "snapshots", snaps)
 
     def values_matrix(self) -> np.ndarray:
@@ -194,9 +189,9 @@ class DensityFlow:
 # ---------------------------------------------------------------------------
 
 def _require_window(grid: Grid1D) -> None:
-    """DomainTooSmallError unless the grid holds the unit-ball window."""
+    """InvalidParameterError unless the grid holds the unit-ball window."""
     if grid.width < 2.0:
-        raise DomainTooSmallError(
+        raise InvalidParameterError(
             f"grid width {grid.width} is smaller than the unit-ball window (length 2)"
         )
 
@@ -221,10 +216,10 @@ def tilde_norm(values, k: float, grid: Grid1D) -> float:
     O(n) via a sliding partial-sum structure; k = inf degenerates to the
     global sup norm since every point lies in some window.
     """
-    if k < 1:
+    if not k >= 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if np.shape(values) != (grid.n_cells,):
-        raise GridMismatchError("array length does not match the grid")
+        raise NumericalError("array length does not match the grid")
     m = _window_half_cells(grid)
     if np.isinf(k):
         return float(np.max(np.abs(values)))
@@ -246,12 +241,12 @@ def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> flo
     integral.  Time integration is the trapezoid rule over exactly the given
     node times; `values` is the (len(times), n_cells) array of node values.
     """
-    if p < 1 or q < 1:
+    if not (p >= 1 and q >= 1):
         raise InvalidParameterError("need p, q >= 1")
     if np.ndim(times) != 1 or np.size(times) < 2 or not np.all(np.diff(times) > 0):
         raise InvalidParameterError("need at least two strictly increasing node times")
     if np.shape(values) != (np.size(times), grid.n_cells):
-        raise GridMismatchError("values do not match (times, grid)")
+        raise NumericalError("values do not match (times, grid)")
     m = _window_half_cells(grid)
     W = np.stack([_windowed_p_norms(row, grid, p, m) for row in values])
     if np.isinf(q):
@@ -278,7 +273,7 @@ def normalize(d: GridDensity) -> GridDensity:
         log.info("normalize: clipped %.3e of negative mass", clipped)
     mass = float(np.sum(v) * d.grid.dx)
     if mass <= 0.0:
-        raise DegenerateDensityError("density has no positive mass to normalize")
+        raise NumericalError("density has no positive mass to normalize")
     v *= 1.0 / mass
     return GridDensity(d.grid, v)
 
@@ -316,7 +311,7 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> GridDensity:
     inside = (x >= grid.x_min) & (x <= grid.x_max)
     n_in = int(np.count_nonzero(inside))
     if n_in == 0:
-        raise DegenerateDensityError("all particles fall outside the grid")
+        raise NumericalError("all particles fall outside the grid")
     if n_in < x.size:
         log.info("kde: %d of %d particles outside the grid", x.size - n_in, x.size)
     xin = x if n_in == x.size else x[inside]
@@ -351,7 +346,7 @@ def density_quantiles(d: GridDensity, u: np.ndarray) -> np.ndarray:
     F = np.concatenate(([0.0], np.cumsum(d.values) * d.grid.dx))
     total = F[-1]
     if total <= 0:
-        raise DegenerateDensityError("cannot invert the CDF of a massless density")
+        raise NumericalError("cannot invert the CDF of a massless density")
     F /= total
     u = np.asarray(u, dtype=np.float64)
     idx = np.searchsorted(F, u, side="right") - 1

@@ -32,13 +32,7 @@ from scipy.signal import fftconvolve
 
 from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _require_window,
                            tilde_norm)
-from .errors import (
-    InvalidDriftError,
-    InvalidParameterError,
-    NoConvergenceError,
-    NumericOverflowError,
-    SolverFailureError,
-)
+from .errors import InvalidParameterError, NoConvergenceError, NumericalError, NumericOverflowError
 from .metrics import FlowMetricSpec
 
 _PROBE_SEED = 1234        # random probes of validate_drift
@@ -142,7 +136,7 @@ class DriftSpec:
 
 
 def validate_drift(drift: DriftSpec, T: float, grid: Grid1D) -> None:
-    """Probe-based admissibility checks on [0, T]; raises InvalidDriftError
+    """Probe-based admissibility checks on [0, T]; raises InvalidParameterError
     naming the violated inequality."""
     if not 0 < T < np.inf:
         raise InvalidParameterError(f"T must be positive and finite, got {T}")
@@ -152,14 +146,14 @@ def validate_drift(drift: DriftSpec, T: float, grid: Grid1D) -> None:
     for t in np.linspace(1e-6, T, 8):
         b = np.asarray(drift.b1(float(t), xs), dtype=np.float64)
         if not np.all(np.isfinite(b)):
-            raise InvalidDriftError("b1 is not finite on the grid")
+            raise InvalidParameterError("b1 is not finite on the grid")
         slopes = np.abs(np.diff(b)) / grid.dx
         if slopes.max(initial=0.0) > drift.K * (1 + 1e-6) :
-            raise InvalidDriftError(
+            raise InvalidParameterError(
                 f"|grad b1| = {slopes.max():.4g} exceeds declared K = {drift.K}")
     for k in drift.feature_kernels:
         if not k.width <= grid.width:
-            raise InvalidDriftError(
+            raise InvalidParameterError(
                 f"feature kernel '{k.name}' width {k.width:g} exceeds the grid width "
                 f"{grid.width:g}")
     if drift.nemytskii is not None:
@@ -172,7 +166,7 @@ def validate_drift(drift: DriftSpec, T: float, grid: Grid1D) -> None:
             d2 = np.asarray(drift.nemytskii(float(t), probes_x, r2, feats))
             bound = drift.K * t ** drift.tau * np.abs(r1 - r2) + 1e-12
             if np.any(np.abs(d1 - d2) > bound * (1 + 1e-6)):
-                raise InvalidDriftError(
+                raise InvalidParameterError(
                     "density term violates |b(t,x,r) - b(t,x,r')| <= K t^tau |r - r'|")
 
 
@@ -189,7 +183,7 @@ def density_features(rho_values: np.ndarray, grid: Grid1D, drift: DriftSpec) -> 
         prof = np.asarray(k.profile(u), dtype=np.float64)
         s = prof.sum() * grid.dx
         if s <= 0:
-            raise InvalidDriftError(f"feature kernel '{k.name}' has nonpositive mass")
+            raise InvalidParameterError(f"feature kernel '{k.name}' has nonpositive mass")
         prof = prof / s
         feats[k.name] = fftconvolve(rho_values, prof, mode="same") * grid.dx
     return feats
@@ -309,16 +303,15 @@ DRIFT_PARAMS = {
 }
 
 
-def _family_params(kind: str, families: dict, name: str, params: dict | None,
-                   error) -> dict:
+def _family_params(kind: str, families: dict, name: str, params: dict | None) -> dict:
     """The defaults of `families[name]` with `params` merged over them, as
-    floats; raises `error` for an unknown name or parameter."""
+    floats; InvalidParameterError for an unknown name or parameter."""
     if name not in families:
-        raise error(f"unknown {kind} name '{name}'")
+        raise InvalidParameterError(f"unknown {kind} name '{name}'")
     given = dict(params or {})
     unknown = sorted(set(given) - set(families[name]))
     if unknown:
-        raise error(f"unknown {name} parameters: {unknown}")
+        raise InvalidParameterError(f"unknown {name} parameters: {unknown}")
     return {k: float(v) for k, v in {**families[name], **given}.items()}
 
 
@@ -334,10 +327,10 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
                           -coeff sign(x - x0) |x - x0|^{-gamma} 1_{|x-x0|<=1},
                           admissible only when gamma * p2 < 1.
     """
-    p = _family_params("drift", DRIFT_PARAMS, name, params, InvalidDriftError)
+    p = _family_params("drift", DRIFT_PARAMS, name, params)
     nonfinite = sorted(k for k, v in p.items() if not math.isfinite(v))
     if nonfinite:
-        raise InvalidDriftError(f"{name}: parameters {nonfinite} must be finite")
+        raise InvalidParameterError(f"{name}: parameters {nonfinite} must be finite")
     if name == "zero":
         return DriftSpec(b1=lambda t, x: np.zeros_like(x), K=0.0)
     theta = p["theta"]
@@ -353,7 +346,7 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
         if name == "capped_density":
             cap = p["cap"]
             if cap <= 0:
-                raise InvalidDriftError("capped_density: cap must be positive")
+                raise InvalidParameterError("capped_density: cap must be positive")
             kernels = ()
 
             def density(r, feats):
@@ -361,7 +354,7 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
         else:
             width = p["kernel_width"]
             if width <= 0:
-                raise InvalidDriftError("smoothed_interaction: kernel_width must be positive")
+                raise InvalidParameterError("smoothed_interaction: kernel_width must be positive")
             kernels = (FeatureKernel("bump", lambda u: _bump_profile(u, width), width),)
 
             def density(r, feats):
@@ -375,11 +368,11 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
 
     gamma, coeff, x0, p2, q2 = (p[k] for k in ("gamma", "coeff", "center", "p2", "q2"))
     if not 0 < gamma:
-        raise InvalidDriftError("singular_well: gamma must be positive")
+        raise InvalidParameterError("singular_well: gamma must be positive")
     if not 0 < coeff:
-        raise InvalidDriftError(f"singular_well: coeff must be positive, got {coeff}")
+        raise InvalidParameterError(f"singular_well: coeff must be positive, got {coeff}")
     if gamma * p2 >= 1.0:
-        raise InvalidDriftError(
+        raise InvalidParameterError(
             f"gamma * p2 = {gamma * p2:.3g} >= 1: |x|^(-gamma) is not "
             f"window-L^{p2:g} integrable")
 
@@ -432,7 +425,7 @@ def _factor(a: np.ndarray, dt: float, dx: float) -> tuple:
     diag[1:] += alpha * a[1:]
     dl, d, du, du2, ipiv, info = dgttrf(-alpha * a[:-1], diag, -alpha * a[1:])
     if info != 0:  # pragma: no cover - a > 0 keeps the matrix diagonally dominant
-        raise SolverFailureError(f"tridiagonal factorization failed (info = {info})")
+        raise NumericalError(f"tridiagonal factorization failed (info = {info})")
     return dl, d, du, du2, ipiv
 
 
@@ -467,7 +460,7 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
 
     The sub-step is fixed within a node interval and a is constant, so the
     diffusion matrix is factored once per node interval.  Every sub-step must
-    satisfy dt * max|b| <= dx, else SolverFailureError: dt comes from the
+    satisfy dt * max|b| <= dx, else NumericalError: dt comes from the
     drift at the interval start, which can grow inside it.  A node interval
     needing more than _MAX_SUBSTEPS sub-steps fails before it starts.
     """
@@ -492,13 +485,13 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
         gap = t1 - t0
         b0, max_b = field(t0)
         if not math.isfinite(max_b):
-            raise SolverFailureError(f"non-finite drift at t = {t0:.4g}")
+            raise NumericalError(f"non-finite drift at t = {t0:.4g}")
         dt_target = min(dt_max, max(opts.rel_dt * (t0 + t_init), 1e-14))
         if max_b > 0:
             dt_target = min(dt_target, opts.cfl * dx / max_b)
         n_sub = gap / dt_target - 1e-12
         if n_sub > _MAX_SUBSTEPS:
-            raise SolverFailureError(
+            raise NumericalError(
                 f"node interval {i + 1} (t = {t0:.4g} to {t1:.4g}) needs {n_sub:.3g} "
                 f"sub-steps, more than {_MAX_SUBSTEPS}")
         n_sub = max(1, int(math.ceil(n_sub)))
@@ -509,12 +502,12 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
             if sidx > 0:
                 b0, max_b = field(ts)
             if not dt * max_b <= dx * (1.0 + 1e-9):
-                raise SolverFailureError(
+                raise NumericalError(
                     f"dt * max|b| = {dt * max_b:.3e} exceeds the grid scale {dx:.3e} "
                     f"at t = {ts:.4g}")
             v = _advance(v, b0, lu, dt, dx)
         if not np.all(np.isfinite(v)):
-            raise SolverFailureError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
+            raise NumericalError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
         snaps.append(GridDensity(grid, np.maximum(v, 0.0)))
     return DensityFlow(tg, tuple(snaps))
 

@@ -1,57 +1,27 @@
-"""Exception hierarchy shared by all denslab modules."""
+"""Exception hierarchy shared by all denslab modules: one class per failure exit
+status of the CLI, and two subclasses that callers catch or read."""
 
 
 class DenslabError(Exception):
-    """Base class for all denslab errors."""
+    """Base class for all denslab errors; the CLI exits 3 on any that is not an
+    InvalidParameterError."""
 
 
 class InvalidParameterError(DenslabError):
-    """A numeric argument is outside its admissible range."""
+    """A parameter, config key or drift is inadmissible; the CLI exits 2."""
 
 
-class DomainTooSmallError(InvalidParameterError):
-    """Spatial domain is narrower than the unit-ball window requires."""
+class NumericalError(DenslabError):
+    """Data or a computation cannot yield the requested quantity; the CLI exits 3."""
 
 
-class GridMismatchError(DenslabError):
-    """Two objects that must share a grid (spatial or temporal) do not."""
+class NumericOverflowError(NumericalError):
+    """A requested quantity is not representable in double precision; exit 3."""
 
 
-class DegenerateDensityError(DenslabError):
-    """A density with zero (or no in-domain) mass where a probability is required."""
-
-
-class NotAProbabilityError(DenslabError):
-    """Input weights/values do not describe a probability measure."""
-
-
-class NumericOverflowError(DenslabError):
-    """A requested quantity is not representable in double precision."""
-
-
-class InvalidDriftError(DenslabError):
-    """A drift specification violates one of its admissibility checks."""
-
-
-class SolverFailureError(DenslabError):
-    """The PDE solver produced a non-finite or unsolvable state."""
-
-
-class NoConvergenceError(DenslabError):
-    """Fixed-point iteration failed to converge; carries diagnostics."""
+class NoConvergenceError(NumericalError):
+    """Fixed-point iteration failed to converge; carries the ratios; exit 3."""
 
     def __init__(self, message, ratios=None):
         super().__init__(message)
         self.ratios = tuple(ratios) if ratios is not None else ()
-
-
-class InsufficientSpanError(DenslabError):
-    """A scaling fit was requested on too narrow a span of abscissae."""
-
-
-class InvalidDataError(DenslabError):
-    """Data passed to a regression/fit routine is unusable."""
-
-
-class ConfigError(DenslabError):
-    """Configuration file or override is invalid; names the offending key."""

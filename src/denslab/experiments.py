@@ -29,13 +29,7 @@ from .config import (
 )
 from .density_core import DensityFlow, GridDensity, TimeGrid, _require_window, tilde_norm
 from .dynamics import DriftSpec, frozen_semigroup, picard_fixed_point
-from .errors import (
-    ConfigError,
-    InsufficientSpanError,
-    InvalidDataError,
-    NumericOverflowError,
-    SolverFailureError,
-)
+from .errors import InvalidParameterError, NumericalError, NumericOverflowError
 from .metrics import (
     _log_exp_moment,
     _quantile_gap,
@@ -59,9 +53,9 @@ def fit_loglog(xs, ys) -> FitResult:
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size != y.size or x.size < 5:
-        raise InvalidDataError("log-log fit needs >= 5 paired points")
+        raise NumericalError("log-log fit needs >= 5 paired points")
     if np.any(x <= 0) or np.any(y <= 0):
-        raise InvalidDataError("log-log fit needs strictly positive data")
+        raise NumericalError("log-log fit needs strictly positive data")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     return FitResult(float(slope), float(intercept))
@@ -92,23 +86,23 @@ def _select_measure_nodes(cfg: RunConfig, tg: TimeGrid):
     [experiment.t_lo, experiment.t_hi], and their times."""
     t_lo, t_hi, n_t = cfg["experiment.t_lo"], cfg["experiment.t_hi"], cfg["experiment.n_t"]
     if not (0 < t_lo < t_hi <= tg.T * (1 + 1e-9)):
-        raise ConfigError(f"bad measurement range [{t_lo}, {t_hi}] for T={tg.T}")
+        raise InvalidParameterError(f"bad measurement range [{t_lo}, {t_hi}] for T={tg.T}")
     if n_t < 1:
-        raise ConfigError(f"key 'experiment.n_t' must be >= 1, got {n_t}")
+        raise InvalidParameterError(f"key 'experiment.n_t' must be >= 1, got {n_t}")
     targets = np.geomspace(t_lo, t_hi, n_t)
     idx = np.unique([int(np.argmin(np.abs(tg.nodes - tt))) for tt in targets])
     idx = idx[tg.nodes[idx] > 0]
     if idx.size < 2:
-        raise InsufficientSpanError("measurement grid collapses to fewer than 2 nodes")
+        raise NumericalError("measurement grid collapses to fewer than 2 nodes")
     return idx, tg.nodes[idx]
 
 
 def _require_span(cfg: RunConfig, t: np.ndarray) -> None:
     tol = cfg["experiment.slope_tol"]
     if tol < 0:
-        raise ConfigError(f"key 'experiment.slope_tol' must be >= 0, got {tol}")
+        raise InvalidParameterError(f"key 'experiment.slope_tol' must be >= 0, got {tol}")
     if tol > 0 and t[-1] / t[0] < 10.0 ** _SPAN_DECADES * (1 - 1e-9):
-        raise InsufficientSpanError(
+        raise NumericalError(
             f"slope fit needs >= {_SPAN_DECADES} decades, got span {t[-1] / t[0]:.3g}")
 
 
@@ -229,7 +223,7 @@ def experiment_entropy_cost(cfg: RunConfig) -> ScalingReport:
         t_keep.append(tt)
         measured.append(ent)
     if len(t_keep) < 2:
-        raise SolverFailureError("entropy infinite at nearly all nodes; grid under-resolved")
+        raise NumericalError("entropy infinite at nearly all nodes; grid under-resolved")
     return _ratio_report("relative_entropy", t_keep, measured, -1.0, cfg,
                          flags=flags, degenerate=degenerate)
 
@@ -362,7 +356,7 @@ def _growth_exponent(lams: np.ndarray, log_est: np.ndarray) -> float:
     if lams.size < 2:
         return float("nan")
     if not np.all(log_est > 0):
-        raise InvalidDataError("growth-exponent fit needs positive log estimates")
+        raise NumericalError("growth-exponent fit needs positive log estimates")
     return float(np.polyfit(np.log(lams), np.log(log_est), 1)[0])
 
 
@@ -397,7 +391,7 @@ def experiment_khasminskii(cfg: RunConfig) -> KhasminskiiExperimentReport:
     small = lams <= 0.5 + 1e-12
     large = lams > rep.regime_split
     small_exp = _growth_exponent(lams[small], log_est[small])
-    large_exp = _growth_exponent(lams[large], log_est[large]) if np.any(large) else float("nan")
+    large_exp = _growth_exponent(lams[large], log_est[large])
     convex = _convexity_ok(lams, log_est, se_log)
     constant_ok = True
     if f_name == "constant":

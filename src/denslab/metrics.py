@@ -23,12 +23,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .density_core import GridDensity, density_quantiles
-from .errors import (
-    GridMismatchError,
-    InvalidParameterError,
-    NotAProbabilityError,
-    NumericOverflowError,
-)
+from .errors import InvalidParameterError, NumericalError, NumericOverflowError
 
 # Densities below this floor count as zero in entropy quotients; it separates
 # "true zero" from double-precision underflow.
@@ -46,12 +41,12 @@ _MASS_TOL = 1e-6
 
 def _check_pair(mu: GridDensity, nu: GridDensity) -> None:
     if mu.grid != nu.grid:
-        raise GridMismatchError("inputs live on different grids")
+        raise NumericalError("inputs live on different grids")
 
 
 def _check_probability(d: GridDensity) -> None:
     if abs(d.mass() - 1.0) > _MASS_TOL:
-        raise NotAProbabilityError(f"density mass {d.mass():.8f} is not 1")
+        raise NumericalError(f"density mass {d.mass():.8f} is not 1")
 
 
 def _quantile_gap(mu: GridDensity, nu: GridDensity) -> np.ndarray:
@@ -71,8 +66,8 @@ def wasserstein_1d(mu: GridDensity, nu: GridDensity, q: float = 1.0) -> float:
     In one dimension the coupling infimum is attained by the monotone map, so
     W_q^q = int_0^1 |F_mu^{-1}(u) - F_nu^{-1}(u)|^q du.
     """
-    if q < 1:
-        raise InvalidParameterError("q must be >= 1")
+    if not 1 <= q < np.inf:
+        raise InvalidParameterError(f"q must be finite and >= 1, got {q}")
     return float(np.mean(np.abs(_quantile_gap(mu, nu)) ** q) ** (1.0 / q))
 
 
@@ -162,8 +157,8 @@ class FlowMetricSpec:
     k: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidParameterError("lambda weight must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise InvalidParameterError(f"lambda weight must be finite and >= 0, got {self.lam}")
         if not (1.0 <= self.p <= self.k):
             raise InvalidParameterError(f"need 1 <= p <= k, got p={self.p}, k={self.k}")
 

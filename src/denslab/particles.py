@@ -55,7 +55,7 @@ from .dynamics import (
     drift_at_positions,
     power_singularity,
 )
-from .errors import InvalidParameterError, SolverFailureError
+from .errors import InvalidParameterError, NumericalError
 
 _STREAM_INIT = 1
 _STREAM_EVOLVE = 2
@@ -175,7 +175,7 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
             move += sigma * dw
             x_next = _reflect(move, grid.x_min, grid.x_max)
             if not np.all(np.isfinite(x_next)):
-                raise SolverFailureError(f"non-finite particle position at step {s}")
+                raise NumericalError(f"non-finite particle position at step {s}")
             yield _Step(t, x, rho, b, sigma, dw, x_next)
             x = x_next
 
@@ -285,7 +285,7 @@ FIELD_PARAMS = {
 def builtin_field(name: str, params: dict | None = None) -> SpaceTimeField:
     """Named fields of FIELD_PARAMS: the constant c0, or the power
     singularity coeff |x|^(-gamma) on |x| <= 1."""
-    p = _family_params("field", FIELD_PARAMS, name, params, InvalidParameterError)
+    p = _family_params("field", FIELD_PARAMS, name, params)
     pp, qq = p["p"], p["q"]
     if not math.isfinite(qq):
         raise InvalidParameterError(f"(p, q) = ({pp}, {qq}): q must be finite")
@@ -384,7 +384,7 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
         ess_arr.append(ess_val)
         unrel.append(ess_val < 100.0)
     log_est = np.array(log_est)
-    split = 1.0 / norm if norm > 0 else float("inf")
+    split = 1.0 / norm
     small = lam * norm <= 1.0
     c_quad = 0.0
     if np.any(small):

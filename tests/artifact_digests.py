@@ -7,10 +7,11 @@ refactor leaves every output byte-identical.
 SRC is a directory holding the `denslab` package, such as the `src` of this
 checkout or of another commit's.  Each run is `python -m denslab ...` with
 PYTHONPATH=SRC in a fresh temporary directory.  For each run the script
-prints its name and exit code, then `sha256  path` for every file the run
-wrote except `run_meta.json`, which holds wall-clock times.  Two trees that
-print the same lines wrote the same bytes.  The runs take about 30 s on a
-two-core machine.
+prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
+(with SRC and the temporary directory replaced by fixed names), then
+`sha256  path` for every file the run wrote except `run_meta.json`, which
+holds wall-clock times.  Two trees that print the same lines wrote the same
+bytes.  The runs take about 50 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -76,18 +77,33 @@ RUNS = {
                                  "--set", "khasminskii.dt=0.005"] + _PARTICLES,
     "error-negative-slope-tol": ["experiment", "smoothing", "--set", "drift.name=zero",
                                  "--set", "experiment.slope_tol=-1"] + _EXPERIMENT,
+    "error-narrow-grid": ["picard", "--set", "grid.x_min=-0.9", "--set", "grid.x_max=0.9"] + _PDE,
+    "error-short-span": ["experiment", "smoothing", "--set", "drift.name=zero",
+                         "--set", "experiment.slope_tol=0.05", "--set", "experiment.t_lo=0.05",
+                         "--set", "experiment.t_hi=0.2", "--set", "time.T=0.2"] + _EXPERIMENT,
+    "error-picard-no-convergence": ["picard", "--drift", "capped_density",
+                                    "--set", "drift.kappa=30", "--set", "drift.theta=0",
+                                    "--set", "drift.tau=0", "--set", "drift.cap=2",
+                                    "--set", "picard.max_iter=3",
+                                    "--set", "picard.tol=1e-12"] + _PDE,
+    "error-substep-limit": ["solve", "--drift", "linear_ou",
+                            "--set", "solver.rel_dt=1e-12"] + _PDE,
 }
 
 
 def digest_run(src: str, argv: list) -> list:
-    """Exit code line and one `sha256  path` line per artifact of one run."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    """Exit code line, stdout and stderr lines, and one `sha256  path` line
+    per artifact of one run."""
+    src = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         proc = subprocess.run([sys.executable, "-m", "denslab", *argv, "--out", out],
-                              cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL)
+                              cwd=tmp, env=env, capture_output=True)
         lines = [f"  exit {proc.returncode}"]
+        for stream, text in (("<stdout>", proc.stdout), ("<stderr>", proc.stderr)):
+            text = text.replace(src.encode(), b"SRC").replace(tmp.encode(), b"TMP")
+            lines.append(f"  {hashlib.sha256(text).hexdigest()}  {stream}")
         for root, _, files in sorted(os.walk(out)):
             for name in sorted(files):
                 if name == "run_meta.json":

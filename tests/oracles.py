@@ -38,13 +38,7 @@ from denslab.density_core import (
     normalize,
     tilde_norm,
 )
-from denslab.errors import (
-    GridMismatchError,
-    InvalidParameterError,
-    NotAProbabilityError,
-    NumericOverflowError,
-    SolverFailureError,
-)
+from denslab.errors import InvalidParameterError, NumericalError, NumericOverflowError
 from denslab.metrics import FlowMetricSpec, exp_wasserstein
 
 _MASS_TOL = 1e-6
@@ -60,7 +54,7 @@ def _check_atoms(xs, ws):
     if xs.shape != ws.shape or xs.ndim != 1:
         raise InvalidParameterError("atoms: positions and weights must be 1D and equal length")
     if np.any(ws < -1e-12) or abs(ws.sum() - 1.0) > _MASS_TOL:
-        raise NotAProbabilityError("atom weights must be nonnegative and sum to 1")
+        raise NumericalError("atom weights must be nonnegative and sum to 1")
     return xs, np.maximum(ws, 0.0)
 
 
@@ -124,7 +118,7 @@ def coupling_lp_cost(xs, ws, ys, vs, cost) -> float:
     res = linprog(C.ravel(), A_eq=np.array(A_eq), b_eq=np.array(b_eq),
                   bounds=(0, None), method="highs")
     if not res.success:
-        raise NotAProbabilityError(f"transportation LP infeasible: {res.message}")
+        raise NumericalError(f"transportation LP infeasible: {res.message}")
     return float(res.fun)
 
 
@@ -174,7 +168,7 @@ def tilde_measure_distance_l1(mu: GridDensity, nu: GridDensity) -> float:
     density difference; it never exceeds the global L^1 distance.
     """
     if mu.grid != nu.grid:
-        raise GridMismatchError("densities live on different grids")
+        raise NumericalError("densities live on different grids")
     return tilde_norm(mu.values - nu.values, 1.0, mu.grid)
 
 
@@ -187,10 +181,10 @@ def d_lambda(gamma: DensityFlow, eta: DensityFlow, spec: FlowMetricSpec) -> floa
     max over nodes of exp(-lambda t) t^e ||gamma(t) - eta(t)||_{~L^k}
     (node 0 as in `FlowMetricSpec.weighted_sup`)."""
     if not np.array_equal(gamma.time_grid.nodes, eta.time_grid.nodes):
-        raise GridMismatchError("flows live on different time grids")
+        raise NumericalError("flows live on different time grids")
     grid = gamma.snapshots[-1].grid
     if grid != eta.snapshots[-1].grid:
-        raise GridMismatchError("flows live on different spatial grids")
+        raise NumericalError("flows live on different spatial grids")
     diffs = gamma.values_matrix() - eta.values_matrix()
     gaps = np.array([tilde_norm(row, spec.k, grid) for row in diffs])
     return spec.weighted_sup(gamma.time_grid.nodes, gaps)
@@ -227,7 +221,7 @@ def girsanov_log_weight(path: ParticlePath, drift_ref: DriftSpec, drift_alt: Dri
         b_alt = drift_at_positions(drift_alt, ti, xi_pos, grid, rho_alt)[0]
         xi = (b_alt - b_ref) / math.sqrt(diff.a)
         if not np.isfinite(xi):
-            raise SolverFailureError("non-finite Girsanov integrand along the path")
+            raise NumericalError("non-finite Girsanov integrand along the path")
         total += xi * float(dw[i]) - 0.5 * xi * xi * float(t[i + 1] - t[i])
     return float(total)
 
@@ -350,7 +344,7 @@ def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray,
     b = np.asarray(drift_field_values, dtype=np.float64)
     a = np.asarray(a_field_values, dtype=np.float64)
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
-        raise SolverFailureError("non-finite coefficient field")
+        raise NumericalError("non-finite coefficient field")
     dx = rho.grid.dx
     new = _advance(rho.values, b, _factor(a, dt, dx), dt, dx)
     return GridDensity(rho.grid, np.maximum(new, 0.0))

@@ -12,7 +12,13 @@ from denslab import Grid1D, KhasminskiiReport, gaussian_density, save_density
 from denslab.cli import EXPERIMENT_DEFAULTS, main
 from denslab.config import SCHEMA, parse_config
 from denslab.dynamics import DRIFT_PARAMS, builtin_drift
-from denslab.errors import ConfigError
+from denslab.errors import (
+    DenslabError,
+    InvalidParameterError,
+    NoConvergenceError,
+    NumericalError,
+    NumericOverflowError,
+)
 from denslab.particles import FIELD_PARAMS, builtin_field
 from oracles import load_flow
 
@@ -31,14 +37,12 @@ class TestParseConfig:
             assert val != SCHEMA[key][1], (name, key)
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InvalidParameterError, match="unknown key 'drift.kapa'"):
             parse_config(overrides=["drift.kapa=0.2"])
-        assert "drift.kapa" in str(err.value)
 
     def test_type_mismatch_named(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InvalidParameterError, match="'grid.cells' expects type int"):
             parse_config(overrides=["grid.cells=many"])
-        assert "grid.cells" in str(err.value) and "int" in str(err.value)
 
     def test_file_then_override_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -50,19 +54,18 @@ class TestParseConfig:
     def test_unknown_key_in_file_with_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("drift.name = linear_ou\nnonsense.key = 3\n")
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(InvalidParameterError, match=r":2: unknown key 'nonsense\.key'"):
             parse_config(str(path))
-        assert "nonsense.key" in str(err.value) and ":2" in str(err.value)
 
     def test_schema_version_checked(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError, match="schema.version 99 does not match 1"):
             parse_config(overrides=["schema.version=99"])
 
     def test_nan_rejected_inf_kept(self):
         for ov in ("solver.rel_dt=nan", "experiment.alphas=0.5,nan"):
-            with pytest.raises(ConfigError) as err:
+            with pytest.raises(InvalidParameterError,
+                               match=f"key '{ov.split('=')[0]}' must not be NaN"):
                 parse_config(overrides=[ov])
-            assert ov.split("=")[0] in str(err.value)
         assert parse_config(overrides=["experiment.k=inf"])["experiment.k"] == float("inf")
 
     def test_float_list(self):
@@ -329,6 +332,39 @@ class TestExitCodes:
         for argv in self._density_csv_commands(tmp_path, str(bad)):
             assert main(argv) == 2
             assert "not a uniform grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (DenslabError, 3, "numerical failure"),
+        (InvalidParameterError, 2, "config error"),
+        (NumericalError, 3, "numerical failure"),
+        (NumericOverflowError, 3, "numerical failure"),
+        (NoConvergenceError, 3, "numerical failure"),
+        (OSError, 2, "config error"),
+        (OverflowError, 3, "numerical failure"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_each_error_class_has_one_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                error, code, prefix):
+        def compute(cfg, args):
+            raise error("boom")
+        monkeypatch.setattr("denslab.cli._solve", compute)
+        assert main(["solve", "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--metric", "tilde:nan"],
+        ["metrics", "--metric", "wq:nan"],
+        ["metrics", "--metric", "wq:inf"],
+        ["picard", "--set", "picard.lambda0=inf"] + _TINY,
+    ], ids=["tilde-nan", "wq-nan", "wq-inf", "infinite-lambda0"])
+    def test_non_finite_exponent_is_config_error(self, tmp_path, capsys, argv):
+        g = Grid1D(-6.0, 6.0, 200)
+        a_path, b_path = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        save_density(gaussian_density(g, 0.0, 1.0), a_path)
+        save_density(gaussian_density(g, 0.5, 1.0), b_path)
+        extra = (["--a", a_path, "--b", b_path] if argv[0] == "metrics"
+                 else ["--out", str(tmp_path / "o")])
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestArtifacts:

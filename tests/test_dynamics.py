@@ -35,13 +35,7 @@ from denslab.dynamics import (
     in_integrability_class,
     power_singularity,
 )
-from denslab.errors import (
-    DomainTooSmallError,
-    InvalidDriftError,
-    InvalidParameterError,
-    NoConvergenceError,
-    SolverFailureError,
-)
+from denslab.errors import InvalidParameterError, NoConvergenceError, NumericalError
 from oracles import (
     fokker_planck_step,
     reference_drift_at_positions,
@@ -86,7 +80,7 @@ class TestBuiltinDrifts:
         assert max(gaps) <= 1e-12
 
     def test_singular_well_integrability_enforced(self):
-        with pytest.raises(InvalidDriftError):
+        with pytest.raises(InvalidParameterError, match=r"gamma \* p2 = 1.2 >= 1"):
             builtin_drift("singular_well", {"gamma": 0.3, "p2": 4.0, "q2": 4.0})
         d = builtin_drift("singular_well", {"gamma": 0.2, "p2": 4.0, "q2": 4.0})
         assert d.singular_parts[0].p == 4.0
@@ -147,9 +141,10 @@ class TestBuiltinDrifts:
             assert same_bits(got, want)
 
     def test_unknown_name_and_params(self):
-        with pytest.raises(InvalidDriftError):
+        with pytest.raises(InvalidParameterError, match="unknown drift name 'nope'"):
             builtin_drift("nope")
-        with pytest.raises(InvalidDriftError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"unknown linear_ou parameters: \['kapa'\]"):
             builtin_drift("linear_ou", {"kapa": 0.1})
 
     @pytest.mark.parametrize("name, params", [
@@ -159,12 +154,13 @@ class TestBuiltinDrifts:
         ("smoothed_interaction", {"tau": -np.inf}),
     ])
     def test_non_finite_parameter_rejected(self, name, params):
-        with pytest.raises(InvalidDriftError, match="must be finite"):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
             builtin_drift(name, params)
 
     def test_lipschitz_probe_rejects_understated_k(self):
         bad = DriftSpec(b1=lambda t, x: -5.0 * x, K=1.0)
-        with pytest.raises(InvalidDriftError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"\|grad b1\| = .* exceeds declared K = 1.0"):
             validate_drift(bad, 1.0, Grid1D(-6, 6, 500))
 
     def test_integrability_class(self):
@@ -355,7 +351,7 @@ class TestStabilityGuard:
         tg = TimeGrid.uniform(0.1, 1)
         run = lambda: frozen_semigroup(mu, None, grow, DIFF2, tg, self.OPTS)
         if caught:
-            with pytest.raises(SolverFailureError, match="exceeds the grid scale"):
+            with pytest.raises(NumericalError, match="exceeds the grid scale"):
                 run()
         else:
             assert abs(run().snapshots[-1].mass() - 1.0) <= 1e-9
@@ -363,7 +359,7 @@ class TestStabilityGuard:
     def test_non_finite_drift_is_solver_failure(self):
         blowup = DriftSpec(b1=lambda t, x: np.where(np.abs(x) < 0.1, np.inf, -x), K=1.0)
         mu = gaussian_density(self.GRID, 0.0, 0.5)
-        with pytest.raises(SolverFailureError, match="non-finite drift"):
+        with pytest.raises(NumericalError, match="non-finite drift"):
             frozen_semigroup(mu, None, blowup, DIFF2, TimeGrid.uniform(0.01, 2))
 
 
@@ -509,7 +505,7 @@ class TestWarmStart:
         marches = []
         monkeypatch.setattr(dynamics, "frozen_semigroup", lambda *a, **k: marches.append(1))
         grid = Grid1D(-0.9, 0.9, 200)
-        with pytest.raises(DomainTooSmallError):
+        with pytest.raises(InvalidParameterError, match="smaller than the unit-ball window"):
             picard_fixed_point(gaussian_density(grid, 0.0, 0.1),
                                builtin_drift("capped_density"), DIFF2,
                                TimeGrid.uniform(0.1, 4), self.SPEC, warm_start=warm_start)

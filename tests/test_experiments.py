@@ -7,12 +7,7 @@ import pytest
 from denslab import dynamics, metrics
 from denslab.config import parse_config
 from denslab.density_core import Grid1D, gaussian_density, uniform_density
-from denslab.errors import (
-    ConfigError,
-    DomainTooSmallError,
-    InsufficientSpanError,
-    InvalidDataError,
-)
+from denslab.errors import InvalidParameterError, NumericalError
 from denslab.experiments import (
     _paired_flows,
     _smallest_expw_constant,
@@ -57,9 +52,9 @@ class TestFitLoglog:
         assert _r_squared(xs, ys, fit) > 0.98
 
     def test_guards(self):
-        with pytest.raises(InvalidDataError):
+        with pytest.raises(NumericalError, match="needs >= 5 paired points"):
             fit_loglog([1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(InvalidDataError):
+        with pytest.raises(NumericalError, match="needs strictly positive data"):
             fit_loglog([1, 2, 3, 4, -5], [1, 2, 3, 4, 5])
 
 
@@ -87,7 +82,7 @@ class TestSmoothing:
     def test_insufficient_span(self):
         cfg = small_cfg(**{"drift.name": "zero", "experiment.t_lo": 0.5,
                            "experiment.t_hi": 1.0, "experiment.slope_tol": 0.05})
-        with pytest.raises(InsufficientSpanError):
+        with pytest.raises(NumericalError, match="slope fit needs >= 2.0 decades"):
             experiment_smoothing(cfg)
 
     def test_bounded_only_short_span_allowed(self):
@@ -107,7 +102,7 @@ def test_narrow_grid_fails_before_solving(monkeypatch, experiment, drift_name):
     monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
     cfg = small_cfg(**{"drift.name": drift_name, "grid.x_min": -0.9, "grid.x_max": 0.9,
                        "grid.cells": 200, "init.sigma": 0.05})
-    with pytest.raises(DomainTooSmallError):
+    with pytest.raises(InvalidParameterError, match="smaller than the unit-ball window"):
         experiment(cfg)
     assert marches == []
 
@@ -120,7 +115,7 @@ def test_short_span_fails_before_solving(monkeypatch, experiment):
     monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
     cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": 0.05,
                        "experiment.t_lo": 0.05, "experiment.t_hi": 0.2, "time.T": 0.2})
-    with pytest.raises(InsufficientSpanError):
+    with pytest.raises(NumericalError, match="slope fit needs >= 2.0 decades"):
         experiment(cfg)
     assert marches == []
 
@@ -134,7 +129,7 @@ def test_negative_slope_tol_fails_before_solving(monkeypatch, experiment):
     monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
     cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": -1.0,
                        "experiment.t_lo": 2e-3, "experiment.t_hi": 0.2, "time.T": 0.2})
-    with pytest.raises(ConfigError, match="experiment.slope_tol"):
+    with pytest.raises(InvalidParameterError, match="experiment.slope_tol"):
         experiment(cfg)
     assert marches == []
 
