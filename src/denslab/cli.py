@@ -185,7 +185,7 @@ def _particles(cfg, args) -> _Result:
     ensemble, flow = euler_maruyama_mkv(mu, cfgmod.build_drift(cfg),
                                         cfgmod.build_diffusion(cfg), cfg["particles.n"],
                                         cfg["particles.dt"], cfg["time.T"], grid, cfg["seed"],
-                                        bandwidth_rule=cfg["particles.bandwidth"] or "silverman",
+                                        bandwidth=cfg["particles.bandwidth"],
                                         record_grid=record)
     return _Result({"subcommand": "particles", "n": int(cfg["particles.n"]),
                     "final_time": cfg["time.T"]}, flow=flow, positions=ensemble.positions)

@@ -206,8 +206,7 @@ def build_grid(cfg: RunConfig) -> Grid1D:
 def build_time_grid(cfg: RunConfig) -> TimeGrid:
     T = cfg["time.T"]
     if cfg["time.refine"] == "geometric":
-        t_min = cfg["time.t_min"] or None
-        return TimeGrid.geometric(T, t_min=t_min,
+        return TimeGrid.geometric(T, t_min=cfg["time.t_min"],
                                   nodes_per_decade=cfg["time.nodes_per_decade"])
     if cfg["time.refine"] == "uniform":
         return TimeGrid.uniform(T, cfg["time.uniform_nodes"])
@@ -241,8 +240,8 @@ def build_diffusion(cfg: RunConfig) -> DiffusionSpec:
 
 
 def build_solver_options(cfg: RunConfig) -> SolverOptions:
-    dt_max = cfg["solver.dt_max"] or None
-    return SolverOptions(rel_dt=cfg["solver.rel_dt"], dt_max=dt_max, cfl=cfg["solver.cfl"])
+    return SolverOptions(rel_dt=cfg["solver.rel_dt"], dt_max=cfg["solver.dt_max"],
+                         cfl=cfg["solver.cfl"])
 
 
 def build_metric_spec(cfg: RunConfig) -> FlowMetricSpec:

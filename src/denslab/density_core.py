@@ -125,12 +125,12 @@ class TimeGrid:
         return TimeGrid(np.linspace(0.0, T, n_steps + 1))
 
     @staticmethod
-    def geometric(T: float, t_min: float | None = None, nodes_per_decade: int = 40) -> "TimeGrid":
-        """0, t_min, t_min*r, ... with r = 10^(1/nodes_per_decade), ending exactly at T."""
+    def geometric(T: float, t_min: float = 0.0, nodes_per_decade: int = 40) -> "TimeGrid":
+        """0, t_min, t_min*r, ... with r = 10^(1/nodes_per_decade), ending exactly at T;
+        t_min = 0 means 1e-4 * T."""
         if not 0 < T < np.inf:
             raise InvalidParameterError(f"T must be positive and finite, got {T}")
-        if t_min is None:
-            t_min = 1e-4 * T
+        t_min = t_min or 1e-4 * T
         if not 0 < t_min < T:
             raise InvalidParameterError("need 0 < t_min < T")
         if nodes_per_decade < 1:
@@ -210,6 +210,19 @@ def _window_sums(w: np.ndarray, m: int) -> np.ndarray:
     return c[hi + 1] - c[lo]
 
 
+def _power_root(a: np.ndarray, k: float, total) -> float:
+    """total(a ** k) ** (1 / k) for a >= 0.  Where a ** k under- or overflows
+    at a huge k (the result is 0, inf or NaN from inf - inf), it is taken as
+    M * total((a / M) ** k) ** (1 / k) with M = max(a), which agrees with the
+    first form up to rounding elsewhere."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(total(a ** k) ** (1.0 / k))
+    m = float(np.max(a)) if not 0 < r < np.inf else 0.0
+    if 0 < m < np.inf:
+        r = m * float(total((a / m) ** k) ** (1.0 / k))
+    return r
+
+
 def tilde_norm(values, k: float, grid: Grid1D) -> float:
     """sup over window centers z of the L^k norm of values restricted to [z-1, z+1].
 
@@ -223,8 +236,7 @@ def tilde_norm(values, k: float, grid: Grid1D) -> float:
     m = _window_half_cells(grid)
     if np.isinf(k):
         return float(np.max(np.abs(values)))
-    w = np.abs(values) ** k * grid.dx
-    return float(np.max(_window_sums(w, m)) ** (1.0 / k))
+    return _power_root(np.abs(values), k, lambda w: np.max(_window_sums(w * grid.dx, m)))
 
 
 def _windowed_p_norms(v: np.ndarray, g: Grid1D, p: float, m: int) -> np.ndarray:

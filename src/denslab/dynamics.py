@@ -399,10 +399,11 @@ class SolverOptions:
     the per-step relative perturbation uniform, which is what the singular
     t -> 0 region requires.  t_init is (initial width)^2 / a.
     cfl bounds the explicit upwind advection: dt <= cfl * dx / max|b|.
+    dt_max caps every sub-step; 0 means T / 500 of the solve's time grid.
     """
 
     rel_dt: float = 0.002
-    dt_max: float | None = None
+    dt_max: float = 0.0
     cfl: float = 0.5
 
     def __post_init__(self):
@@ -410,8 +411,8 @@ class SolverOptions:
             raise InvalidParameterError(f"rel_dt must be finite and > 0, got {self.rel_dt}")
         if not 0 < self.cfl <= 1:
             raise InvalidParameterError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.dt_max is not None and not self.dt_max > 0:
-            raise InvalidParameterError(f"dt_max must be > 0, got {self.dt_max}")
+        if not self.dt_max >= 0:
+            raise InvalidParameterError(f"dt_max must be >= 0, got {self.dt_max}")
 
 
 def _factor(a: np.ndarray, dt: float, dx: float) -> tuple:
@@ -471,7 +472,7 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
     peak = float(mu.values.max())     # t_init = (initial width)^2 / a
     width = max(1.0 / (np.sqrt(2.0 * np.pi) * peak), dx) if peak > 0 else dx
     t_init = width ** 2 / diff.a
-    dt_max = opts.dt_max if opts.dt_max is not None else tg.T / 500.0
+    dt_max = opts.dt_max or tg.T / 500.0
     v = mu.values.copy()
     snaps = [mu]
     nodes = tg.nodes

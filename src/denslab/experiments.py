@@ -93,7 +93,7 @@ def _select_measure_nodes(cfg: RunConfig, tg: TimeGrid):
     idx = np.unique([int(np.argmin(np.abs(tg.nodes - tt))) for tt in targets])
     idx = idx[tg.nodes[idx] > 0]
     if idx.size < 2:
-        raise NumericalError("measurement grid collapses to fewer than 2 nodes")
+        raise InvalidParameterError("measurement grid collapses to fewer than 2 nodes")
     return idx, tg.nodes[idx]
 
 
@@ -102,7 +102,7 @@ def _require_span(cfg: RunConfig, t: np.ndarray) -> None:
     if tol < 0:
         raise InvalidParameterError(f"key 'experiment.slope_tol' must be >= 0, got {tol}")
     if tol > 0 and t[-1] / t[0] < 10.0 ** _SPAN_DECADES * (1 - 1e-9):
-        raise NumericalError(
+        raise InvalidParameterError(
             f"slope fit needs >= {_SPAN_DECADES} decades, got span {t[-1] / t[0]:.3g}")
 
 

@@ -106,13 +106,12 @@ def sample_initial(init, n: int, seed: int, grid: Grid1D) -> np.ndarray:
     return _reflect(x, grid.x_min, grid.x_max)
 
 
-def _bandwidth(rule, positions: np.ndarray) -> float:
-    if isinstance(rule, (int, float)):
-        return float(rule)    # kde checks it
-    if rule == "silverman":
-        sd = float(np.std(positions))
-        return 1.06 * max(sd, 1e-12) * positions.size ** (-0.2)
-    raise InvalidParameterError(f"unknown bandwidth rule {rule!r}")
+def _bandwidth(bandwidth: float, positions: np.ndarray) -> float:
+    """`bandwidth`, or Silverman's rule for the positions when it is 0."""
+    if bandwidth != 0:
+        return float(bandwidth)    # kde checks it
+    sd = float(np.std(positions))
+    return 1.06 * max(sd, 1e-12) * positions.size ** (-0.2)
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -126,11 +125,11 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _density_rule(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None = None,
-                  bandwidth_rule="silverman"):
+                  bandwidth: float = 0.0):
     """`dynamics._density_rule` at (t, positions), the own density being the
     ensemble's KDE."""
     return _grid_density_rule(
-        drift, flow, lambda t, x: kde(x, _bandwidth(bandwidth_rule, x), grid).values)
+        drift, flow, lambda t, x: kde(x, _bandwidth(bandwidth, x), grid).values)
 
 
 class _Step(NamedTuple):
@@ -195,7 +194,7 @@ def _integral_sq(f, march, t_start: float, x0: np.ndarray, dt: float) -> np.ndar
 
 def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles: int,
                        dt: float, T: float, grid: Grid1D, seed: int,
-                       bandwidth_rule="silverman",
+                       bandwidth: float = 0.0,
                        record_grid: TimeGrid | None = None):
     """Simulate the interacting system and return (final ensemble, KDE flow).
 
@@ -204,21 +203,22 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     particle's own normal increment; boundaries reflect so the truncated
     domain matches the PDE solver's no-flux choice.  The flow holds one KDE
     per distinct step that a record node rounds to, at that step's time.
+    The KDE bandwidth is `bandwidth`, or Silverman's rule when it is 0.
     """
     if drift.density_dependent and n_particles < 1000:
         raise InvalidParameterError("density feedback needs at least 1000 particles")
     x = sample_initial(init, n_particles, seed, grid)
     march = _march(x, drift, diff, grid, 0.0, T, dt, seed,
-                   _density_rule(drift, grid, bandwidth_rule=bandwidth_rule))
+                   _density_rule(drift, grid, bandwidth=bandwidth))
     tg = record_grid if record_grid is not None else TimeGrid.uniform(T, max(1, int(round(T / dt))))
     if tg.T > T * (1 + 1e-9):
         raise InvalidParameterError(f"record grid extends to {tg.T} beyond T = {T}")
     steps = sorted({int(round(t / dt)) for t in tg.nodes})
-    snaps = [kde(x, _bandwidth(bandwidth_rule, x), grid)]   # node 0 is step 0
+    snaps = [kde(x, _bandwidth(bandwidth, x), grid)]   # node 0 is step 0
     for s, st in enumerate(march, start=1):
         x = st.x_next
         if s in steps:
-            snaps.append(kde(x, _bandwidth(bandwidth_rule, x), grid))
+            snaps.append(kde(x, _bandwidth(bandwidth, x), grid))
     return (ParticleEnsemble(x),
             DensityFlow(TimeGrid(np.array(steps) * dt), tuple(snaps)))
 

@@ -81,6 +81,8 @@ RUNS = {
     "error-short-span": ["experiment", "smoothing", "--set", "drift.name=zero",
                          "--set", "experiment.slope_tol=0.05", "--set", "experiment.t_lo=0.05",
                          "--set", "experiment.t_hi=0.2", "--set", "time.T=0.2"] + _EXPERIMENT,
+    "error-measure-collapse": ["experiment", "renyi"] + _EXPERIMENT
+                              + ["--set", "experiment.n_t=1"],
     "error-picard-no-convergence": ["picard", "--drift", "capped_density",
                                     "--set", "drift.kappa=30", "--set", "drift.theta=0",
                                     "--set", "drift.tau=0", "--set", "drift.cap=2",

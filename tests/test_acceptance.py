@@ -10,25 +10,17 @@ import time
 
 import numpy as np
 
-from denslab import (
-    FlowMetricSpec,
-    Grid1D,
-    SolverOptions,
-    TimeGrid,
-    builtin_drift,
-    constant_diffusion,
-    euler_maruyama_mkv,
-    frozen_semigroup,
-    gaussian_density,
-    girsanov_log_weights_mc,
-    path_relative_entropy_mc,
-    picard_fixed_point,
-    relative_entropy,
-    wasserstein_1d,
-)
 from denslab.cli import main
 from denslab.config import parse_config
-from denslab.dynamics import DriftSpec
+from denslab.density_core import Grid1D, TimeGrid, gaussian_density
+from denslab.dynamics import (
+    DriftSpec,
+    SolverOptions,
+    builtin_drift,
+    constant_diffusion,
+    frozen_semigroup,
+    picard_fixed_point,
+)
 from denslab.experiments import (
     experiment_entropy_cost,
     experiment_khasminskii,
@@ -36,6 +28,8 @@ from denslab.experiments import (
     experiment_smoothing,
     experiment_supercontinuity,
 )
+from denslab.metrics import FlowMetricSpec, relative_entropy, wasserstein_1d
+from denslab.particles import euler_maruyama_mkv, girsanov_log_weights_mc, path_relative_entropy_mc
 
 GRID = Grid1D(-6.0, 6.0, 2000)
 DIFF2 = constant_diffusion(2.0)

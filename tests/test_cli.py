@@ -1,6 +1,7 @@
 """Config ingestion, subcommand dispatch, exit statuses, artifact determinism."""
 
 import dataclasses
+import inspect
 import json
 import os
 import warnings
@@ -8,10 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from denslab import Grid1D, KhasminskiiReport, gaussian_density, save_density
 from denslab.cli import EXPERIMENT_DEFAULTS, main
 from denslab.config import SCHEMA, parse_config
-from denslab.dynamics import DRIFT_PARAMS, builtin_drift
+from denslab.density_core import Grid1D, TimeGrid, gaussian_density, save_density
+from denslab.dynamics import DRIFT_PARAMS, SolverOptions, builtin_drift, picard_fixed_point
 from denslab.errors import (
     DenslabError,
     InvalidParameterError,
@@ -19,7 +20,13 @@ from denslab.errors import (
     NumericalError,
     NumericOverflowError,
 )
-from denslab.particles import FIELD_PARAMS, builtin_field
+from denslab.particles import (
+    FIELD_PARAMS,
+    KhasminskiiReport,
+    builtin_field,
+    euler_maruyama_mkv,
+    khasminskii_mc,
+)
 from oracles import load_flow
 
 
@@ -97,6 +104,22 @@ class TestParseConfig:
     def test_drift_keys_are_the_table_keys(self):
         keys = {k for k in SCHEMA if k.startswith("drift.")} - {"drift.name"}
         assert keys == {f"drift.{k}" for params in DRIFT_PARAMS.values() for k in params}
+
+    def test_library_defaults_are_the_schema_defaults(self):
+        # one spelling of every default, 0 meaning automatic in both places
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        pairs = [(getattr(SolverOptions(), f.name), f"solver.{f.name}")
+                 for f in dataclasses.fields(SolverOptions)]
+        pairs += [(default(TimeGrid.geometric, "t_min"), "time.t_min"),
+                  (default(TimeGrid.geometric, "nodes_per_decade"), "time.nodes_per_decade"),
+                  (default(picard_fixed_point, "tol"), "picard.tol"),
+                  (default(picard_fixed_point, "max_iter"), "picard.max_iter"),
+                  (default(euler_maruyama_mkv, "bandwidth"), "particles.bandwidth"),
+                  (default(khasminskii_mc, "x0"), "khasminskii.x0")]
+        for value, key in pairs:
+            assert value == SCHEMA[key][1], key
 
 
 # tiny bases for the schema sweep: 16 cells and a handful of steps each
@@ -293,7 +316,25 @@ class TestExitCodes:
                    "--set", "experiment.t_lo=0.4", "--set", "experiment.t_hi=0.41",
                    "--set", "experiment.n_t=1",
                    "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    def test_entropy_infinite_at_nearly_all_nodes_is_numeric_error(self, tmp_path, capsys):
+        # delta = 1 against sigma = 0.05: up to t = 0.01 the two flows are
+        # numerically disjoint, so every entropy is infinite
+        rc = main(["experiment", "entropy-cost", "--set", "drift.name=zero",
+                   "--set", "experiment.delta=1", "--set", "grid.cells=400",
+                   "--set", "time.T=0.01", "--set", "time.nodes_per_decade=8",
+                   "--set", "experiment.t_lo=1e-3", "--set", "experiment.t_hi=0.01",
+                   "--set", "experiment.n_t=6", "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert "entropy infinite at nearly all nodes" in capsys.readouterr().err
+
+    def test_mu_on_another_grid_is_config_error(self, tmp_path, capsys):
+        mu = str(tmp_path / "mu.csv")
+        save_density(gaussian_density(Grid1D(-6.0, 6.0, 300), 0.0, 1.0), mu)
+        assert main(["solve", "--mu", mu, "--drift", "linear_ou", "--cells", "200",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--mu density grid does not match" in capsys.readouterr().err
 
     @staticmethod
     def _density_csv_commands(tmp_path, path):
@@ -394,6 +435,25 @@ class TestArtifacts:
         assert rc == 0
         float(capsys.readouterr().out.strip())
 
+    @pytest.mark.parametrize("metric, mean_b, sigma", [
+        ("wq:1e5", 0.5, 0.5), ("wq:1e300", 0.5, 0.5), ("wq:1e300", 2.0, 0.5),
+        ("tilde:1e5", 0.5, 0.5), ("tilde:1e300", 0.5, 0.5), ("tilde:1e300", 0.5, 0.1),
+    ])
+    def test_metrics_huge_exponent_tends_to_the_sup(self, tmp_path, capsys, metric,
+                                                    mean_b, sigma):
+        # |gap| ** q under- or overflows in every cell at these exponents
+        g = Grid1D(-6.0, 6.0, 200)
+        a_path, b_path = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        save_density(gaussian_density(g, 0.0, sigma), a_path)
+        save_density(gaussian_density(g, mean_b, sigma), b_path)
+
+        def run(m):
+            assert main(["metrics", "--a", a_path, "--b", b_path, "--metric", m]) == 0
+            return float(capsys.readouterr().out)
+
+        sup = mean_b if metric.startswith("wq") else run("tilde:inf")
+        assert run(metric) == pytest.approx(sup, rel=0.01)
+
     def test_metrics_bad_arguments(self, tmp_path):
         g = Grid1D(-6.0, 6.0, 500)
         a_path = str(tmp_path / "a.csv")
@@ -415,6 +475,19 @@ class TestArtifacts:
             b_path = str(tmp_path / f"b{i}.csv")
             save_density(gaussian_density(grid, 0.0, 1.0), b_path)
             assert main(["metrics", "--a", a_path, "--b", b_path, "--metric", metric]) == 3
+
+    def test_solve_from_mu_csv_matches_the_configured_law(self, tmp_path):
+        mu = str(tmp_path / "mu.csv")
+        save_density(gaussian_density(Grid1D(-6.0, 6.0, 200), 0.0, 1.0), mu)
+        argv = ["solve", "--drift", "linear_ou", "--cells", "200", "--T", "0.05",
+                "--set", "init.sigma=1", "--set", "time.refine=uniform",
+                "--set", "time.uniform_nodes=4"]
+        finals = []
+        for extra in ([], ["--mu", mu]):
+            out = tmp_path / f"o{len(finals)}"
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            finals.append(load_flow(str(out / "flow")).snapshots[-1].values)
+        assert np.max(np.abs(finals[1] - finals[0])) <= 1e-12
 
     def test_particles_writes_ensemble(self, tmp_path):
         out = tmp_path / "p"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from denslab import (
+from denslab.density_core import (
     DensityFlow,
     Grid1D,
     GridDensity,

@@ -5,37 +5,36 @@ import warnings
 import numpy as np
 import pytest
 
-from denslab import (
+from denslab import dynamics
+from denslab.density_core import (
     DensityFlow,
-    DiffusionSpec,
-    DriftSpec,
-    FlowMetricSpec,
     Grid1D,
     GridDensity,
-    SolverOptions,
     TimeGrid,
-    builtin_drift,
-    constant_diffusion,
-    frozen_semigroup,
     gaussian_density,
     normalize,
-    picard_fixed_point,
     tilde_norm,
-    validate_drift,
-    wasserstein_1d,
 )
-from denslab import dynamics
 from denslab.dynamics import (
+    DiffusionSpec,
+    DriftSpec,
+    SolverOptions,
     _advance,
     _factor,
     _gather,
+    builtin_drift,
+    constant_diffusion,
     density_features,
     drift_at_positions,
     drift_field,
+    frozen_semigroup,
     in_integrability_class,
+    picard_fixed_point,
     power_singularity,
+    validate_drift,
 )
 from denslab.errors import InvalidParameterError, NoConvergenceError, NumericalError
+from denslab.metrics import FlowMetricSpec, wasserstein_1d
 from oracles import (
     fokker_planck_step,
     reference_drift_at_positions,

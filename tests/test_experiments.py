@@ -82,7 +82,7 @@ class TestSmoothing:
     def test_insufficient_span(self):
         cfg = small_cfg(**{"drift.name": "zero", "experiment.t_lo": 0.5,
                            "experiment.t_hi": 1.0, "experiment.slope_tol": 0.05})
-        with pytest.raises(NumericalError, match="slope fit needs >= 2.0 decades"):
+        with pytest.raises(InvalidParameterError, match="slope fit needs >= 2.0 decades"):
             experiment_smoothing(cfg)
 
     def test_bounded_only_short_span_allowed(self):
@@ -115,7 +115,7 @@ def test_short_span_fails_before_solving(monkeypatch, experiment):
     monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
     cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": 0.05,
                        "experiment.t_lo": 0.05, "experiment.t_hi": 0.2, "time.T": 0.2})
-    with pytest.raises(NumericalError, match="slope fit needs >= 2.0 decades"):
+    with pytest.raises(InvalidParameterError, match="slope fit needs >= 2.0 decades"):
         experiment(cfg)
     assert marches == []
 
@@ -183,6 +183,17 @@ class TestEntropyCost:
         assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.1)
         assert not rep.flags
 
+    def test_disjoint_nodes_are_flagged_not_measured(self):
+        # delta = 1 against sigma = 0.05: the flows stay numerically disjoint
+        # for the first few nodes, whose entropies are infinite
+        cfg = small_cfg(**{"drift.name": "zero", "init.sigma": 0.05, "experiment.delta": 1.0,
+                           "grid.cells": 400, "time.nodes_per_decade": 8, "experiment.n_t": 12,
+                           "experiment.t_lo": 1e-3, "experiment.t_hi": 1.0})
+        rep = experiment_entropy_cost(cfg)
+        assert rep.flags[0] == "resolution-failure@t=0.001"
+        assert all(f.startswith("resolution-failure@t=") for f in rep.flags)
+        assert len(rep.t_values) >= 5 and np.all(np.isfinite(rep.measured))
+
 
 class TestRenyi:
     def test_control_structure(self):
@@ -202,6 +213,27 @@ class TestRenyi:
         rep = experiment_renyi(cfg)
         assert rep.passed
         assert max(max(row) for row in rep.ent_alpha) <= 1e-8
+
+    def test_wide_initial_law_fails_dominance(self):
+        # sigma = 1 against a * t: t / (sigma^2 + a t) grows fourfold from the
+        # calibration node t = 0.1 to the held-out node t = 1
+        cfg = small_cfg(**{"drift.name": "zero", "init.sigma": 1.0, "experiment.delta": 0.1,
+                           "grid.cells": 400, "time.nodes_per_decade": 8, "experiment.n_t": 2,
+                           "experiment.t_lo": 0.1, "experiment.t_hi": 1.0})
+        rep = experiment_renyi(cfg)
+        assert rep.monotone_ok and rep.limit_ok and not rep.dropped_t
+        assert not rep.dominance_ok and not rep.passed
+
+    def test_expw_overflow_drops_the_node(self):
+        # the constant calibrated at t = 1 is scaled by 1 / (2 t) at the
+        # held-out node t = 1e-3, where exp(c |gap|^2) overflows
+        cfg = small_cfg(**{"drift.name": "zero", "init.sigma": 0.3, "experiment.delta": 1.0,
+                           "grid.cells": 400, "time.nodes_per_decade": 8, "experiment.n_t": 3,
+                           "time.t_min": 1e-7, "experiment.t_lo": 1e-6,
+                           "experiment.t_hi": 1.0})
+        rep = experiment_renyi(cfg)
+        assert rep.dropped_t == pytest.approx((1e-3,))
+        assert rep.flags == ("expw-overflow@t=0.001",)
 
     def test_calibration_on_the_shared_gap_matches_exp_wasserstein(self):
         grid = Grid1D(-6.0, 6.0, 500)

@@ -4,24 +4,27 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from denslab import (
+from denslab.density_core import (
     DensityFlow,
-    FlowMetricSpec,
     Grid1D,
     GridDensity,
     TimeGrid,
-    exp_wasserstein,
     gaussian_density,
     normalize,
-    relative_entropy,
-    renyi_entropy,
     tilde_norm,
-    total_variation,
     uniform_density,
-    wasserstein_1d,
 )
 from denslab.errors import InvalidParameterError, NumericalError, NumericOverflowError
-from denslab.metrics import _log_exp_moment, _quantile_gap
+from denslab.metrics import (
+    FlowMetricSpec,
+    _log_exp_moment,
+    _quantile_gap,
+    exp_wasserstein,
+    relative_entropy,
+    renyi_entropy,
+    total_variation,
+    wasserstein_1d,
+)
 from oracles import (
     coupling_lp_cost,
     d_lambda,
@@ -190,6 +193,13 @@ class TestRenyiEntropy:
             vals = [renyi_entropy(a, b, al) for al in alphas]
             for lo, hi in zip(vals[:-1], vals[1:]):
                 assert lo <= hi + 1e-10
+
+    def test_disjoint_supports(self):
+        g = Grid1D(-1.0, 4.0, 500)
+        a = uniform_density(g, 0.0, 1.0)
+        b = uniform_density(g, 2.0, 3.0)
+        for alpha in (0.5, 1.0, 2.0):
+            assert renyi_entropy(a, b, alpha) == np.inf
 
     def test_invalid_alpha(self):
         d = gaussian_density(GRID, 0.0, 1.0)

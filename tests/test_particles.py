@@ -3,27 +3,20 @@
 import numpy as np
 import pytest
 
-from denslab import (
-    DensityFlow,
-    Grid1D,
-    TimeGrid,
-    builtin_drift,
-    builtin_field,
-    constant_diffusion,
-    euler_maruyama_mkv,
-    gaussian_density,
-    girsanov_log_weights_mc,
-    khasminskii_mc,
-    path_relative_entropy_mc,
-    relative_entropy,
-)
-from denslab.dynamics import DriftSpec
-from denslab.errors import InvalidParameterError, NumericOverflowError
 from denslab import particles
+from denslab.density_core import DensityFlow, Grid1D, TimeGrid, gaussian_density
+from denslab.dynamics import DriftSpec, builtin_drift, constant_diffusion
+from denslab.errors import InvalidParameterError, NumericOverflowError
+from denslab.metrics import relative_entropy
 from denslab.particles import (
     _reflect,
+    builtin_field,
+    euler_maruyama_mkv,
     field_spacetime_norm,
+    girsanov_log_weights_mc,
+    khasminskii_mc,
     normal_increments,
+    path_relative_entropy_mc,
     raw_uniforms,
     sample_initial,
 )
@@ -268,7 +261,8 @@ class TestPathEntropy:
 
     def test_data_processing_inequality(self):
         # marginal KL at time t is dominated by the path-space estimate
-        from denslab import FlowMetricSpec, frozen_semigroup, picard_fixed_point
+        from denslab.dynamics import frozen_semigroup, picard_fixed_point
+        from denslab.metrics import FlowMetricSpec
         t_end = 0.4
         drift_a = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.1,
                                                    "tau": 0.6, "cap": 5.0})
