@@ -202,24 +202,27 @@ def _window_half_cells(grid: Grid1D) -> int:
 
 
 def _window_sums(w: np.ndarray, m: int) -> np.ndarray:
-    """Sliding sums of w over index windows [i-m, i+m], clipped to the array."""
-    c = np.concatenate(([0.0], np.cumsum(w)))
-    idx = np.arange(w.size)
-    lo = np.maximum(idx - m, 0)
-    hi = np.minimum(idx + m, w.size - 1)
-    return c[hi + 1] - c[lo]
+    """Sliding sums of each row of w over index windows [i-m, i+m], clipped to
+    the row: differences of its partial sums, padded with m + 1 zeros before
+    and m copies of the total after."""
+    c = np.cumsum(w, axis=-1)
+    e = np.concatenate((np.zeros(w.shape[:-1] + (m + 1,)), c,
+                        np.repeat(c[..., -1:], m, axis=-1)), axis=-1)
+    return e[..., 2 * m + 1:] - e[..., :w.shape[-1]]
 
 
-def _power_root(a: np.ndarray, k: float, total) -> float:
-    """total(a ** k) ** (1 / k) for a >= 0.  Where a ** k under- or overflows
-    at a huge k (the result is 0, inf or NaN from inf - inf), it is taken as
-    M * total((a / M) ** k) ** (1 / k) with M = max(a), which agrees with the
-    first form up to rounding elsewhere."""
+def _rescaled(a: np.ndarray, norm):
+    """norm(a) for a >= 0 and a `norm` that scales linearly with a, entry by
+    entry of its result.  Where a power under- or overflows at a huge exponent,
+    so that an entry is 0, inf or NaN (from inf - inf) although a is nonzero
+    and finite, that entry is M * norm(a / M) with M = max(a) instead; the two
+    forms agree up to rounding elsewhere."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(total(a ** k) ** (1.0 / k))
-    m = float(np.max(a)) if not 0 < r < np.inf else 0.0
+        r = norm(a)
+    bad = ~((0 < r) & (r < np.inf))
+    m = np.max(a) if np.any(bad) else 0.0
     if 0 < m < np.inf:
-        r = m * float(total((a / m) ** k) ** (1.0 / k))
+        r = np.where(bad, m * norm(a / m), r)
     return r
 
 
@@ -236,14 +239,8 @@ def tilde_norm(values, k: float, grid: Grid1D) -> float:
     m = _window_half_cells(grid)
     if np.isinf(k):
         return float(np.max(np.abs(values)))
-    return _power_root(np.abs(values), k, lambda w: np.max(_window_sums(w * grid.dx, m)))
-
-
-def _windowed_p_norms(v: np.ndarray, g: Grid1D, p: float, m: int) -> np.ndarray:
-    """Per-center windowed L^p norms of one grid function."""
-    if np.isinf(p):
-        return maximum_filter1d(np.abs(v), size=2 * m + 1, mode="constant", cval=0.0)
-    return _window_sums(np.abs(v) ** p * g.dx, m) ** (1.0 / p)
+    return float(_rescaled(np.abs(values),
+                           lambda a: np.max(_window_sums(a ** k * grid.dx, m)) ** (1.0 / k)))
 
 
 def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> float:
@@ -260,11 +257,15 @@ def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> flo
     if np.shape(values) != (np.size(times), grid.n_cells):
         raise NumericalError("values do not match (times, grid)")
     m = _window_half_cells(grid)
-    W = np.stack([_windowed_p_norms(row, grid, p, m) for row in values])
+    a = np.abs(values)
+    if np.isinf(p):    # windowed L^p norm of each node at each center
+        W = maximum_filter1d(a, size=2 * m + 1, axis=-1, mode="constant", cval=0.0)
+    else:
+        W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p))
     if np.isinf(q):
         return float(np.max(W))
-    integrals = np.trapezoid(W ** q, x=times, axis=0)
-    return float(np.max(integrals) ** (1.0 / q))
+    return float(_rescaled(
+        W, lambda b: np.max(np.trapezoid(b ** q, x=times, axis=0)) ** (1.0 / q)))
 
 
 # ---------------------------------------------------------------------------

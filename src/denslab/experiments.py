@@ -282,9 +282,11 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
     the flow: monotonicity in alpha, the alpha -> 0 relative-entropy limit,
     and domination by the exponential-transport term with a 1/t parameter."""
     idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
+    alphas = tuple(sorted(cfg["experiment.alphas"]))
+    if not alphas:
+        raise InvalidParameterError("experiment.alphas is empty")
     mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
     snaps = [(flow_mu.snapshots[i], flow_nu.snapshots[i]) for i in idx]
-    alphas = tuple(sorted(cfg["experiment.alphas"]))
     alpha_small = cfg["experiment.alpha_limit"]
     ent_matrix, kl_vals = [], []
     for a_snap, b_snap in snaps:
@@ -389,7 +391,7 @@ def experiment_khasminskii(cfg: RunConfig) -> KhasminskiiExperimentReport:
     with np.errstate(invalid="ignore"):
         se_log = np.where(np.isfinite(est) & (est > 0), se / est, 0.0)
     small = lams <= 0.5 + 1e-12
-    large = lams > rep.regime_split
+    large = lams * rep.norm_spacetime > 1.0
     small_exp = _growth_exponent(lams[small], log_est[small])
     large_exp = _growth_exponent(lams[large], log_est[large])
     convex = _convexity_ok(lams, log_est, se_log)

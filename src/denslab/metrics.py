@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .density_core import GridDensity, _power_root, density_quantiles
+from .density_core import GridDensity, _rescaled, density_quantiles
 from .errors import InvalidParameterError, NumericalError, NumericOverflowError
 
 # Densities below this floor count as zero in entropy quotients; it separates
@@ -68,7 +68,7 @@ def wasserstein_1d(mu: GridDensity, nu: GridDensity, q: float = 1.0) -> float:
     """
     if not 1 <= q < np.inf:
         raise InvalidParameterError(f"q must be finite and >= 1, got {q}")
-    return _power_root(np.abs(_quantile_gap(mu, nu)), q, np.mean)
+    return float(_rescaled(np.abs(_quantile_gap(mu, nu)), lambda a: np.mean(a ** q) ** (1.0 / q)))
 
 
 def exp_wasserstein(mu: GridDensity, nu: GridDensity, c: float) -> float:

@@ -127,9 +127,12 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def _density_rule(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None = None,
                   bandwidth: float = 0.0):
     """`dynamics._density_rule` at (t, positions), the own density being the
-    ensemble's KDE."""
-    return _grid_density_rule(
-        drift, flow, lambda t, x: kde(x, _bandwidth(bandwidth, x), grid).values)
+    ensemble's KDE, which needs at least 1000 particles."""
+    def own(t, x):
+        if x.size < 1000:
+            raise InvalidParameterError("density feedback needs at least 1000 particles")
+        return kde(x, _bandwidth(bandwidth, x), grid).values
+    return _grid_density_rule(drift, flow, own)
 
 
 class _Step(NamedTuple):
@@ -205,8 +208,6 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     per distinct step that a record node rounds to, at that step's time.
     The KDE bandwidth is `bandwidth`, or Silverman's rule when it is 0.
     """
-    if drift.density_dependent and n_particles < 1000:
-        raise InvalidParameterError("density feedback needs at least 1000 particles")
     x = sample_initial(init, n_particles, seed, grid)
     march = _march(x, drift, diff, grid, 0.0, T, dt, seed,
                    _density_rule(drift, grid, bandwidth=bandwidth))
@@ -330,15 +331,10 @@ def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float):
     vals = np.stack([f.evaluate(float(tt), grid.centers, grid.dx) for tt in times])
     if not np.all(np.isfinite(vals)):
         return float("inf"), float("inf")
-    # a power past the float range is inf, and nan once the window sums
-    # subtract two infs: both read as an infinite norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = tilde_spacetime_norm(vals, times, f.p, f.q, grid)
-        per_node = np.array([tilde_norm(v, f.p, grid) for v in vals])
+    per_node = np.array([tilde_norm(v, f.p, grid) for v in vals])
+    with np.errstate(over="ignore"):    # a q-th power past the float range is inf
         integral = float(np.trapezoid(per_node ** f.q, x=times))
-    if math.isnan(norm):
-        return float("inf"), float("inf")
-    return norm, integral
+    return tilde_spacetime_norm(vals, times, f.p, f.q, grid), integral
 
 
 def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
@@ -362,10 +358,11 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     x_init = np.full(max(n_paths, 0), float(x0))     # empty for n_paths < 1: _march rejects it
     march = _march(x_init, drift, diff, grid, s, t, dt, seed, _density_rule(drift, grid))
     norm, integral = field_spacetime_norm(f, grid, s, t)
-    if not 0 < norm < np.inf:
-        raise InvalidParameterError(
-            f"field has localized space-time norm {norm:g} on the grid; it must be "
-            f"positive and finite")
+    for what, v in (("localized space-time norm", norm),
+                    ("time integral int ||f_r||^q dr", integral)):
+        if not 0 < v < np.inf:
+            raise InvalidParameterError(
+                f"field has {what} {v:g} on the grid; it must be positive and finite")
     tau = _integral_sq(lambda tt, xx: f.evaluate(tt, xx, grid.dx), march, s, x_init, dt)
     log_est, est, se, ess_arr, unrel = [], [], [], [], []
     n = float(n_paths)

@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The runs take about 50 s on a two-core machine.
+bytes.  The runs take about 60 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -90,6 +90,16 @@ RUNS = {
                                     "--set", "picard.tol=1e-12"] + _PDE,
     "error-substep-limit": ["solve", "--drift", "linear_ou",
                             "--set", "solver.rel_dt=1e-12"] + _PDE,
+    "khasminskii-huge-p": ["khasminskii", "--f", "constant", "--lambda-grid", "0.2,0.5,1.0",
+                           "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005",
+                           "--set", "khasminskii.p=1e5"] + _PARTICLES,
+    "error-empty-alphas": ["experiment", "renyi", "--set", "time.T=0.2",
+                           "--set", "experiment.t_hi=0.2",
+                           "--set", "experiment.alphas="] + _EXPERIMENT,
+    "error-khasminskii-kde-floor": ["khasminskii", "--set", "drift.name=capped_density",
+                                    "--N", "50", "--lambda-grid", "0.2,0.5,1.0",
+                                    "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005",
+                                    "--set", "grid.cells=300", "--seed", "11"],
 }
 
 

@@ -128,6 +128,9 @@ _TINY = ["--set", "grid.cells=16", "--set", "grid.x_min=-2", "--set", "grid.x_ma
          "--set", "time.T=0.01", "--set", "time.refine=uniform", "--set", "time.uniform_nodes=2",
          "--set", "particles.n=10", "--set", "particles.dt=0.005",
          "--set", "khasminskii.t=0.01", "--set", "khasminskii.dt=0.005"]
+_KHASMINSKII = ["khasminskii", "--f", "constant", "--lambda-grid", "0.2,0.5,1.0",
+                "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005",
+                "--set", "particles.n=2000", "--set", "grid.cells=300"]
 SWEEP_BASES = {
     "solve": ["solve", "--drift", "linear_ou"] + _TINY,
     "particles": ["particles", "--drift", "linear_ou"] + _TINY,
@@ -196,6 +199,9 @@ class TestExitCodes:
         ["khasminskii", "--f", "constant", "--set", "khasminskii.gamma=0.5"],
         ["experiment", "smoothing", "--set", "experiment.slope_tol=-1",
          "--set", "experiment.t_lo=0.0001", "--set", "experiment.t_hi=0.01"],
+        ["experiment", "renyi", "--set", "experiment.alphas=",
+         "--set", "experiment.t_lo=0.001", "--set", "experiment.t_hi=0.01"],
+        ["khasminskii", "--set", "drift.name=capped_density", "--N", "50"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
             "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
             "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
@@ -203,7 +209,8 @@ class TestExitCodes:
             "cfl-above-one", "infinite-alpha-limit", "zero-diffusion", "infinite-diffusion",
             "narrow-grid", "zero-well-coeff", "wide-kernel", "zero-field",
             "kappa-under-linear-ou", "theta-under-zero", "gamma-under-capped-density",
-            "gamma-under-constant-field", "negative-slope-tol"])
+            "gamma-under-constant-field", "negative-slope-tol", "empty-alphas",
+            "khasminskii-kde-floor"])
     def test_invalid_value_is_config_error(self, tmp_path, argv):
         rc = main(argv + ["--set", "grid.cells=100", "--set", "time.T=0.01",
                           "--out", str(tmp_path / "o")])
@@ -295,6 +302,12 @@ class TestExitCodes:
         assert rc == 2
         assert "x0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_khasminskii_time_integral_underflow_is_config_error(self, tmp_path, capsys):
+        # int ||f_r||^q dr = 0.1 * 0.59 ** 1e4 underflows to 0
+        rc = main(_KHASMINSKII + ["--set", "khasminskii.q=1e4", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "time integral" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lambdas", ["0.1,0.2,0.3", "0.1,0.15,0.2,0.3,0.4,0.5"])
     def test_unreached_field_is_numeric_error(self, tmp_path, lambdas):
@@ -526,6 +539,13 @@ class TestArtifacts:
         for key in ("lambda_values", "mc_estimates", "mc_stderr", "bound_quadratic",
                     "bound_superlinear", "regime_split"):
             assert key in rep
+
+    def test_khasminskii_huge_p_reads_the_space_time_norm(self, tmp_path):
+        # the constant 0.5 on [0, 0.1] at p -> inf: 0.5 * 0.1 ** (1/4)
+        out = tmp_path / "k"
+        assert main(_KHASMINSKII + ["--set", "khasminskii.p=1e5", "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["norm_spacetime"] == pytest.approx(0.2812, abs=1e-3)
 
     def test_experiment_khasminskii_report_extends_khasminskii_report(self, tmp_path):
         out = tmp_path / "k"

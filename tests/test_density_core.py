@@ -158,6 +158,17 @@ class TestSpacetimeNorm:
         val = tilde_spacetime_norm(mat, tg.nodes, 1.0, 2.0, g)
         assert val == pytest.approx(np.sqrt(2.0), rel=0.02)
 
+    @pytest.mark.parametrize("p, q, c", [(1e5, 4.0, 0.5), (4.0, 1e5, 0.5),
+                                         (1e300, 1e300, 0.5), (4.0, 4.0, 1e200)])
+    def test_constant_in_time_at_huge_exponents_and_values(self, p, q, c):
+        # |f| ** p or W ** q under- or overflows in every cell here; a
+        # time-constant f has norm T^(1/q) times its tilde norm
+        g = Grid1D(-6.0, 6.0, 300)
+        times = np.linspace(0.0, 0.1, 21)
+        row = c * np.exp(-g.centers ** 2)
+        val = tilde_spacetime_norm(np.tile(row, (times.size, 1)), times, p, q, g)
+        assert val == pytest.approx(0.1 ** (1 / q) * tilde_norm(row, p, g), rel=1e-9)
+
     def test_empty_window_error(self):
         # fewer than two node times, or times that do not increase strictly
         g = Grid1D(-4.0, 4.0, 100)

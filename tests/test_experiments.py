@@ -134,6 +134,16 @@ def test_negative_slope_tol_fails_before_solving(monkeypatch, experiment):
     assert marches == []
 
 
+def test_empty_alphas_fail_before_solving(monkeypatch):
+    # no alpha would make every Renyi check pass vacuously
+    marches = []
+    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    cfg = small_cfg(**{"drift.name": "zero", "experiment.alphas": ()})
+    with pytest.raises(InvalidParameterError, match="experiment.alphas"):
+        experiment_renyi(cfg)
+    assert marches == []
+
+
 class TestPairedFlows:
     def test_nu_is_the_configured_law_shifted(self):
         # a uniform initial law is translated by experiment.delta, not

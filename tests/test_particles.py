@@ -383,6 +383,24 @@ _ESTIMATORS = {
 }
 
 
+_FEEDBACK = builtin_drift("capped_density")
+_FEEDBACK_ESTIMATORS = {
+    "euler_maruyama_mkv": lambda n: euler_maruyama_mkv(
+        ("gaussian", 0.0, 0.3), _FEEDBACK, DIFF1, n, 0.01, 0.1, GRID, seed=1),
+    "girsanov_log_weights_mc": lambda n: girsanov_log_weights_mc(
+        _FEEDBACK, _FEEDBACK, DIFF1, ("gaussian", 0.0, 0.3), 0.1, n, 0.01, GRID, seed=1),
+    "khasminskii_mc": lambda n: khasminskii_mc(
+        builtin_field("constant"), _FEEDBACK, DIFF1, 0.0, 0.1, [0.2, 0.5], n, 0.01, GRID,
+        seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FEEDBACK_ESTIMATORS))
+def test_ensemble_density_feedback_needs_1000_particles(name):
+    with pytest.raises(InvalidParameterError, match="at least 1000 particles"):
+        _FEEDBACK_ESTIMATORS[name](999)
+
+
 @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
 def test_estimators_reject_bad_march_inputs(name):
     run = _ESTIMATORS[name]
