@@ -122,7 +122,7 @@ def _write_curve(report, out_dir: str) -> None:
     const = m[0] / t[0] ** e if m[0] > 0 else 0.0
     # one scalar power per node: an array ** can differ in the last bit
     _write_csv(os.path.join(out_dir, "curve.csv"), "t,measured,bound",
-               t, m, [const * ti ** e for ti in t])
+               t, m, np.array([const * ti ** e for ti in t]))
 
 
 def _build_cfg(args, defaults=None) -> RunConfig:

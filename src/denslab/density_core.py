@@ -84,14 +84,12 @@ class GridDensity:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (self.grid.n_cells,):
             raise InvalidParameterError(
-                f"values shape {v.shape} does not match grid with {self.grid.n_cells} cells"
-            )
+                f"values shape {v.shape} does not match grid with {self.grid.n_cells} cells")
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("density values must be finite")
         if v.min(initial=0.0) < NEGATIVE_TOLERANCE:
             raise InvalidParameterError(
-                f"density has a cell at {v.min():.3e}, below the tolerated noise floor"
-            )
+                f"density has a cell at {v.min():.3e}, below the tolerated noise floor")
         object.__setattr__(self, "values", v)
 
     def mass(self) -> float:
@@ -161,8 +159,7 @@ class DensityFlow:
         snaps = tuple(self.snapshots)
         if len(snaps) != len(self.time_grid.nodes):
             raise NumericalError(
-                f"{len(snaps)} snapshots for {len(self.time_grid.nodes)} time nodes"
-            )
+                f"{len(snaps)} snapshots for {len(self.time_grid.nodes)} time nodes")
         g = snaps[0].grid
         for s in snaps:
             if s.grid != g:
@@ -181,7 +178,14 @@ class DensityFlow:
             return self.snapshots[-1].values
         j = int(np.searchsorted(nodes, t, side="right")) - 1
         w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
-        return (1.0 - w) * self.snapshots[j].values + w * self.snapshots[j + 1].values
+        return _blend(self.snapshots[j].values, self.snapshots[j + 1].values, w)
+
+
+def _blend(g0: np.ndarray, g1: np.ndarray, w: float, out=None, work=None) -> np.ndarray:
+    """(1 - w) * g0 + w * g1, into `out` with scratch `work` when they are given."""
+    out = np.multiply(g0, 1.0 - w, out=out)
+    out += np.multiply(g1, w, out=work)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,7 @@ def _require_window(grid: Grid1D) -> None:
     """InvalidParameterError unless the grid holds the unit-ball window."""
     if grid.width < 2.0:
         raise InvalidParameterError(
-            f"grid width {grid.width} is smaller than the unit-ball window (length 2)"
-        )
+            f"grid width {grid.width} is smaller than the unit-ball window (length 2)")
 
 
 def _window_half_cells(grid: Grid1D) -> int:
@@ -211,14 +214,15 @@ def _window_sums(w: np.ndarray, m: int) -> np.ndarray:
     return e[..., 2 * m + 1:] - e[..., :w.shape[-1]]
 
 
-def _rescaled(a: np.ndarray, norm):
+def _rescaled(a: np.ndarray, norm, r=None):
     """norm(a) for a >= 0 and a `norm` that scales linearly with a, entry by
-    entry of its result.  Where a power under- or overflows at a huge exponent,
-    so that an entry is 0, inf or NaN (from inf - inf) although a is nonzero
-    and finite, that entry is M * norm(a / M) with M = max(a) instead; the two
-    forms agree up to rounding elsewhere."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = norm(a)
+    entry of its result (`r` when the caller has it).  Where a power under- or
+    overflows at a huge exponent, so that an entry is 0, inf or NaN (from
+    inf - inf) although a is nonzero and finite, that entry is M * norm(a / M)
+    with M = max(a) instead; the two forms agree up to rounding elsewhere."""
+    if r is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = norm(a)
     bad = ~((0 < r) & (r < np.inf))
     m = np.max(a) if np.any(bad) else 0.0
     if 0 < m < np.inf:
@@ -250,6 +254,14 @@ def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> flo
     integral.  Time integration is the trapezoid rule over exactly the given
     node times; `values` is the (len(times), n_cells) array of node values.
     """
+    return _spacetime_norm(values, times, p, q, grid)[0]
+
+
+def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
+    """(tilde_spacetime_norm, the tilde_norm of every node) from one pass of
+    level-1 window sums: a node's tilde_norm is the max of its sums, then the
+    root, as `tilde_norm` takes it (or `tilde_norm` itself where that is 0,
+    inf or NaN)."""
     if not (p >= 1 and q >= 1):
         raise InvalidParameterError("need p, q >= 1")
     if np.ndim(times) != 1 or np.size(times) < 2 or not np.all(np.diff(times) > 0):
@@ -260,12 +272,19 @@ def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> flo
     a = np.abs(values)
     if np.isinf(p):    # windowed L^p norm of each node at each center
         W = maximum_filter1d(a, size=2 * m + 1, axis=-1, mode="constant", cval=0.0)
+        sup = np.max(a, axis=-1)
     else:
-        W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _window_sums(a ** p * grid.dx, m)
+            sup = np.array([top ** (1.0 / p) for top in np.max(sums, axis=-1)])
+            W = sums ** (1.0 / p)
+        W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p), W)
+        bad = ~((0 < sup) & (sup < np.inf))
+        sup[bad] = [tilde_norm(row, p, grid) for row in a[bad]]
     if np.isinf(q):
-        return float(np.max(W))
+        return float(np.max(W)), sup
     return float(_rescaled(
-        W, lambda b: np.max(np.trapezoid(b ** q, x=times, axis=0)) ** (1.0 / q)))
+        W, lambda b: np.max(np.trapezoid(b ** q, x=times, axis=0)) ** (1.0 / q))), sup
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +399,15 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _formatted(column) -> list:
+    """A CSV column as shortest round-trip reprs; a list is taken as formatted."""
+    return column if isinstance(column, list) else list(map(repr, np.asarray(column).tolist()))
+
+
 def _write_csv(path: str, header: str, *columns) -> None:
-    """Atomic CSV: the header, then row i of every column as shortest round-trip reprs."""
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    _atomic_write(path, "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n")
-
-
-def save_density(d: GridDensity, path: str) -> None:
-    _write_csv(path, "x,value", d.grid.centers, d.values)
+    """Atomic CSV: the header, then row i of every `_formatted` column."""
+    rows = zip(*map(_formatted, columns))
+    _atomic_write(path, "\n".join([header, *map(",".join, rows)]) + "\n")
 
 
 def _snap(value: float) -> float:
@@ -398,8 +418,8 @@ def _snap(value: float) -> float:
 
 def load_density(path: str) -> GridDensity:
     """Read a density CSV.  Its x column must be the centers of a uniform grid to
-    1e-3 of a cell: files that save_density wrote are off by at most 1.3e-6 of a
-    cell (300 random grids, x_min in [-100, 100], width <= 200, <= 1e5 cells)."""
+    1e-3 of a cell: `_write_csv` of a grid's centers is off by at most 1.3e-6 of
+    a cell (300 random grids, x_min in [-100, 100], width <= 200, <= 1e5 cells)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)    # loadtxt on an empty file
@@ -420,5 +440,6 @@ def save_flow(flow: DensityFlow, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     nodes = flow.time_grid.nodes
     _write_csv(os.path.join(out_dir, "timegrid.csv"), "index,t", np.arange(nodes.size), nodes)
+    x = _formatted(flow.snapshots[0].grid.centers)     # shared by every snapshot
     for i, snap in enumerate(flow.snapshots):
-        save_density(snap, os.path.join(out_dir, f"density_{i:04d}.csv"))
+        _write_csv(os.path.join(out_dir, f"density_{i:04d}.csv"), "x,value", x, snap.values)

@@ -30,8 +30,8 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import fftconvolve
 
-from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _require_window,
-                           tilde_norm)
+from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _blend,
+                           _require_window, tilde_norm)
 from .errors import InvalidParameterError, NoConvergenceError, NumericalError, NumericOverflowError
 from .metrics import FlowMetricSpec
 
@@ -196,9 +196,12 @@ def _singular_sum(drift: DriftSpec, t: float, x: np.ndarray, dx: float):
 
 def drift_field(drift: DriftSpec, t: float, grid: Grid1D,
                 rho_values: np.ndarray | None) -> np.ndarray:
-    """Per-cell drift values given the frozen density at time t (or None)."""
+    """Per-cell drift values given the frozen density at time t (or None); read
+    only, since with no singular part and no density term it is b1's own array."""
     x = grid.centers
-    b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
+    b = np.asarray(drift.b1(t, x), dtype=np.float64)
+    if drift.singular_parts:
+        b = b + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
         if rho_values is None:
             raise InvalidParameterError("density-dependent drift needs a density")
@@ -430,27 +433,52 @@ def _factor(a: np.ndarray, dt: float, dx: float) -> tuple:
     return dl, d, du, du2, ipiv
 
 
-def _advance(v: np.ndarray, b: np.ndarray, lu: tuple, dt: float, dx: float) -> np.ndarray:
-    """One step: explicit upwind advection with drift b, then the implicit
-    diffusion solve with the factors `lu = _factor(a, dt, dx)`."""
-    # upwind advective flux at interior faces, zero at the boundary
-    bf = 0.5 * (b[:-1] + b[1:])
-    moved = dt / dx * (bf * np.where(bf > 0, v[:-1], v[1:]))
-    rhs = v.copy()
-    rhs[:-1] -= moved
-    rhs[1:] += moved
-    return dgttrs(*lu, rhs, overwrite_b=1)[0]
+def _advance(v: np.ndarray, b: np.ndarray, lu: tuple, dt: float, dx: float,
+             work: tuple) -> np.ndarray:
+    """One step: explicit upwind advection with drift b (flux at the interior
+    faces, none at the boundary), then the implicit diffusion solve with the
+    factors `lu = _factor(a, dt, dx)`.  The right-hand side is formed in v
+    itself, face drift, flux and upwind mask in `work` (two float arrays and a
+    bool one, each of v.size - 1); returns the solution, v solved in place."""
+    bf, flux, up = work
+    v_left, v_right = v[:-1], v[1:]
+    np.add(b[:-1], b[1:], bf)
+    bf *= 0.5
+    np.greater(bf, 0.0, up)
+    np.copyto(flux, v_right)
+    np.copyto(flux, v_left, where=up)
+    flux *= bf
+    flux *= dt / dx
+    v_left -= flux
+    v_right += flux
+    return dgttrs(*lu, v, overwrite_b=1)[0]
 
 
 def _density_rule(drift: DriftSpec, flow: DensityFlow | None, own):
     """The grid density `drift` reads at (t, march state): None for a
-    density-free drift, the frozen `flow` interpolated in time when one is
-    given, otherwise `own(t, state)`, the march's own current density."""
+    density-free drift, otherwise `own(t, state)`, the march's own current
+    density, or with a frozen `flow` its `values_at(t)` bit for bit, for t
+    that never decreases: a forward cursor over the flow's own nodes finds
+    the bracketing snapshots once per node interval, and each call's blend
+    overwrites one buffer."""
     if not drift.density_dependent:
         return None
-    if flow is not None:
-        return lambda t, state: flow.values_at(t)
-    return own
+    if flow is None:
+        return own
+    nodes = flow.time_grid.nodes.tolist()
+    g = [s.values for s in flow.snapshots]
+    out, work = np.empty_like(g[0]), np.empty_like(g[0])
+    j = 0
+
+    def frozen(t, state):
+        nonlocal j
+        if not nodes[0] < t < nodes[-1]:     # values_at's unblended end snapshots
+            return g[0] if t <= nodes[0] else g[-1]
+        while nodes[j + 1] <= t:
+            j += 1
+        return _blend(g[j], g[j + 1], (t - nodes[j]) / (nodes[j + 1] - nodes[j]), out, work)
+
+    return frozen
 
 
 def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
@@ -473,13 +501,15 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
     width = max(1.0 / (np.sqrt(2.0 * np.pi) * peak), dx) if peak > 0 else dx
     t_init = width ** 2 / diff.a
     dt_max = opts.dt_max or tg.T / 500.0
-    v = mu.values.copy()
+    v = mu.values.copy()      # owned: each sub-step overwrites it
+    n = grid.n_cells
+    work, b_abs = (np.empty(n - 1), np.empty(n - 1), np.empty(n - 1, dtype=bool)), np.empty(n)
     snaps = [mu]
     nodes = tg.nodes
 
-    def field(t):     # drift at t and its max |b|, reading the current v
+    def field(t):     # drift at t and its max |b| (NaN if any is), reading the current v
         b = drift_field(drift, t, grid, density(t, v) if density is not None else None)
-        return b, max(float(b.max()), -float(b.min()))
+        return b, float(np.maximum.reduce(np.abs(b, b_abs)))
 
     for i in range(len(nodes) - 1):
         t0, t1 = float(nodes[i]), float(nodes[i + 1])
@@ -506,7 +536,7 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
                 raise NumericalError(
                     f"dt * max|b| = {dt * max_b:.3e} exceeds the grid scale {dx:.3e} "
                     f"at t = {ts:.4g}")
-            v = _advance(v, b0, lu, dt, dx)
+            v = _advance(v, b0, lu, dt, dx, work)
         if not np.all(np.isfinite(v)):
             raise NumericalError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
         snaps.append(GridDensity(grid, np.maximum(v, 0.0)))
@@ -519,8 +549,9 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
     """Marginal flow of the linear equation with density slots frozen at gamma,
     interpolated in time (`_march`).  With gamma None a density-dependent
     drift reads the march's own current density: the self-consistent march."""
+    rho = np.empty(mu.grid.n_cells)
     return _march(mu, drift, diff, tg, options,
-                  _density_rule(drift, gamma, lambda t, v: np.maximum(v, 0.0)))
+                  _density_rule(drift, gamma, lambda t, v: np.maximum(v, 0.0, out=rho)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,9 @@ from .density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _spacetime_norm,
     density_quantiles,
     kde,
-    tilde_norm,
-    tilde_spacetime_norm,
 )
 from .dynamics import (
     DiffusionSpec,
@@ -140,7 +139,7 @@ class _Step(NamedTuple):
 
     t: float
     x: np.ndarray                # positions at t
-    rho: np.ndarray | None       # grid density the drift read at t
+    rho: np.ndarray | None       # grid density the drift read at t, until the next step
     b: np.ndarray                # drift at (t, x)
     sigma: float                 # sqrt(a)
     dw: np.ndarray               # Brownian increments
@@ -331,10 +330,10 @@ def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float):
     vals = np.stack([f.evaluate(float(tt), grid.centers, grid.dx) for tt in times])
     if not np.all(np.isfinite(vals)):
         return float("inf"), float("inf")
-    per_node = np.array([tilde_norm(v, f.p, grid) for v in vals])
+    norm, per_node = _spacetime_norm(vals, times, f.p, f.q, grid)
     with np.errstate(over="ignore"):    # a q-th power past the float range is inf
         integral = float(np.trapezoid(per_node ** f.q, x=times))
-    return tilde_spacetime_norm(vals, times, f.p, f.q, grid), integral
+    return norm, integral
 
 
 def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,

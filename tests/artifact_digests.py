@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The runs take about 60 s on a two-core machine.
+bytes.  The 31 runs take about 70 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -57,6 +57,9 @@ RUNS = {
                                 "--set", "experiment.t_hi=0.2"] + _EXPERIMENT,
     "experiment-renyi": ["experiment", "renyi", "--set", "time.T=0.2",
                          "--set", "experiment.t_hi=0.2"] + _EXPERIMENT,
+    "experiment-renyi-smoothed": ["experiment", "renyi", "--set", "time.T=0.2",
+                                  "--set", "experiment.t_hi=0.2",
+                                  "--set", "drift.name=smoothed_interaction"] + _EXPERIMENT,
     "experiment-khasminskii": ["experiment", "khasminskii", "--set", "grid.cells=300",
                                "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005",
                                "--set", "khasminskii.lambda_grid=0.2,0.5,1.0"] + _PARTICLES,

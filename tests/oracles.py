@@ -5,9 +5,11 @@ transportation linear program), the expW calibration bisected on
 `exp_wasserstein` itself, the localized measure distance, the discounted
 flow distance, a one-path Girsanov log-weight, the particle step written out
 of place (np.interp gather, np.where reflection, uniforms, cloud-in-cell
-KDE) with a march built from it, a single Fokker-Planck step, the reference
-step that assembles and solves the banded matrix afresh, the capped
-singular_well term, and a reader for the flow directories the CLI writes.
+KDE) with a march built from it, a single Fokker-Planck step, the frozen
+density read by `values_at` on every sub-step, the reference step that
+assembles and solves the banded matrix afresh, the capped
+singular_well term, a writer for density CSVs and a reader for the flow
+directories the CLI writes.
 """
 
 import math
@@ -34,6 +36,7 @@ from denslab.density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _write_csv,
     load_density,
     normalize,
     tilde_norm,
@@ -336,6 +339,11 @@ def reference_mkv(mean: float, sd: float, drift: DriftSpec, diff: DiffusionSpec,
 # Fokker-Planck: one step
 # ---------------------------------------------------------------------------
 
+def step_work(n: int) -> tuple:
+    """The work arrays `_advance` takes on n cells: face drift, flux, upwind mask."""
+    return np.empty(n - 1), np.empty(n - 1), np.empty(n - 1, dtype=bool)
+
+
 def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray,
                        a_field_values: np.ndarray, dt: float) -> GridDensity:
     """One conservative step: explicit upwind advection, implicit diffusion."""
@@ -346,8 +354,19 @@ def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray,
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
         raise NumericalError("non-finite coefficient field")
     dx = rho.grid.dx
-    new = _advance(rho.values, b, _factor(a, dt, dx), dt, dx)
+    new = _advance(rho.values.copy(), b, _factor(a, dt, dx), dt, dx, step_work(b.size))
     return GridDensity(rho.grid, np.maximum(new, 0.0))
+
+
+def reference_density_rule(drift: DriftSpec, flow: DensityFlow | None, own):
+    """`dynamics._density_rule` with a frozen flow read by `values_at` afresh
+    on every call, which the march's bracketing cursor must reproduce bit for
+    bit."""
+    if not drift.density_dependent:
+        return None
+    if flow is None:
+        return own
+    return lambda t, state: flow.values_at(t)
 
 
 def reference_step(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float,
@@ -375,6 +394,11 @@ def reference_step(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float,
 # ---------------------------------------------------------------------------
 # flow directories
 # ---------------------------------------------------------------------------
+
+def save_density(d: GridDensity, path: str) -> None:
+    """Write d as the density CSV that `load_density` and `denslab solve --mu` read."""
+    _write_csv(path, "x,value", d.grid.centers, d.values)
+
 
 def load_flow(in_dir: str) -> DensityFlow:
     manifest = np.loadtxt(os.path.join(in_dir, "timegrid.csv"), delimiter=",", skiprows=1)

@@ -11,7 +11,7 @@ import pytest
 
 from denslab.cli import EXPERIMENT_DEFAULTS, main
 from denslab.config import SCHEMA, parse_config
-from denslab.density_core import Grid1D, TimeGrid, gaussian_density, save_density
+from denslab.density_core import Grid1D, TimeGrid, gaussian_density
 from denslab.dynamics import DRIFT_PARAMS, SolverOptions, builtin_drift, picard_fixed_point
 from denslab.errors import (
     DenslabError,
@@ -27,7 +27,7 @@ from denslab.particles import (
     euler_maruyama_mkv,
     khasminskii_mc,
 )
-from oracles import load_flow
+from oracles import load_flow, save_density
 
 
 class TestParseConfig:

@@ -8,18 +8,18 @@ from denslab.density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _spacetime_norm,
     gaussian_density,
     kde,
     load_density,
     normalize,
-    save_density,
     save_flow,
     tilde_norm,
     tilde_spacetime_norm,
     uniform_density,
 )
 from denslab.errors import InvalidParameterError, NumericalError
-from oracles import load_flow, reference_kde, same_bits, tilde_measure_distance_l1
+from oracles import load_flow, reference_kde, same_bits, save_density, tilde_measure_distance_l1
 
 
 def brute_force_tilde_norm(values, grid, k):
@@ -168,6 +168,20 @@ class TestSpacetimeNorm:
         row = c * np.exp(-g.centers ** 2)
         val = tilde_spacetime_norm(np.tile(row, (times.size, 1)), times, p, q, g)
         assert val == pytest.approx(0.1 ** (1 / q) * tilde_norm(row, p, g), rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.3, 1e5, 1e300, np.inf])
+    def test_node_norms_bitwise_equal_to_tilde_norm(self, p):
+        # the per-node norms come from the space-time norm's window sums; here
+        # with a zero node and nodes whose powers under- or overflow
+        g = Grid1D(-6.0, 6.0, 500)
+        rng = np.random.default_rng(3)
+        rows = rng.normal(0.0, 1.0, (12, g.n_cells))
+        rows[1] = 0.0
+        rows[2] *= 1e200
+        rows[3] *= 1e-200
+        rows[4, :250] = 0.0
+        _, norms = _spacetime_norm(rows, np.linspace(0.0, 1.0, 12), p, 4.0, g)
+        assert same_bits(norms, np.array([tilde_norm(row, p, g) for row in rows]))
 
     def test_empty_window_error(self):
         # fewer than two node times, or times that do not increase strictly

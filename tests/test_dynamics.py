@@ -1,5 +1,6 @@
 """Forward solver, drift admissibility, frozen flows, and the fixed point."""
 
+import re
 import warnings
 
 import numpy as np
@@ -37,12 +38,14 @@ from denslab.errors import InvalidParameterError, NoConvergenceError, NumericalE
 from denslab.metrics import FlowMetricSpec, wasserstein_1d
 from oracles import (
     fokker_planck_step,
+    reference_density_rule,
     reference_drift_at_positions,
     reference_kde,
     reference_power_singularity,
     reference_singular_sum,
     reference_step,
     same_bits,
+    step_work,
 )
 
 DIFF2 = constant_diffusion(2.0)
@@ -222,7 +225,8 @@ class TestFactoredStep:
             b = rng.normal(0.0, 3.0, n)
             a = rng.uniform(0.2, 4.0, n)
             dt, dx = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-3, -1)
-            assert np.array_equal(_advance(v, b, _factor(a, dt, dx), dt, dx),
+            assert np.array_equal(_advance(v.copy(), b, _factor(a, dt, dx), dt, dx,
+                                           step_work(n)),
                                   reference_step(v, b, a, dt, dx))
 
     @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
@@ -238,10 +242,63 @@ class TestFactoredStep:
         factored = frozen_semigroup(mu, gamma, cd, diff, tg)
         a_cells = np.full(grid.n_cells, diff.a)
         monkeypatch.setattr(dynamics, "_factor", lambda a, dt, dx: None)
-        monkeypatch.setattr(dynamics, "_advance", lambda v, b, lu, dt, dx:
+        monkeypatch.setattr(dynamics, "_advance", lambda v, b, lu, dt, dx, work:
                             reference_step(v, b, a_cells, dt, dx))
         reference = frozen_semigroup(mu, gamma, cd, diff, tg)
         assert np.array_equal(factored.values_matrix(), reference.values_matrix())
+
+    # frozen flows on the march's own nodes, coarser ones, finer nodes offset
+    # from them, and nodes that end before the march's T = 0.2
+    FLOW_NODES = {
+        "own": TimeGrid.geometric(0.2, nodes_per_decade=6).nodes,
+        "coarser": TimeGrid.uniform(0.2, 3).nodes,
+        "finer-offset": np.concatenate(([0.0], np.linspace(0.0013, 0.2113, 41))),
+        "ends-early": TimeGrid.uniform(0.11, 5).nodes,
+    }
+
+    @staticmethod
+    def bracket_drift(name):
+        if name != "custom":
+            return builtin_drift(name, {"kappa": 0.4})
+        well = builtin_drift("singular_well", {"gamma": 0.2, "coeff": 0.5, "center": 0.3})
+        return DriftSpec(b1=well.b1, singular_parts=well.singular_parts,
+                         nemytskii=lambda t, x, r, feats: 0.4 * np.minimum(r, 3.0) * np.cos(x),
+                         K=1.0)
+
+    @pytest.mark.parametrize("drift_name", ["capped_density", "smoothed_interaction", "custom"])
+    @pytest.mark.parametrize("flow_nodes", sorted(FLOW_NODES))
+    def test_frozen_bracket_bitwise_equal_to_values_at(self, monkeypatch, drift_name,
+                                                       flow_nodes):
+        rng = np.random.default_rng(17)
+        grid = Grid1D(-5.0, 5.0, 240)
+        tg = TimeGrid.geometric(0.2, nodes_per_decade=6)
+        mu = normalize(GridDensity(grid, rng.uniform(0.0, 1.0, grid.n_cells)))
+        gamma = random_flow(grid, TimeGrid(self.FLOW_NODES[flow_nodes]), rng)
+        for snap in gamma.snapshots:     # a blend can turn -0.0 into 0.0, an end snapshot does not
+            snap.values[rng.uniform(size=grid.n_cells) < 0.3] = -0.0
+        drift = self.bracket_drift(drift_name)
+        calls = {"values_at": [], "drift_field": []}
+
+        def recorded(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[1])     # the time
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recorded(DensityFlow, "values_at")
+        recorded(dynamics, "drift_field")
+        lean = frozen_semigroup(mu, gamma, drift, DIFF2, tg)
+        times = calls["drift_field"]
+        assert calls["values_at"] == [] and len(times) > 2 * (len(tg.nodes) - 1)
+        rule = dynamics._density_rule(drift, gamma, None)
+        assert all(same_bits(rule(t, None), gamma.values_at(t)) for t in times)
+        calls["values_at"], calls["drift_field"] = [], []
+        monkeypatch.setattr(dynamics, "_density_rule", reference_density_rule)
+        reference = frozen_semigroup(mu, gamma, drift, DIFF2, tg)
+        assert calls["values_at"] == calls["drift_field"] == times
+        assert same_bits(lean.values_matrix(), reference.values_matrix())
 
     @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
     def test_factorizations_per_node_interval(self, monkeypatch, diff_name):
@@ -354,6 +411,25 @@ class TestStabilityGuard:
                 run()
         else:
             assert abs(run().snapshots[-1].mass() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_non_finite_drift_inside_a_node_interval(self, bad, frozen):
+        # the density term turns non-finite in one cell from t = 0.07, strictly
+        # inside the node interval [0.05, 0.1]: the sub-step guard must catch it
+        def nem(t, x, r, feats):
+            out = 0.2 * np.minimum(r, 5.0)
+            if t > 0.07:
+                out[100] = bad
+            return out
+
+        drift = DriftSpec(b1=lambda t, x: -x, nemytskii=nem, K=1.0)
+        mu = gaussian_density(self.GRID, 0.0, 0.5)
+        tg = TimeGrid.uniform(0.1, 2)
+        gamma = DensityFlow(tg, (mu,) * 3) if frozen else None
+        with pytest.raises(NumericalError, match="exceeds the grid scale") as err:
+            frozen_semigroup(mu, gamma, drift, DIFF2, tg)
+        assert 0.07 < float(re.search(r"at t = (\S+)$", str(err.value)).group(1)) < 0.1
 
     def test_non_finite_drift_is_solver_failure(self):
         blowup = DriftSpec(b1=lambda t, x: np.where(np.abs(x) < 0.1, np.inf, -x), K=1.0)
