@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 import time
@@ -263,6 +264,12 @@ def _add_common(p, command: str) -> None:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="config override (repeatable)")
     p.add_argument("--threads", type=int, help="worker hint; outputs are identical for any value")
+    _add_log_level(p)
+
+
+def _add_log_level(p) -> None:
+    p.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                   help="print denslab log messages at this level and above to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,12 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--metric", required=True,
                    help="|".join(n + (f":<{arg}>" if arg else "") for n, (_, arg) in METRICS.items()))
+    _add_log_level(p)
     p.set_defaults(fn=_cmd_metrics)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("denslab")
+    level, handler = log.level, logging.StreamHandler(sys.stderr)
+    if args.log_level:      # off by default: then no handler and no output
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+        log.setLevel(args.log_level.upper())
     try:
         return args.fn(args)
     except (InvalidParameterError, OSError) as exc:
@@ -303,6 +317,9 @@ def main(argv=None) -> int:
     except (DenslabError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

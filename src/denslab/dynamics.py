@@ -596,7 +596,9 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
     l1_history = []
     for _ in range(max_iter):
         new = frozen_semigroup(mu, gamma, drift, diff, tg, options)
-        diffs = new.values_matrix() - gamma.values_matrix()
+        diffs = new.values_matrix()
+        for row, old in zip(diffs, gamma.snapshots):    # in place: no second stack
+            row -= old.values
         gap_norm_history.append(np.array([tilde_norm(d, spec.k, mu.grid) for d in diffs]))
         l1_history.append(float(np.max(np.sum(np.abs(diffs), axis=1) * mu.grid.dx)))
         gamma = new

@@ -14,22 +14,24 @@ touching the others.
 
 Every particle-facing operation runs the same Euler-Maruyama march
 (`_march`), which yields each step and differs between callers only in the
-grid density its drift reads: none, a frozen flow, or the ensemble KDE.  On
-the steps, `euler_maruyama_mkv` records KDE snapshots, `girsanov_log_weights_mc`
-sums the Girsanov log-weight, and `path_relative_entropy_mc` and
-`khasminskii_mc` integrate f(r, X_r)^2 by the trapezoid rule.
+grid density its drift reads: none, the ensemble KDE, or a frozen flow.  On
+the steps, `euler_maruyama_mkv` records KDE snapshots and `khasminskii_mc`
+integrates f(r, X_r)^2 by the trapezoid rule.  The draws of a step depend
+only on (seed, step), so the march computes step s + 1's increments on one
+helper thread while step s runs.
 
 A step's drift reads the grid density (and its features) at every particle:
 `drift_at_positions` interpolates linearly, bit for bit as np.interp does,
 but finds each particle's cell once per step by arithmetic on the uniform
-grid instead of a search per array.  The step's uniforms, increments and
-reflection work in place on fresh arrays, with the same roundings as the
-out-of-place formulas kept in the tests.
+grid instead of a search per array.  The step's uniforms and reflection
+work in place on fresh arrays, with the same roundings as the out-of-place
+formulas kept in the tests.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,7 +76,8 @@ def raw_uniforms(seed: int, tag: int, step: int, n: int) -> np.ndarray:
     bg.advance((step * res) >> 2)  # advance() skips 4 raw 64-bit words per unit
     raw = bg.random_raw(res)[:n]
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
+    u = raw.view(np.float64)
+    np.copyto(u, raw, casting="unsafe")     # exact below 2**53; a 1-D forward cast in place
     u += 0.5
     u *= 2.0 ** -53
     return u
@@ -123,15 +126,14 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return y
 
 
-def _density_rule(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None = None,
-                  bandwidth: float = 0.0):
-    """`dynamics._density_rule` at (t, positions), the own density being the
-    ensemble's KDE, which needs at least 1000 particles."""
+def _density_rule(drift: DriftSpec, grid: Grid1D, bandwidth: float = 0.0):
+    """`dynamics._density_rule` at (t, positions) without a frozen flow: the
+    ensemble's own KDE, which needs at least 1000 particles."""
     def own(t, x):
         if x.size < 1000:
             raise InvalidParameterError("density feedback needs at least 1000 particles")
         return kde(x, _bandwidth(bandwidth, x), grid).values
-    return _grid_density_rule(drift, flow, own)
+    return _grid_density_rule(drift, None, own)
 
 
 class _Step(NamedTuple):
@@ -149,7 +151,10 @@ class _Step(NamedTuple):
 def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
            t_start: float, t_end: float, dt: float, seed: int, density):
     """Check the inputs and return a generator of every Euler-Maruyama step from x0;
-    `density` is a `_density_rule`.  Step s draws its increments from (seed, s)."""
+    `density` is a `dynamics._density_rule` of (t, positions).  Step s draws
+    its increments from (seed, s).  A single-worker pool, made on the first
+    step and shut down when the generator ends, fails or is closed, draws step
+    s + 1's while step s runs."""
     if x0.size < 1 or not 0 < dt < np.inf or not t_start < t_end < np.inf:
         raise InvalidParameterError(
             f"need n >= 1, 0 < dt < inf and t_start < t_end < inf, got n = {x0.size}, "
@@ -161,24 +166,31 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
     sigma = math.sqrt(diff.a)
 
     def steps(x):
-        for s in range(n_steps):
-            t = t_start + s * dt
-            rho = density(t, x) if density is not None else None
-            b = drift_at_positions(drift, t, x, grid, rho)
-            cfl = max(float(b.max()), -float(b.min())) * dt
-            if cfl > grid.dx * (1.0 + 1e-9):
-                raise InvalidParameterError(
-                    f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} at step {s}")
-            dw = normal_increments(seed, _STREAM_EVOLVE, s, x.size)
-            dw *= sqrt_dt
-            move = b * dt
-            move += x                   # x + b dt, then + sigma dw: the same roundings
-            move += sigma * dw
-            x_next = _reflect(move, grid.x_min, grid.x_max)
-            if not np.all(np.isfinite(x_next)):
-                raise NumericalError(f"non-finite particle position at step {s}")
-            yield _Step(t, x, rho, b, sigma, dw, x_next)
-            x = x_next
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            ahead = pool.submit(normal_increments, seed, _STREAM_EVOLVE, 0, x.size)
+            for s in range(n_steps):
+                t = t_start + s * dt
+                rho = density(t, x) if density is not None else None
+                b = drift_at_positions(drift, t, x, grid, rho)
+                cfl = max(float(b.max()), -float(b.min())) * dt
+                if cfl > grid.dx * (1.0 + 1e-9):
+                    raise InvalidParameterError(
+                        f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} "
+                        f"at step {s}")
+                dw = ahead.result() * sqrt_dt      # a new array: the draw's is freed below
+                if s + 1 < n_steps:     # one draw in flight at most
+                    ahead = pool.submit(normal_increments, seed, _STREAM_EVOLVE, s + 1, x.size)
+                move = b * dt
+                move += x                   # x + b dt, then + sigma dw: the same roundings
+                move += sigma * dw
+                x_next = _reflect(move, grid.x_min, grid.x_max)
+                if not np.all(np.isfinite(x_next)):
+                    raise NumericalError(f"non-finite particle position at step {s}")
+                yield _Step(t, x, rho, b, sigma, dw, x_next)
+                x = x_next
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return steps(x0)
 
@@ -208,8 +220,7 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     The KDE bandwidth is `bandwidth`, or Silverman's rule when it is 0.
     """
     x = sample_initial(init, n_particles, seed, grid)
-    march = _march(x, drift, diff, grid, 0.0, T, dt, seed,
-                   _density_rule(drift, grid, bandwidth=bandwidth))
+    march = _march(x, drift, diff, grid, 0.0, T, dt, seed, _density_rule(drift, grid, bandwidth))
     tg = record_grid if record_grid is not None else TimeGrid.uniform(T, max(1, int(round(T / dt))))
     if tg.T > T * (1 + 1e-9):
         raise InvalidParameterError(f"record grid extends to {tg.T} beyond T = {T}")
@@ -221,53 +232,6 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
             snaps.append(kde(x, _bandwidth(bandwidth, x), grid))
     return (ParticleEnsemble(x),
             DensityFlow(TimeGrid(np.array(steps) * dt), tuple(snaps)))
-
-
-def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: DiffusionSpec,
-                            init, t: float, n_paths: int, dt: float, grid: Grid1D,
-                            seed: int, flow_ref: DensityFlow | None = None,
-                            flow_alt: DensityFlow | None = None) -> np.ndarray:
-    """log R_t for n_paths reference-drift paths (vectorized single pass).
-
-    Without `flow_alt` the alternative drift reads the same density as the
-    reference drift."""
-    x0 = sample_initial(init, n_paths, seed, grid)
-    log_r = np.zeros(x0.size)       # empty for n_paths < 1, which _march rejects
-    for st in _march(x0, drift_ref, diff, grid, 0.0, t, dt, seed,
-                     _density_rule(drift_ref, grid, flow_ref)):
-        rho_alt = flow_alt.values_at(st.t) if flow_alt is not None else st.rho
-        xi = (drift_at_positions(drift_alt, st.t, st.x, grid, rho_alt) - st.b) / st.sigma
-        log_r += xi * st.dw - 0.5 * xi * xi * dt
-    return log_r
-
-
-def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: DiffusionSpec,
-                             init, t: float, n_paths: int, dt: float, grid: Grid1D,
-                             seed: int, flow_a: DensityFlow | None = None,
-                             flow_b: DensityFlow | None = None):
-    """Monte Carlo estimate (value, stderr) of the path-space relative entropy
-    bound 1/2 E int_0^t |(b_a - b_b)/sqrt(a)|^2 ds along drift_a paths.
-
-    For density-dependent drifts the density slots are read from the supplied
-    marginal flows (the laws of the two processes), which is what the
-    path-space divergence between the two nonlinear processes requires.
-    """
-    if n_paths < 2:
-        raise InvalidParameterError("need at least 2 paths")
-    x0 = sample_initial(init, n_paths, seed, grid)
-    sigma = math.sqrt(diff.a)
-
-    def xi_fn(ts, xs):
-        rho_a = flow_a.values_at(ts) if flow_a is not None else None
-        rho_b = flow_b.values_at(ts) if flow_b is not None else None
-        b_a = drift_at_positions(drift_a, ts, xs, grid, rho_a)
-        b_b = drift_at_positions(drift_b, ts, xs, grid, rho_b)
-        return (b_a - b_b) / sigma
-
-    march = _march(x0, drift_a, diff, grid, 0.0, t, dt, seed,
-                   _density_rule(drift_a, grid, flow_a))
-    vals = 0.5 * _integral_sq(xi_fn, march, 0.0, x0, dt)
-    return float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_paths))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Exact transport on small atomic measures (monotone coupling and a
 transportation linear program), the expW calibration bisected on
 `exp_wasserstein` itself, the localized measure distance, the discounted
-flow distance, a one-path Girsanov log-weight, the particle step written out
-of place (np.interp gather, np.where reflection, uniforms, cloud-in-cell
-KDE) with a march built from it, a single Fokker-Planck step, the frozen
-density read by `values_at` on every sub-step, the reference step that
-assembles and solves the banded matrix afresh, the capped
-singular_well term, a writer for density CSVs and a reader for the flow
-directories the CLI writes.
+flow distance, a one-path Girsanov log-weight and the Monte Carlo Girsanov
+and path-entropy estimators on the particle march, the particle step
+written out of place (np.interp gather, np.where reflection, uniforms,
+cloud-in-cell KDE) with a march built from it, the particle march drawing
+its normals serially, a single Fokker-Planck step, the frozen density read
+by `values_at` on every sub-step, the reference step that assembles and
+solves the banded matrix afresh, the capped singular_well term, a writer
+for density CSVs and a reader for the flow directories the CLI writes.
 """
 
 import math
@@ -22,10 +23,12 @@ from scipy.optimize import linprog
 from scipy.signal import fftconvolve
 from scipy.special import ndtri
 
+from denslab import particles
 from denslab.dynamics import (
     DiffusionSpec,
     DriftSpec,
     _advance,
+    _density_rule,
     _factor,
     _singular_sum,
     density_features,
@@ -230,6 +233,63 @@ def girsanov_log_weight(path: ParticlePath, drift_ref: DriftSpec, drift_alt: Dri
 
 
 # ---------------------------------------------------------------------------
+# path estimators on the particle march: Girsanov log-weights, path entropy
+# ---------------------------------------------------------------------------
+
+def _path_density(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None):
+    """The grid density a path estimator's drift reads: the frozen `flow`, or
+    without one the ensemble's own KDE."""
+    return _density_rule(drift, flow, particles._density_rule(drift, grid))
+
+
+def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: DiffusionSpec,
+                            init, t: float, n_paths: int, dt: float, grid: Grid1D,
+                            seed: int, flow_ref: DensityFlow | None = None,
+                            flow_alt: DensityFlow | None = None) -> np.ndarray:
+    """log R_t for n_paths reference-drift paths (vectorized single pass).
+
+    Without `flow_alt` the alternative drift reads the same density as the
+    reference drift."""
+    x0 = particles.sample_initial(init, n_paths, seed, grid)
+    log_r = np.zeros(x0.size)       # empty for n_paths < 1, which _march rejects
+    for st in particles._march(x0, drift_ref, diff, grid, 0.0, t, dt, seed,
+                               _path_density(drift_ref, grid, flow_ref)):
+        rho_alt = flow_alt.values_at(st.t) if flow_alt is not None else st.rho
+        xi = (drift_at_positions(drift_alt, st.t, st.x, grid, rho_alt) - st.b) / st.sigma
+        log_r += xi * st.dw - 0.5 * xi * xi * dt
+    return log_r
+
+
+def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: DiffusionSpec,
+                             init, t: float, n_paths: int, dt: float, grid: Grid1D,
+                             seed: int, flow_a: DensityFlow | None = None,
+                             flow_b: DensityFlow | None = None):
+    """Monte Carlo estimate (value, stderr) of the path-space relative entropy
+    bound 1/2 E int_0^t |(b_a - b_b)/sqrt(a)|^2 ds along drift_a paths.
+
+    For density-dependent drifts the density slots are read from the supplied
+    marginal flows (the laws of the two processes), which is what the
+    path-space divergence between the two nonlinear processes requires.
+    """
+    if n_paths < 2:
+        raise InvalidParameterError("need at least 2 paths")
+    x0 = particles.sample_initial(init, n_paths, seed, grid)
+    sigma = math.sqrt(diff.a)
+
+    def xi_fn(ts, xs):
+        rho_a = flow_a.values_at(ts) if flow_a is not None else None
+        rho_b = flow_b.values_at(ts) if flow_b is not None else None
+        b_a = drift_at_positions(drift_a, ts, xs, grid, rho_a)
+        b_b = drift_at_positions(drift_b, ts, xs, grid, rho_b)
+        return (b_a - b_b) / sigma
+
+    march = particles._march(x0, drift_a, diff, grid, 0.0, t, dt, seed,
+                             _path_density(drift_a, grid, flow_a))
+    vals = 0.5 * particles._integral_sq(xi_fn, march, 0.0, x0, dt)
+    return float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_paths))
+
+
+# ---------------------------------------------------------------------------
 # the particle step, out of place, and a march built from it
 # ---------------------------------------------------------------------------
 
@@ -311,6 +371,34 @@ def reference_kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> Grid
     kern /= kern.sum()
     smooth = fftconvolve(hist, kern, mode="same")
     return normalize(GridDensity(grid, np.maximum(smooth, 0.0)))
+
+
+def serial_march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
+                 t_start: float, t_end: float, dt: float, seed: int, density):
+    """The steps of `particles._march` from x0, each step's normals drawn on
+    the calling thread when the step needs them, with the march's in-place
+    roundings."""
+    n_steps = int(round((t_end - t_start) / dt))
+    sqrt_dt, sigma = math.sqrt(dt), math.sqrt(diff.a)
+    x = x0
+    for s in range(n_steps):
+        t = t_start + s * dt
+        rho = density(t, x) if density is not None else None
+        b = drift_at_positions(drift, t, x, grid, rho)
+        cfl = max(float(b.max()), -float(b.min())) * dt
+        if cfl > grid.dx * (1.0 + 1e-9):
+            raise InvalidParameterError(
+                f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} at step {s}")
+        dw = particles.normal_increments(seed, particles._STREAM_EVOLVE, s, x.size)
+        dw *= sqrt_dt
+        move = b * dt
+        move += x
+        move += sigma * dw
+        x_next = particles._reflect(move, grid.x_min, grid.x_max)
+        if not np.all(np.isfinite(x_next)):
+            raise NumericalError(f"non-finite particle position at step {s}")
+        yield particles._Step(t, x, rho, b, sigma, dw, x_next)
+        x = x_next
 
 
 def reference_mkv(mean: float, sd: float, drift: DriftSpec, diff: DiffusionSpec, n: int,

@@ -29,7 +29,8 @@ from denslab.experiments import (
     experiment_supercontinuity,
 )
 from denslab.metrics import FlowMetricSpec, relative_entropy, wasserstein_1d
-from denslab.particles import euler_maruyama_mkv, girsanov_log_weights_mc, path_relative_entropy_mc
+from denslab.particles import euler_maruyama_mkv
+from oracles import girsanov_log_weights_mc, path_relative_entropy_mc
 
 GRID = Grid1D(-6.0, 6.0, 2000)
 DIFF2 = constant_diffusion(2.0)

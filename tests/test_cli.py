@@ -9,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
+from denslab import particles
 from denslab.cli import EXPERIMENT_DEFAULTS, main
 from denslab.config import SCHEMA, parse_config
-from denslab.density_core import Grid1D, TimeGrid, gaussian_density
+from denslab.density_core import Grid1D, GridDensity, TimeGrid, gaussian_density
 from denslab.dynamics import DRIFT_PARAMS, SolverOptions, builtin_drift, picard_fixed_point
 from denslab.errors import (
     DenslabError,
@@ -590,3 +591,43 @@ class TestDeterminism:
         assert "runtime_seconds" not in rep
         meta = json.loads((out / "run_meta.json").read_text())
         assert "runtime_seconds" in meta
+
+
+class TestLogLevel:
+    """--log-level routes the denslab.* loggers to stderr; without it stderr
+    stays empty."""
+
+    @pytest.mark.parametrize("level, shown", [(None, False), ("warning", False), ("info", True)])
+    def test_kde_reports_particles_outside_the_grid(self, tmp_path, capsys, monkeypatch,
+                                                    level, shown):
+        # the march reflects every particle into the grid, so only a start
+        # outside it reaches the kde message: three of 1000 start past x_max
+        start = particles.sample_initial
+
+        def outside(init, n, seed, grid):
+            x = start(init, n, seed, grid)
+            x[:3] = grid.x_max + 1.0
+            return x
+
+        monkeypatch.setattr(particles, "sample_initial", outside)
+        argv = ["particles", "--drift", "zero", "--N", "1000", "--dt", "0.01", "--T", "0.02",
+                "--set", "grid.cells=400", "--out", str(tmp_path / "run")]
+        assert main(argv + (["--log-level", level] if level else [])) == 0
+        err = capsys.readouterr().err
+        line = "INFO denslab.density_core: kde: 3 of 1000 particles outside the grid\n"
+        assert err == (line if shown else "")
+
+    def test_normalize_reports_clipped_mass(self, tmp_path, capsys):
+        g = Grid1D(-6.0, 6.0, 200)
+        values = gaussian_density(g, 0.0, 1.0).values.copy()
+        values[0] = -1e-10
+        a_path, b_path = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        save_density(GridDensity(g, values), a_path)
+        save_density(gaussian_density(g, 0.5, 1.0), b_path)
+        argv = ["metrics", "--a", a_path, "--b", b_path, "--metric", "w1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert main(argv + ["--log-level", "info"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("INFO denslab.density_core: normalize: clipped ")
+        assert err.count("\n") == 1

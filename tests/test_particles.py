@@ -1,32 +1,35 @@
 """Particle engine: reproducible streams, moments, Girsanov, exponential moments."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from denslab import particles
+from denslab import dynamics, particles
 from denslab.density_core import DensityFlow, Grid1D, TimeGrid, gaussian_density
 from denslab.dynamics import DriftSpec, builtin_drift, constant_diffusion
-from denslab.errors import InvalidParameterError, NumericOverflowError
+from denslab.errors import InvalidParameterError, NumericalError, NumericOverflowError
 from denslab.metrics import relative_entropy
 from denslab.particles import (
     _reflect,
     builtin_field,
     euler_maruyama_mkv,
     field_spacetime_norm,
-    girsanov_log_weights_mc,
     khasminskii_mc,
     normal_increments,
-    path_relative_entropy_mc,
     raw_uniforms,
     sample_initial,
 )
 from oracles import (
     ParticlePath,
     girsanov_log_weight,
+    girsanov_log_weights_mc,
+    path_relative_entropy_mc,
     reference_mkv,
     reference_reflect,
     reference_uniforms,
     same_bits,
+    serial_march,
 )
 
 GRID = Grid1D(-6.0, 6.0, 2000)
@@ -194,6 +197,91 @@ class TestEulerMaruyama:
         with pytest.raises(InvalidParameterError):
             euler_maruyama_mkv(("gaussian", 0.0, 0.3), cd, DIFF2, 100,
                                1e-3, 0.1, GRID, seed=1)
+
+
+def _march_args(drift, flow=None):
+    """Arguments of `particles._march` (and `serial_march`) for 20 steps of
+    1200 particles from a seeded Gaussian start; each call builds a fresh
+    density rule."""
+    x0 = sample_initial(("gaussian", 0.1, 0.4), 1200, 17, GRID)
+    density = (particles._density_rule(drift, GRID) if flow is None else
+               dynamics._density_rule(drift, flow, None))
+    return (x0, drift, DIFF2, GRID, 0.0, 0.02, 1e-3, 17, density)
+
+
+_CAPPED = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.5, "tau": 0.6, "cap": 5.0})
+_FLOW = DensityFlow(TimeGrid.uniform(0.02, 1), (gaussian_density(GRID, 0.0, 0.3),
+                                                gaussian_density(GRID, 0.1, 0.5)))
+
+
+def _jump_drift(value):
+    """A constant drift of 0 that becomes `value` from t = 0.005 (step 5) on."""
+    return DriftSpec(b1=lambda t, x: np.full_like(x, value if t >= 0.005 else 0.0), K=0.0)
+
+
+class TestMarchPipeline:
+    """The march draws step s + 1's normals on a helper thread while step s
+    runs; that must change no bit, no error and leave no thread behind."""
+
+    @pytest.mark.parametrize("drift,flow", [(ZERO_DRIFT, None), (_CAPPED, None), (_CAPPED, _FLOW)],
+                             ids=["density-free", "own-kde", "frozen-flow"])
+    def test_steps_bitwise_equal_to_serial_march(self, drift, flow):
+        steps = list(particles._march(*_march_args(drift, flow=flow)))
+        ref = list(serial_march(*_march_args(drift, flow=flow)))
+        assert len(steps) == len(ref) == 20
+        for st, rs in zip(steps, ref):
+            assert st.t == rs.t
+            for a, b in ((st.dw, rs.dw), (st.x_next, rs.x_next), (st.b, rs.b)):
+                assert same_bits(a, b)
+
+    def test_one_draw_ahead_on_one_helper_thread(self, monkeypatch):
+        called, threads = [], set()
+        draw = particles.normal_increments
+
+        def traced(seed, tag, step, n):
+            called.append(step)
+            threads.add(threading.get_ident())
+            return draw(seed, tag, step, n)
+
+        args = _march_args(ZERO_DRIFT)      # its start draws on this thread
+        monkeypatch.setattr(particles, "normal_increments", traced)
+        for s, _ in enumerate(particles._march(*args)):
+            assert max(called) <= s + 1         # step s + 1's draw at most is made
+        assert called == list(range(20))       # each step's draw once, none past the end
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("drift,error,match", [
+        (_jump_drift(3.0 * GRID.dx / 1e-3), InvalidParameterError, "at step 5"),
+        (_jump_drift(np.nan), NumericalError, "non-finite particle position at step 5"),
+    ], ids=["cfl", "non-finite"])
+    def test_failure_mid_march_as_serial_and_no_thread_left(self, drift, error, match):
+        base = threading.active_count()
+        with pytest.raises(error, match=match) as got:
+            for _ in particles._march(*_march_args(drift)):
+                pass
+        with pytest.raises(error) as want:
+            for _ in serial_march(*_march_args(drift)):
+                pass
+        assert str(got.value) == str(want.value)
+        assert threading.active_count() == base
+
+    def test_closed_dropped_or_unstarted_march_leaves_no_thread(self):
+        base = threading.active_count()
+        march = particles._march(*_march_args(ZERO_DRIFT))
+        assert threading.active_count() == base      # built, not iterated: no pool yet
+        next(march)
+        assert threading.active_count() == base + 1
+        march.close()
+        assert threading.active_count() == base
+        march = particles._march(*_march_args(ZERO_DRIFT))
+        next(march)
+        del march                                     # dropped: the generator closes
+        assert threading.active_count() == base
+        # khasminskii_mc builds its march, then rejects the zero field unmarched
+        with pytest.raises(InvalidParameterError, match="localized space-time norm 0"):
+            khasminskii_mc(builtin_field("constant", {"c0": 0.0}), ZERO_DRIFT, DIFF1, 0.0, 0.1,
+                           [0.2, 0.5], 10, 1e-2, GRID, seed=3)
+        assert threading.active_count() == base
 
 
 class TestGirsanov:
