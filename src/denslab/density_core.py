@@ -247,21 +247,11 @@ def tilde_norm(values, k: float, grid: Grid1D) -> float:
                            lambda a: np.max(_window_sums(a ** k * grid.dx, m)) ** (1.0 / k)))
 
 
-def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> float:
-    """Space-time localized norm: sup_z ( int ||f_r 1_{[z-1,z+1]}||_p^q dr )^(1/q).
-
-    The supremum over z is joint: one window center for the whole time
-    integral.  Time integration is the trapezoid rule over exactly the given
-    node times; `values` is the (len(times), n_cells) array of node values.
-    """
-    return _spacetime_norm(values, times, p, q, grid)[0]
-
-
 def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
-    """(tilde_spacetime_norm, the tilde_norm of every node) from one pass of
-    level-1 window sums: a node's tilde_norm is the max of its sums, then the
-    root, as `tilde_norm` takes it (or `tilde_norm` itself where that is 0,
-    inf or NaN)."""
+    """(sup_z (int ||f_r 1_{[z-1,z+1]}||_p^q dr)^(1/q), one z for the whole
+    trapezoid time integral over the rows of `values`; every node's tilde_norm)
+    from one pass of level-1 window sums: a node's tilde_norm is the max of its
+    sums, then the root, as `tilde_norm` takes it (or itself at 0, inf or NaN)."""
     if not (p >= 1 and q >= 1):
         raise InvalidParameterError("need p, q >= 1")
     if np.ndim(times) != 1 or np.size(times) < 2 or not np.all(np.diff(times) > 0):
@@ -327,20 +317,38 @@ def uniform_density(grid: Grid1D, lo: float, hi: float) -> GridDensity:
     return normalize(GridDensity(grid, v))
 
 
-def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> GridDensity:
+class _Scratch(dict):
+    """Work arrays made on first use and reused; a march gives one set to all its steps.
+    `take(n, *dtypes)` gives n-entry arrays, one per dtype, distinct within a call but
+    shared between calls (float64 with intp) and stale: the taker's until it returns."""
+
+    def take(self, n: int, *dtypes) -> list:
+        out = []
+        for dtype in map(np.dtype, dtypes):
+            key = (dtype.itemsize, sum(a.itemsize == dtype.itemsize for a in out))
+            if key not in self or self[key].size < n * dtype.itemsize:
+                self[key] = np.empty(n * dtype.itemsize, dtype=np.uint8)
+            out.append(self[key][:n * dtype.itemsize].view(dtype))
+        return out
+
+
+def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) -> GridDensity:
     """Gaussian-kernel density estimate on the grid, normalized.
 
     Particles are deposited with linear (cloud-in-cell) binning and smoothed
     by FFT convolution against the discretized kernel, so the estimate is
     deterministic and O(n log n) regardless of sample size.  Mass falling
-    outside the grid is reported via the module logger.
+    outside the grid is reported via the module logger; `_scratch` holds its work.
     """
     if not (bandwidth > 0 and np.isfinite(bandwidth)):
         raise InvalidParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     x = np.asarray(positions, dtype=np.float64)
     if x.size < 1:
         raise InvalidParameterError("need at least one particle")
-    inside = (x >= grid.x_min) & (x <= grid.x_max)
+    work = _Scratch() if _scratch is None else _scratch
+    inside, below_top = work.take(x.size, bool, bool)
+    np.logical_and(np.greater_equal(x, grid.x_min, out=inside),
+                   np.less_equal(x, grid.x_max, out=below_top), out=inside)
     n_in = int(np.count_nonzero(inside))
     if n_in == 0:
         raise NumericalError("all particles fall outside the grid")
@@ -348,14 +356,15 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> GridDensity:
         log.info("kde: %d of %d particles outside the grid", x.size - n_in, x.size)
     xin = x if n_in == x.size else x[inside]
     dx = grid.dx
-    rel = np.subtract(xin, grid.x_min + 0.5 * dx)
+    rel, lower, i0, i1 = work.take(n_in, float, float, np.intp, np.intp)
+    np.subtract(xin, grid.x_min + 0.5 * dx, out=rel)
     rel /= dx
-    lower = np.floor(rel)
-    i0 = lower.astype(np.int64)
+    np.floor(rel, out=lower)
+    np.copyto(i0, lower, casting="unsafe")
     frac = np.subtract(rel, lower, out=rel)
-    i1 = i0 + 1
+    np.add(i0, 1, out=i1)
     for i in (i0, i1):
-        np.minimum(np.maximum(i, 0, out=i), grid.n_cells - 1, out=i)
+        np.clip(i, 0, grid.n_cells - 1, out=i)
     hist = np.zeros(grid.n_cells)
     np.add.at(hist, i0, np.subtract(1.0, frac, out=lower))
     np.add.at(hist, i1, frac)

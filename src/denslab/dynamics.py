@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import fftconvolve
 
 from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _blend,
-                           _require_window, tilde_norm)
+                           _require_window, _Scratch, tilde_norm)
 from .errors import InvalidParameterError, NoConvergenceError, NumericalError, NumericOverflowError
 from .metrics import FlowMetricSpec
 
@@ -210,9 +210,9 @@ def drift_field(drift: DriftSpec, t: float, grid: Grid1D,
     return b
 
 
-def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray) -> list:
-    """Each y (values at the cell centres) linearly interpolated at x, bit for
-    bit what np.interp(x, grid.centers, y) returns.
+def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray, _scratch=None) -> list:
+    """Each y (values at the cell centres) linearly interpolated at the 1-D
+    positions x, bit for bit what np.interp(x, grid.centers, y) returns.
 
     The uniform grid finds each position's cell by one floor instead of a
     search; a one-cell fix-up each way then makes c[j] <= x < c[j+1] hold
@@ -220,52 +220,51 @@ def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray) -> list:
     and shared by every y.  np.interp's special cases carry over: x is
     clamped to [c[0], c[-1]] (its end values y[0] and y[-1]), and a position
     on a centre (x == c[j], including both clamped ends) reads y[j] itself.
-    Work arrays are reused in place: a fresh array of N floats costs page
-    faults comparable to the arithmetic on it.  Every index is in range, so
-    np.take runs with mode="clip", which skips the bounds check and the
-    buffering that mode="raise" does for `out`.
+    The work and the returned values are in a `_Scratch`, `_scratch` when
+    given.  Every index is in range, so np.take runs with mode="clip", which
+    skips the bounds check and the buffering that mode="raise" does for `out`.
     """
     c = grid.centers
     n = c.size
     c_up = np.append(c, np.inf)
-    xc = np.clip(np.asarray(x, dtype=np.float64), c[0], c[-1])
-    w = np.subtract(xc, c[0])
+    work = _Scratch() if _scratch is None else _scratch
+    xc, w, j, below, not_above, *vals = work.take(np.size(x), float, float, np.intp, bool, bool,
+                                                   *[float] * len(ys))
+    np.clip(np.asarray(x, dtype=np.float64), c[0], c[-1], out=xc)
+    np.subtract(xc, c[0], out=w)
     w /= grid.dx
     np.floor(w, out=w)
-    np.fmin(np.fmax(w, 0.0, out=w), n - 1, out=w)     # fmax sends NaN to cell 0
-    j = w.astype(np.intp)
+    np.fmin(w, n - 1, out=w)    # w >= 0 as xc >= c[0]; fmin also sends NaN to cell n - 1
+    np.copyto(j, w, casting="unsafe")
     # j + 1 - [x < c[j]] - [x < c[j+1]]: one cell down or up where the floor erred
-    below = xc < np.take(c, j, out=w, mode="clip")
-    j += 1
-    not_above = xc < np.take(c_up, j, out=w, mode="clip")
-    j -= below
-    j -= not_above
+    np.less(xc, np.take(c, j, out=w, mode="clip"), out=below)
+    np.less(xc, np.take(c_up[1:], j, out=w, mode="clip"), out=not_above)
+    step = np.add(below.view(np.int8), not_above.view(np.int8), out=below.view(np.int8))
+    j += np.subtract(1, step, out=step)     # in int8, then one cast
     d = np.subtract(xc, np.take(c, j, out=w, mode="clip"), out=w)
-    on_centre = np.flatnonzero(d == 0.0)
+    on_centre = np.flatnonzero(np.equal(d, 0.0, out=below))
     j_on = j[on_centre]
     gaps = np.diff(c)
-    out = []
-    for y in ys:
+    for y, v in zip(ys, vals):
         slopes = np.append(np.diff(y) / gaps, 0.0)    # the 0 is for j = n-1, where d == 0
-        v = slopes.take(j, mode="clip")
+        slopes.take(j, out=v, mode="clip")
         v *= d
         v += np.take(y, j, out=xc, mode="clip")       # xc is spent: reuse it for y[j]
         v[on_centre] = y[j_on]
-        out.append(v)
-    return out
+    return vals
 
 
 def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
-                       rho_values: np.ndarray | None) -> np.ndarray:
-    """Drift evaluated at arbitrary positions.  The density and its features
-    are linearly interpolated from the grid exactly as np.interp would, with
-    one cell search per call shared by all of them (`_gather`)."""
+                       rho_values: np.ndarray | None, _scratch=None) -> np.ndarray:
+    """Drift evaluated at arbitrary positions, a new array.  The density and its
+    features are linearly interpolated from the grid exactly as np.interp would,
+    with one cell search per call shared by all of them (`_gather` in `_scratch`)."""
     b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
         if rho_values is None:
             raise InvalidParameterError("density-dependent drift needs a density")
         feats_grid = density_features(rho_values, grid, drift)
-        r, *vals = _gather(x, grid, rho_values, *feats_grid.values())
+        r, *vals = _gather(x, grid, rho_values, *feats_grid.values(), _scratch=_scratch)
         feats = dict(zip(feats_grid, vals))
         b += np.asarray(drift.nemytskii(t, x, r, feats), dtype=np.float64)
     return b

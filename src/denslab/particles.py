@@ -23,9 +23,9 @@ helper thread while step s runs.
 A step's drift reads the grid density (and its features) at every particle:
 `drift_at_positions` interpolates linearly, bit for bit as np.interp does,
 but finds each particle's cell once per step by arithmetic on the uniform
-grid instead of a search per array.  The step's uniforms and reflection
-work in place on fresh arrays, with the same roundings as the out-of-place
-formulas kept in the tests.
+grid instead of a search per array.  The step's scratch arrays are
+allocated once per march; the KDE deposit, gather and move work in them,
+with the same roundings as the out-of-place formulas kept in the tests.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +44,7 @@ from .density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _Scratch,
     _spacetime_norm,
     density_quantiles,
     kde,
@@ -65,13 +67,9 @@ _LOG_WEIGHT_CAP = 700.0
 _FIELD_TIME_NODES = 129    # time nodes of field_spacetime_norm
 
 
-def _block_size(n: int) -> int:
-    return 4 * ((n + 3) // 4)
-
-
 def raw_uniforms(seed: int, tag: int, step: int, n: int) -> np.ndarray:
     """Deterministic uniforms in (0, 1): draw (seed, tag, step*block + i)."""
-    res = _block_size(n)
+    res = 4 * ((n + 3) // 4)
     bg = np.random.Philox(key=np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64))
     bg.advance((step * res) >> 2)  # advance() skips 4 raw 64-bit words per unit
     raw = bg.random_raw(res)[:n]
@@ -108,31 +106,35 @@ def sample_initial(init, n: int, seed: int, grid: Grid1D) -> np.ndarray:
     return _reflect(x, grid.x_min, grid.x_max)
 
 
-def _bandwidth(bandwidth: float, positions: np.ndarray) -> float:
-    """`bandwidth`, or Silverman's rule for the positions when it is 0."""
+def _bandwidth(bandwidth: float, positions: np.ndarray, scratch=None) -> float:
+    """`bandwidth`, or Silverman's rule (np.std's value, bit for bit) when it is 0."""
     if bandwidth != 0:
         return float(bandwidth)    # kde checks it
-    sd = float(np.std(positions))
-    return 1.06 * max(sd, 1e-12) * positions.size ** (-0.2)
+    n = positions.size
+    (dev,) = (_Scratch() if scratch is None else scratch).take(n, float)
+    mean = np.add.reduce(positions, keepdims=True) / n
+    sd = math.sqrt(np.add.reduce(np.square(np.subtract(positions, mean, out=dev), out=dev)) / n)
+    return 1.06 * max(sd, 1e-12) * n ** (-0.2)
 
 
-def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """x mirrored once at hi, then at lo, then clipped to [lo, hi] (a copy)."""
-    y = np.array(x, dtype=np.float64)
-    np.subtract(2.0 * hi, y, out=y, where=y > hi)
-    np.subtract(2.0 * lo, y, out=y, where=y < lo)
-    y[y > hi] = hi
-    y[y < lo] = lo
-    return y
+def _reflect(x: np.ndarray, lo: float, hi: float, mask: np.ndarray | None = None) -> np.ndarray:
+    """x mirrored at hi, then at lo, clipped to [lo, hi]: a copy, or x given a bool `mask`."""
+    if mask is None:
+        x, mask = np.array(x, dtype=np.float64), np.empty(np.shape(x), dtype=bool)
+    for bound, outside in ((hi, np.greater), (lo, np.less)):
+        np.subtract(2.0 * bound, x, out=x, where=outside(x, bound, out=mask))
+    for bound, outside in ((hi, np.greater), (lo, np.less)):
+        np.copyto(x, bound, where=outside(x, bound, out=mask))
+    return x
 
 
-def _density_rule(drift: DriftSpec, grid: Grid1D, bandwidth: float = 0.0):
+def _density_rule(drift: DriftSpec, grid: Grid1D, bandwidth: float = 0.0, scratch=None):
     """`dynamics._density_rule` at (t, positions) without a frozen flow: the
-    ensemble's own KDE, which needs at least 1000 particles."""
+    ensemble's own KDE (in `scratch`), which needs at least 1000 particles."""
     def own(t, x):
         if x.size < 1000:
             raise InvalidParameterError("density feedback needs at least 1000 particles")
-        return kde(x, _bandwidth(bandwidth, x), grid).values
+        return kde(x, _bandwidth(bandwidth, x, scratch), grid, scratch).values
     return _grid_density_rule(drift, None, own)
 
 
@@ -149,12 +151,12 @@ class _Step(NamedTuple):
 
 
 def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
-           t_start: float, t_end: float, dt: float, seed: int, density):
+           t_start: float, t_end: float, dt: float, seed: int, density, scratch=None):
     """Check the inputs and return a generator of every Euler-Maruyama step from x0;
-    `density` is a `dynamics._density_rule` of (t, positions).  Step s draws
-    its increments from (seed, s).  A single-worker pool, made on the first
-    step and shut down when the generator ends, fails or is closed, draws step
-    s + 1's while step s runs."""
+    `density` is a `dynamics._density_rule` of (t, positions).  Step s draws its
+    increments from (seed, s).  A single-worker pool, made on the first step and
+    shut down when the generator ends, fails or is closed, draws step s + 1's while
+    step s runs.  The steps work in one `_Scratch`, `scratch` if given."""
     if x0.size < 1 or not 0 < dt < np.inf or not t_start < t_end < np.inf:
         raise InvalidParameterError(
             f"need n >= 1, 0 < dt < inf and t_start < t_end < inf, got n = {x0.size}, "
@@ -164,6 +166,7 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
         raise InvalidParameterError("(t_end - t_start) must be a multiple of dt")
     sqrt_dt = math.sqrt(dt)
     sigma = math.sqrt(diff.a)
+    work = _Scratch() if scratch is None else scratch
 
     def steps(x):
         pool = ThreadPoolExecutor(max_workers=1)
@@ -172,23 +175,28 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
             for s in range(n_steps):
                 t = t_start + s * dt
                 rho = density(t, x) if density is not None else None
-                b = drift_at_positions(drift, t, x, grid, rho)
+                b = drift_at_positions(drift, t, x, grid, rho, _scratch=work)
                 cfl = max(float(b.max()), -float(b.min())) * dt
                 if cfl > grid.dx * (1.0 + 1e-9):
                     raise InvalidParameterError(
                         f"dt * max|b| = {cfl:.3e} exceeds the grid scale {grid.dx:.3e} "
                         f"at step {s}")
-                dw = ahead.result() * sqrt_dt      # a new array: the draw's is freed below
+                dw = ahead.result()
+                dw *= sqrt_dt
                 if s + 1 < n_steps:     # one draw in flight at most
                     ahead = pool.submit(normal_increments, seed, _STREAM_EVOLVE, s + 1, x.size)
-                move = b * dt
-                move += x                   # x + b dt, then + sigma dw: the same roundings
-                move += sigma * dw
-                x_next = _reflect(move, grid.x_min, grid.x_max)
-                if not np.all(np.isfinite(x_next)):
-                    raise NumericalError(f"non-finite particle position at step {s}")
+                noise, mask = work.take(x.size, float, bool)
+                x_next = np.multiply(b, dt)
+                x_last = None       # old positions freed only now, so glibc reuses its heap top
+                x_next += x                 # x + b dt, then + sigma dw: the same roundings
+                x_next += np.multiply(sigma, dw, out=noise)
+                if not grid.x_min <= x_next.min() <= x_next.max() <= grid.x_max:
+                    _reflect(x_next, grid.x_min, grid.x_max, mask)   # else a no-op, all finite
+                    if not np.isfinite(x_next, out=mask).all():
+                        raise NumericalError(f"non-finite particle position at step {s}")
                 yield _Step(t, x, rho, b, sigma, dw, x_next)
-                x = x_next
+                x_last, x = x, x_next
+                del rho, b, dw, x_next      # the caller holds what it keeps of a step
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -198,10 +206,11 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
 def _integral_sq(f, march, t_start: float, x0: np.ndarray, dt: float) -> np.ndarray:
     """Per-path trapezoid int f(r, X_r)^2 dr along a march started at x0."""
     total = np.zeros(x0.size)
+    term = np.empty(x0.size)
     prev = f(t_start, x0) ** 2
     for st in march:
         cur = f(st.t + dt, st.x_next) ** 2
-        total += 0.5 * (prev + cur) * dt
+        total += np.multiply(np.multiply(np.add(prev, cur, out=term), 0.5, out=term), dt, out=term)
         prev = cur
     return total
 
@@ -220,16 +229,16 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     The KDE bandwidth is `bandwidth`, or Silverman's rule when it is 0.
     """
     x = sample_initial(init, n_particles, seed, grid)
-    march = _march(x, drift, diff, grid, 0.0, T, dt, seed, _density_rule(drift, grid, bandwidth))
+    march = _march(x, drift, diff, grid, 0.0, T, dt, seed,
+                   _density_rule(drift, grid, bandwidth, work := _Scratch()), work)
     tg = record_grid if record_grid is not None else TimeGrid.uniform(T, max(1, int(round(T / dt))))
     if tg.T > T * (1 + 1e-9):
         raise InvalidParameterError(f"record grid extends to {tg.T} beyond T = {T}")
     steps = sorted({int(round(t / dt)) for t in tg.nodes})
-    snaps = [kde(x, _bandwidth(bandwidth, x), grid)]   # node 0 is step 0
-    for s, st in enumerate(march, start=1):
-        x = st.x_next
-        if s in steps:
-            snaps.append(kde(x, _bandwidth(bandwidth, x), grid))
+    snaps = [kde(x, _bandwidth(bandwidth, x, work), grid, work)]   # node 0 is step 0
+    for s, x in enumerate(map(attrgetter("x_next"), march), start=1):   # holds no past step
+        if s in steps:      # between steps: the march is suspended and its scratch idle
+            snaps.append(kde(x, _bandwidth(bandwidth, x, work), grid, work))
     return (ParticleEnsemble(x),
             DensityFlow(TimeGrid(np.array(steps) * dt), tuple(snaps)))
 

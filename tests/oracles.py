@@ -2,15 +2,16 @@
 
 Exact transport on small atomic measures (monotone coupling and a
 transportation linear program), the expW calibration bisected on
-`exp_wasserstein` itself, the localized measure distance, the discounted
-flow distance, a one-path Girsanov log-weight and the Monte Carlo Girsanov
-and path-entropy estimators on the particle march, the particle step
-written out of place (np.interp gather, np.where reflection, uniforms,
-cloud-in-cell KDE) with a march built from it, the particle march drawing
-its normals serially, a single Fokker-Planck step, the frozen density read
-by `values_at` on every sub-step, the reference step that assembles and
-solves the banded matrix afresh, the capped singular_well term, a writer
-for density CSVs and a reader for the flow directories the CLI writes.
+`exp_wasserstein` itself, the localized measure distance, the space-time
+localized norm, the discounted flow distance, a one-path Girsanov
+log-weight and the Monte Carlo Girsanov and path-entropy estimators on the
+particle march, the particle step written out of place (np.interp
+gather, np.where reflection, uniforms, cloud-in-cell KDE) with a march
+built from it, the particle march drawing its normals serially, a single
+Fokker-Planck step, the frozen density read by `values_at` on every
+sub-step, the reference step that assembles and solves the banded matrix
+afresh, the capped singular_well term, a writer for density CSVs and a
+reader for the flow directories the CLI writes.
 """
 
 import math
@@ -39,6 +40,7 @@ from denslab.density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _spacetime_norm,
     _write_csv,
     load_density,
     normalize,
@@ -163,7 +165,7 @@ def smallest_expw_constant(mu: GridDensity, nu: GridDensity, target: float) -> f
 
 
 # ---------------------------------------------------------------------------
-# localized measure distance
+# localized measure distance and space-time norm
 # ---------------------------------------------------------------------------
 
 def tilde_measure_distance_l1(mu: GridDensity, nu: GridDensity) -> float:
@@ -176,6 +178,16 @@ def tilde_measure_distance_l1(mu: GridDensity, nu: GridDensity) -> float:
     if mu.grid != nu.grid:
         raise NumericalError("densities live on different grids")
     return tilde_norm(mu.values - nu.values, 1.0, mu.grid)
+
+
+def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> float:
+    """Space-time localized norm: sup_z ( int ||f_r 1_{[z-1,z+1]}||_p^q dr )^(1/q).
+
+    The supremum over z is joint: one window center for the whole time
+    integral.  Time integration is the trapezoid rule over exactly the given
+    node times; `values` is the (len(times), n_cells) array of node values.
+    """
+    return _spacetime_norm(values, times, p, q, grid)[0]
 
 
 # ---------------------------------------------------------------------------

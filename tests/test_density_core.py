@@ -8,6 +8,7 @@ from denslab.density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _Scratch,
     _spacetime_norm,
     gaussian_density,
     kde,
@@ -15,11 +16,17 @@ from denslab.density_core import (
     normalize,
     save_flow,
     tilde_norm,
-    tilde_spacetime_norm,
     uniform_density,
 )
 from denslab.errors import InvalidParameterError, NumericalError
-from oracles import load_flow, reference_kde, same_bits, save_density, tilde_measure_distance_l1
+from oracles import (
+    load_flow,
+    reference_kde,
+    same_bits,
+    save_density,
+    tilde_measure_distance_l1,
+    tilde_spacetime_norm,
+)
 
 
 def brute_force_tilde_norm(values, grid, k):
@@ -309,6 +316,23 @@ class TestKde:
         pts[:3] = [g.x_min, g.x_max, g.centers[7]]
         assert np.all(np.abs(pts) <= 4.0) == (spread < 1.0)
         assert same_bits(kde(pts, 0.1, g).values, reference_kde(pts, 0.1, g).values)
+
+    def test_reused_scratch_bitwise_equal_to_reference(self):
+        # successive calls on one scratch set, each with a different number of
+        # particles outside the grid (a NaN counts as outside), so the deposit
+        # runs on the kept particles and on stale buffers
+        g = Grid1D(-4.0, 4.0, 500)
+        rng = np.random.default_rng(7)
+        scratch = _Scratch()
+        for n_out in (0, 37, 2500, 0, 1):
+            pts = rng.normal(0.0, 1.0, 20_000).clip(-3.9, 3.9)
+            out = rng.choice(np.arange(2, pts.size), n_out, replace=False)
+            pts[out] = rng.choice([-1.0, 1.0], n_out) * rng.uniform(4.0 + 1e-9, 9.0, n_out)
+            if n_out:
+                pts[out[0]] = np.nan
+            pts[:2] = [g.x_min, g.x_max]
+            assert np.count_nonzero(~((pts >= g.x_min) & (pts <= g.x_max))) == n_out
+            assert same_bits(kde(pts, 0.1, g, scratch).values, reference_kde(pts, 0.1, g).values)
 
     def test_all_outside(self):
         g = Grid1D(-1.0, 1.0, 64)

@@ -12,6 +12,7 @@ from denslab.density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _Scratch,
     gaussian_density,
     normalize,
     tilde_norm,
@@ -362,6 +363,23 @@ class TestGather:
         got = _gather(x, grid, rho, *feats.values())
         want = [np.interp(x, grid.centers, v) for v in (rho, *feats.values())]
         assert len(got) == 2 and all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_reused_scratch_bitwise_equal_to_interp(self):
+        # one scratch set for successive calls, two arrays then one, so each
+        # call starts from the last one's values
+        grid = Grid1D(-6.0, 6.0, 2000)
+        rng = np.random.default_rng(21)
+        drift = builtin_drift("smoothed_interaction", {"kappa": 0.3, "kernel_width": 0.2})
+        rho = reference_kde(rng.normal(0.0, 0.5, 5000), 0.1, grid).values
+        bump = density_features(rho, grid, drift)["bump"]
+        n = probe_positions(grid, rng).size
+        scratch = _Scratch()
+        for ys in ((rho, bump), (bump,), (rho, bump)):
+            x = probe_positions(grid, rng)
+            x[rng.integers(0, n, 5)] = np.nan
+            got = _gather(x, grid, *ys, _scratch=scratch)
+            assert len(got) == len(ys)
+            assert all(same_bits(g, np.interp(x, grid.centers, y)) for g, y in zip(got, ys))
 
     def test_nonfinite_positions_as_interp(self):
         grid = Grid1D(-1.0, 1.0, 16)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from denslab import dynamics, particles
-from denslab.density_core import DensityFlow, Grid1D, TimeGrid, gaussian_density
+from denslab.density_core import DensityFlow, Grid1D, TimeGrid, _Scratch, gaussian_density
 from denslab.dynamics import DriftSpec, builtin_drift, constant_diffusion
 from denslab.errors import InvalidParameterError, NumericalError, NumericOverflowError
 from denslab.metrics import relative_entropy
 from denslab.particles import (
+    _bandwidth,
     _reflect,
     builtin_field,
     euler_maruyama_mkv,
@@ -97,6 +98,37 @@ class TestReflect:
         before = x.copy()
         _reflect(x, GRID.x_min, GRID.x_max)
         assert same_bits(x, before)
+
+    def test_in_place_with_a_mask_as_the_copy(self):
+        x = np.concatenate((np.random.default_rng(5).uniform(-20.0, 20.0, 5000),
+                            [-6.0, 6.0, -0.0, np.nan, np.inf, -np.inf]))
+        want = _reflect(x, GRID.x_min, GRID.x_max)
+        got = _reflect(x, GRID.x_min, GRID.x_max, np.ones(x.size, dtype=bool))
+        assert got is x and same_bits(x, want)
+
+
+def _silverman(x):
+    return 1.06 * max(np.std(x), 1e-12) * x.size ** -0.2
+
+
+class TestBandwidth:
+    """Silverman's rule reads np.std bit for bit, in fresh or reused work
+    arrays; the sizes straddle np.sum's pairwise blocks of 128."""
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 100_003])
+    def test_silverman_bitwise_equal_to_np_std(self, n):
+        rng = np.random.default_rng(n)
+        scratch = _Scratch()
+        spread = [rng.normal(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0), n)
+                  for _ in range(40)]    # enough draws that a rounding slip shows
+        for x in (np.full(n, 2.7), rng.uniform(0.9e150, 1.1e150, n), -rng.lognormal(0.0, 3.0, n),
+                  *spread):
+            want = np.float64(_silverman(x))
+            assert same_bits(np.float64(_bandwidth(0.0, x)), want)
+            assert same_bits(np.float64(_bandwidth(0.0, x, scratch)), want)
+
+    def test_given_bandwidth_returned(self):
+        assert _bandwidth(0.25, np.zeros(3)) == 0.25
 
 
 class TestEulerMaruyama:
@@ -199,11 +231,11 @@ class TestEulerMaruyama:
                                1e-3, 0.1, GRID, seed=1)
 
 
-def _march_args(drift, flow=None):
+def _march_args(drift, flow=None, n=1200):
     """Arguments of `particles._march` (and `serial_march`) for 20 steps of
-    1200 particles from a seeded Gaussian start; each call builds a fresh
+    n particles from a seeded Gaussian start; each call builds a fresh
     density rule."""
-    x0 = sample_initial(("gaussian", 0.1, 0.4), 1200, 17, GRID)
+    x0 = sample_initial(("gaussian", 0.1, 0.4), n, 17, GRID)
     density = (particles._density_rule(drift, GRID) if flow is None else
                dynamics._density_rule(drift, flow, None))
     return (x0, drift, DIFF2, GRID, 0.0, 0.02, 1e-3, 17, density)
@@ -233,6 +265,49 @@ class TestMarchPipeline:
             assert st.t == rs.t
             for a, b in ((st.dw, rs.dw), (st.x_next, rs.x_next), (st.b, rs.b)):
                 assert same_bits(a, b)
+
+    def test_reflecting_steps_bitwise_equal_to_serial_march(self):
+        # a grid a few standard deviations wide: particles leave it at both
+        # ends on every step and the march mirrors them back
+        grid = Grid1D(-0.3, 0.3, 64)
+        x0 = sample_initial(("gaussian", 0.0, 0.2), 1200, 5, grid)
+        args = (x0, _CAPPED, DIFF2, grid, 0.0, 0.02, 1e-3, 5)
+        steps = list(particles._march(*args, particles._density_rule(_CAPPED, grid)))
+        ref = list(serial_march(*args, particles._density_rule(_CAPPED, grid)))
+        assert len(steps) == len(ref) == 20
+        for st, rs in zip(steps, ref):
+            for a, b in ((st.dw, rs.dw), (st.x_next, rs.x_next), (st.b, rs.b)):
+                assert same_bits(a, b)
+            moved = st.x + st.b * 1e-3 + st.sigma * st.dw
+            assert np.any(moved < grid.x_min) and np.any(moved > grid.x_max)
+
+    @pytest.mark.parametrize("drift", [ZERO_DRIFT, _CAPPED], ids=["density-free", "own-kde"])
+    def test_steps_share_no_memory_and_leave_x0_alone(self, drift):
+        # every step works in one scratch set; what a step hands out is new
+        # (n = 1201 makes each dw a view of a draw of 1204)
+        x0, *rest = _march_args(drift, n=1201)
+        kept = x0.copy()
+        fresh = [[a for a in (st.x_next, st.b, st.dw, st.rho) if a is not None]
+                 for st in particles._march(x0, *rest)]
+        assert len(fresh) == 20
+        for i, mine in enumerate(fresh):
+            assert not any(np.shares_memory(x0, a) for a in mine)
+            for other in fresh[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in other)
+        assert same_bits(x0, kept)
+
+    def test_integral_sq_bitwise_equal_to_out_of_place_trapezoid(self):
+        def f(t, x):
+            return np.cos(3.0 * x) + t
+
+        x0, *rest = _march_args(_CAPPED)
+        got = particles._integral_sq(f, particles._march(x0, *rest), 0.0, x0, 1e-3)
+        want, prev = np.zeros(x0.size), f(0.0, x0) ** 2
+        for st in serial_march(*_march_args(_CAPPED)):
+            cur = f(st.t + 1e-3, st.x_next) ** 2
+            want += 0.5 * (prev + cur) * 1e-3
+            prev = cur
+        assert same_bits(got, want)
 
     def test_one_draw_ahead_on_one_helper_thread(self, monkeypatch):
         called, threads = [], set()
