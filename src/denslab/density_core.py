@@ -332,6 +332,18 @@ class _Scratch(dict):
         return out
 
 
+def _cells(x: np.ndarray, grid: Grid1D, frac, lower, i0) -> None:
+    """The particle step's cloud-in-cell rule, one for the KDE deposit and the
+    drift's gather: each position's lower cell floor((x - c[0]) / dx) into `i0`
+    (the last cell for a NaN x, which casts no NaN), and the remainder, its
+    weight on the cell above, into `frac` (which may be x).  `lower` is work."""
+    np.subtract(x, grid.centers[0], out=frac)
+    frac /= grid.dx
+    np.floor(frac, out=lower)
+    np.fmin(lower, grid.n_cells - 1, out=i0, casting="unsafe")
+    frac -= lower
+
+
 def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) -> GridDensity:
     """Gaussian-kernel density estimate on the grid, normalized.
 
@@ -356,12 +368,8 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) ->
         log.info("kde: %d of %d particles outside the grid", x.size - n_in, x.size)
     xin = x if n_in == x.size else x[inside]
     dx = grid.dx
-    rel, lower, i0, i1 = work.take(n_in, float, float, np.intp, np.intp)
-    np.subtract(xin, grid.x_min + 0.5 * dx, out=rel)
-    rel /= dx
-    np.floor(rel, out=lower)
-    np.copyto(i0, lower, casting="unsafe")
-    frac = np.subtract(rel, lower, out=rel)
+    frac, lower, i0, i1 = work.take(n_in, float, float, np.intp, np.intp)
+    _cells(xin, grid, frac, lower, i0)
     np.add(i0, 1, out=i1)
     for i in (i0, i1):
         np.clip(i, 0, grid.n_cells - 1, out=i)

@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import fftconvolve
 
 from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _blend,
-                           _require_window, _Scratch, tilde_norm)
+                           _cells, _require_window, _Scratch, tilde_norm)
 from .errors import InvalidParameterError, NoConvergenceError, NumericalError, NumericOverflowError
 from .metrics import FlowMetricSpec
 
@@ -211,54 +211,31 @@ def drift_field(drift: DriftSpec, t: float, grid: Grid1D,
 
 
 def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray, _scratch=None) -> list:
-    """Each y (values at the cell centres) linearly interpolated at the 1-D
-    positions x, bit for bit what np.interp(x, grid.centers, y) returns.
-
-    The uniform grid finds each position's cell by one floor instead of a
-    search; a one-cell fix-up each way then makes c[j] <= x < c[j+1] hold
-    exactly despite rounding in the floor's argument.  The cell is found once
-    and shared by every y.  np.interp's special cases carry over: x is
-    clamped to [c[0], c[-1]] (its end values y[0] and y[-1]), and a position
-    on a centre (x == c[j], including both clamped ends) reads y[j] itself.
-    The work and the returned values are in a `_Scratch`, `_scratch` when
-    given.  Every index is in range, so np.take runs with mode="clip", which
-    skips the bounds check and the buffering that mode="raise" does for `out`.
-    """
+    """Each y (values at the cell centres) read at the 1-D positions x by the
+    KDE deposit's cloud-in-cell rule (`_cells`) at x clamped to [c[0], c[-1]]:
+    y[i0] + frac * (y[i0+1] - y[i0]), y[i0+1] being y[-1] at the last cell; NaN
+    reads NaN.  That is np.interp's result to within the floor's rounding,
+    16 * spacing(max(|x_min|, |x_max|)) / dx * max|y|.  The cells are found once
+    for every y; the work and the values are in a `_Scratch` (`_scratch`)."""
     c = grid.centers
-    n = c.size
-    c_up = np.append(c, np.inf)
     work = _Scratch() if _scratch is None else _scratch
-    xc, w, j, below, not_above, *vals = work.take(np.size(x), float, float, np.intp, bool, bool,
-                                                   *[float] * len(ys))
-    np.clip(np.asarray(x, dtype=np.float64), c[0], c[-1], out=xc)
-    np.subtract(xc, c[0], out=w)
-    w /= grid.dx
-    np.floor(w, out=w)
-    np.fmin(w, n - 1, out=w)    # w >= 0 as xc >= c[0]; fmin also sends NaN to cell n - 1
-    np.copyto(j, w, casting="unsafe")
-    # j + 1 - [x < c[j]] - [x < c[j+1]]: one cell down or up where the floor erred
-    np.less(xc, np.take(c, j, out=w, mode="clip"), out=below)
-    np.less(xc, np.take(c_up[1:], j, out=w, mode="clip"), out=not_above)
-    step = np.add(below.view(np.int8), not_above.view(np.int8), out=below.view(np.int8))
-    j += np.subtract(1, step, out=step)     # in int8, then one cast
-    d = np.subtract(xc, np.take(c, j, out=w, mode="clip"), out=w)
-    on_centre = np.flatnonzero(np.equal(d, 0.0, out=below))
-    j_on = j[on_centre]
-    gaps = np.diff(c)
+    frac, up, i0, *vals = work.take(np.size(x), float, float, np.intp, *[float] * len(ys))
+    np.clip(np.asarray(x, dtype=np.float64), c[0], c[-1], out=frac)
+    _cells(frac, grid, frac, up, i0)
     for y, v in zip(ys, vals):
-        slopes = np.append(np.diff(y) / gaps, 0.0)    # the 0 is for j = n-1, where d == 0
-        slopes.take(j, out=v, mode="clip")
-        v *= d
-        v += np.take(y, j, out=xc, mode="clip")       # xc is spent: reuse it for y[j]
-        v[on_centre] = y[j_on]
+        np.take(y, i0, out=v, mode="clip")      # every index is in range: no bounds check
+        y[1:].take(i0, out=up, mode="clip")
+        up -= v
+        up *= frac
+        v += up
     return vals
 
 
 def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
                        rho_values: np.ndarray | None, _scratch=None) -> np.ndarray:
     """Drift evaluated at arbitrary positions, a new array.  The density and its
-    features are linearly interpolated from the grid exactly as np.interp would,
-    with one cell search per call shared by all of them (`_gather` in `_scratch`)."""
+    features are read from the grid by the KDE's cloud-in-cell rule, with the
+    cells found once per call for all of them (`_gather` in `_scratch`)."""
     b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
         if rho_values is None:

@@ -20,10 +20,10 @@ integrates f(r, X_r)^2 by the trapezoid rule.  The draws of a step depend
 only on (seed, step), so the march computes step s + 1's increments on one
 helper thread while step s runs.
 
-A step's drift reads the grid density (and its features) at every particle:
-`drift_at_positions` interpolates linearly, bit for bit as np.interp does,
-but finds each particle's cell once per step by arithmetic on the uniform
-grid instead of a search per array.  The step's scratch arrays are
+A step's drift reads the grid density (and its features) at every particle
+with the KDE deposit's own cloud-in-cell weights: linear interpolation,
+np.interp's to within the rounding in the cell's floor, with the cells found
+once per step by arithmetic on the uniform grid.  The step's scratch arrays are
 allocated once per march; the KDE deposit, gather and move work in them,
 with the same roundings as the out-of-place formulas kept in the tests.
 """

@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The 31 runs take about 70 s on a two-core machine.
+bytes.  The 32 runs take about 70 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -41,6 +41,9 @@ RUNS = {
     "particles-capped_density": ["particles", "--drift", "capped_density", "--T", "0.05",
                                  "--set", "time.refine=uniform",
                                  "--set", "time.uniform_nodes=4"] + _PARTICLES,
+    "particles-smoothed_interaction": ["particles", "--drift", "smoothed_interaction",
+                                       "--T", "0.05", "--set", "time.refine=uniform",
+                                       "--set", "time.uniform_nodes=4"] + _PARTICLES,
     "khasminskii-constant": ["khasminskii", "--f", "constant", "--lambda-grid", "0.2,0.5,1.0",
                              "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005"]
                             + _PARTICLES,

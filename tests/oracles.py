@@ -5,8 +5,8 @@ transportation linear program), the expW calibration bisected on
 `exp_wasserstein` itself, the localized measure distance, the space-time
 localized norm, the discounted flow distance, a one-path Girsanov
 log-weight and the Monte Carlo Girsanov and path-entropy estimators on the
-particle march, the particle step written out of place (np.interp
-gather, np.where reflection, uniforms, cloud-in-cell KDE) with a march
+particle march, the particle step written out of place (cloud-in-cell
+KDE and gather, np.where reflection, uniforms) with a march
 built from it, the particle march drawing its normals serially, a single
 Fokker-Planck step, the frozen density read by `values_at` on every
 sub-step, the reference step that assembles and solves the banded matrix
@@ -329,14 +329,34 @@ def reference_reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
+def reference_cells(x: np.ndarray, grid: Grid1D) -> tuple:
+    """Cloud-in-cell: each position's lower cell floor((x - c[0]) / dx), as a
+    float (NaN at a NaN x), and the remainder, its weight on the cell above."""
+    dx = grid.dx
+    rel = (x - (grid.x_min + 0.5 * dx)) / dx
+    lower = np.floor(rel)
+    return lower, rel - lower
+
+
+def reference_gather(x: np.ndarray, grid: Grid1D, y: np.ndarray) -> np.ndarray:
+    """y read at x clamped to [c[0], c[-1]] with `reference_cells`' weights:
+    y[i0] + frac * (y[i0+1] - y[i0]), y[i0+1] being y[-1] at the last cell;
+    NaN reads NaN."""
+    c = grid.centers
+    lower, frac = reference_cells(np.clip(x, c[0], c[-1]), grid)
+    i0 = np.nan_to_num(lower).astype(np.int64)
+    y_up = np.append(y[1:], y[-1])
+    return y[i0] + frac * (y_up[i0] - y[i0])
+
+
 def reference_drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
                                  rho_values: np.ndarray | None) -> np.ndarray:
-    """The drift at x with the density and every feature read by np.interp."""
+    """The drift at x with the density and every feature read by `reference_gather`."""
     b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
-        r = np.interp(x, grid.centers, rho_values)
+        r = reference_gather(x, grid, rho_values)
         feats_grid = density_features(rho_values, grid, drift)
-        feats = {k: np.interp(x, grid.centers, v) for k, v in feats_grid.items()}
+        feats = {k: reference_gather(x, grid, v) for k, v in feats_grid.items()}
         b = b + np.asarray(drift.nemytskii(t, x, r, feats), dtype=np.float64)
     return b
 
@@ -370,9 +390,8 @@ def reference_kde(positions: np.ndarray, bandwidth: float, grid: Grid1D) -> Grid
     x = np.asarray(positions, dtype=np.float64)
     xin = x[(x >= grid.x_min) & (x <= grid.x_max)]
     dx = grid.dx
-    rel = (xin - (grid.x_min + 0.5 * dx)) / dx
-    i0 = np.floor(rel).astype(np.int64)
-    frac = rel - i0
+    lower, frac = reference_cells(xin, grid)
+    i0 = lower.astype(np.int64)
     hist = np.zeros(grid.n_cells)
     np.add.at(hist, np.clip(i0, 0, grid.n_cells - 1), 1.0 - frac)
     np.add.at(hist, np.clip(i0 + 1, 0, grid.n_cells - 1), frac)
@@ -417,9 +436,9 @@ def reference_mkv(mean: float, sd: float, drift: DriftSpec, diff: DiffusionSpec,
                   dt: float, n_steps: int, grid: Grid1D, seed: int, bandwidth,
                   record_steps) -> tuple:
     """The interacting-particle march from a ("gaussian", mean, sd) start:
-    each step reads the ensemble's KDE, gathers the drift by np.interp, draws
-    step s's normals from stream 2 and reflects.  Returns the final positions
-    and the KDE values at step 0 and at each step in `record_steps`.
+    each step reads the ensemble's KDE, gathers the drift by `reference_gather`,
+    draws step s's normals from stream 2 and reflects.  Returns the final
+    positions and the KDE values at step 0 and at each step in `record_steps`.
     `bandwidth` maps positions to the kernel width."""
     x = reference_reflect(mean + sd * ndtri(reference_uniforms(seed, 1, 0, n)),
                           grid.x_min, grid.x_max)

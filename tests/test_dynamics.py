@@ -41,6 +41,7 @@ from oracles import (
     fokker_planck_step,
     reference_density_rule,
     reference_drift_at_positions,
+    reference_gather,
     reference_kde,
     reference_power_singularity,
     reference_singular_sum,
@@ -338,9 +339,20 @@ def probe_positions(grid, rng, n_random=20_000):
                            np.nextafter(special, -np.inf)))
 
 
+def near_interp(got, x, grid, y) -> bool:
+    """got is np.interp(x, grid.centers, y), NaN where it is NaN and elsewhere
+    within the gather's stated tolerance: the rounding in the floor's argument,
+    16 * spacing(max(|x_min|, |x_max|)) / dx * max|y|."""
+    want = np.interp(x, grid.centers, y)
+    tol = 16 * np.spacing(max(abs(grid.x_min), abs(grid.x_max))) / grid.dx * np.max(np.abs(y))
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and bool(np.all(np.abs(got - want)[~nan] <= tol))
+
+
 class TestGather:
-    """The particle drift reads grid arrays at the positions: the one-floor
-    cell search must give np.interp's result bit for bit."""
+    """The particle drift reads grid arrays at the positions by the KDE's
+    cloud-in-cell rule: bit for bit the out-of-place `reference_gather`, and
+    np.interp's result to within the stated tolerance."""
 
     @pytest.mark.parametrize("lo,hi,n", [(-6.0, 6.0, 2000), (-1.0, 3.0, 8),
                                          (0.1, 0.7, 37), (1e3, 1e3 + 1.0, 1000)])
@@ -351,7 +363,8 @@ class TestGather:
         y[3], y[4] = -0.0, 0.0
         x = probe_positions(grid, rng)
         (got,) = _gather(x, grid, y)
-        assert same_bits(got, np.interp(x, grid.centers, y))
+        assert same_bits(got, reference_gather(x, grid, y))
+        assert near_interp(got, x, grid, y)
 
     def test_density_and_features_bitwise_equal_to_interp(self):
         grid = Grid1D(-6.0, 6.0, 2000)
@@ -361,8 +374,10 @@ class TestGather:
         feats = density_features(rho, grid, drift)
         x = probe_positions(grid, rng)
         got = _gather(x, grid, rho, *feats.values())
-        want = [np.interp(x, grid.centers, v) for v in (rho, *feats.values())]
-        assert len(got) == 2 and all(same_bits(g, w) for g, w in zip(got, want))
+        ys = (rho, *feats.values())
+        assert len(got) == 2
+        assert all(same_bits(g, reference_gather(x, grid, y)) for g, y in zip(got, ys))
+        assert all(near_interp(g, x, grid, y) for g, y in zip(got, ys))
 
     def test_reused_scratch_bitwise_equal_to_interp(self):
         # one scratch set for successive calls, two arrays then one, so each
@@ -379,14 +394,18 @@ class TestGather:
             x[rng.integers(0, n, 5)] = np.nan
             got = _gather(x, grid, *ys, _scratch=scratch)
             assert len(got) == len(ys)
-            assert all(same_bits(g, np.interp(x, grid.centers, y)) for g, y in zip(got, ys))
+            assert all(same_bits(g, reference_gather(x, grid, y)) for g, y in zip(got, ys))
+            assert all(near_interp(g, x, grid, y) for g, y in zip(got, ys))
 
     def test_nonfinite_positions_as_interp(self):
+        # NaN reads NaN and +-inf the end values, with no RuntimeWarning
         grid = Grid1D(-1.0, 1.0, 16)
         y = np.linspace(0.0, 1.0, 16) ** 2
         x = np.array([np.nan, np.inf, -np.inf, 0.0])
         (got,) = _gather(x, grid, y)
-        assert same_bits(got, np.interp(x, grid.centers, y))
+        assert same_bits(got, reference_gather(x, grid, y))
+        assert near_interp(got, x, grid, y)
+        assert np.isnan(got[0]) and got[1] == y[-1] and got[2] == y[0]
 
     @pytest.mark.parametrize("name,params", [
         ("linear_ou", {"theta": 1.3}),
