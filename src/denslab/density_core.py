@@ -247,11 +247,30 @@ def tilde_norm(values, k: float, grid: Grid1D) -> float:
                            lambda a: np.max(_window_sums(a ** k * grid.dx, m)) ** (1.0 / k)))
 
 
+def _row_norms(values, k: float, grid: Grid1D) -> np.ndarray:
+    """`tilde_norm` of each row of `values`, bit for bit: each row's max window
+    sum, then its root as a scalar power, with the window sums taken over blocks
+    of at most 32 rows and 2^15 entries (one row if longer); a row whose norm
+    comes out 0, inf or NaN is `tilde_norm` itself."""
+    m = _window_half_cells(grid)
+    rows = min(32, max(1, 2 ** 15 // grid.n_cells))     # temporaries of 256 kB, not of values
+    tops = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(values), rows):
+            a = np.abs(values[i:i + rows])
+            tops.extend(np.max(a if np.isinf(k) else _window_sums(a ** k * grid.dx, m), axis=-1))
+        if np.isinf(k):
+            return np.array(tops)
+        r = np.array([top ** (1.0 / k) for top in tops])
+    bad = ~((0 < r) & (r < np.inf))
+    r[bad] = [tilde_norm(row, k, grid) for row in values[bad]]
+    return r
+
+
 def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
     """(sup_z (int ||f_r 1_{[z-1,z+1]}||_p^q dr)^(1/q), one z for the whole
-    trapezoid time integral over the rows of `values`; every node's tilde_norm)
-    from one pass of level-1 window sums: a node's tilde_norm is the max of its
-    sums, then the root, as `tilde_norm` takes it (or itself at 0, inf or NaN)."""
+    trapezoid time integral over the rows of `values`; every node's tilde_norm
+    by `_row_norms`)."""
     if not (p >= 1 and q >= 1):
         raise InvalidParameterError("need p, q >= 1")
     if np.ndim(times) != 1 or np.size(times) < 2 or not np.all(np.diff(times) > 0):
@@ -260,17 +279,11 @@ def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
         raise NumericalError("values do not match (times, grid)")
     m = _window_half_cells(grid)
     a = np.abs(values)
+    sup = _row_norms(a, p, grid)
     if np.isinf(p):    # windowed L^p norm of each node at each center
         W = maximum_filter1d(a, size=2 * m + 1, axis=-1, mode="constant", cval=0.0)
-        sup = np.max(a, axis=-1)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = _window_sums(a ** p * grid.dx, m)
-            sup = np.array([top ** (1.0 / p) for top in np.max(sums, axis=-1)])
-            W = sums ** (1.0 / p)
-        W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p), W)
-        bad = ~((0 < sup) & (sup < np.inf))
-        sup[bad] = [tilde_norm(row, p, grid) for row in a[bad]]
+        W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p))
     if np.isinf(q):
         return float(np.max(W)), sup
     return float(_rescaled(

@@ -15,8 +15,9 @@ sufficient rate is not explicit.
 Scheme: conservative finite volume, upwind advective flux (explicit) and
 centered diffusive flux assembled implicitly, no-flux boundaries.  The
 diffusion coefficient a is one positive number, so the tridiagonal diffusion
-matrix is factored once per node interval and each sub-step is one solve
-with those factors.  Mass is conserved to rounding; the implicit diffusion is
+matrix is symmetric positive definite: it is factored as LDL^T, without
+pivoting, once per node interval, and each sub-step is one solve with those
+factors.  Mass is conserved to rounding; the implicit diffusion is
 unconditionally stable and the explicit advection is kept under a CFL guard
 checked at every sub-step.
 """
@@ -27,11 +28,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.signal import fftconvolve
 
 from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _blend,
-                           _cells, _require_window, _Scratch, tilde_norm)
+                           _cells, _require_window, _row_norms, _Scratch)
 from .errors import InvalidParameterError, NoConvergenceError, NumericalError, NumericOverflowError
 from .metrics import FlowMetricSpec
 
@@ -328,19 +329,18 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
                 raise InvalidParameterError("capped_density: cap must be positive")
             kernels = ()
 
-            def density(r, feats):
-                return np.minimum(r, cap)
+            def nem(t, x, r, feats):
+                out = np.minimum(r, cap)
+                out *= (t ** tau) * kappa     # in place: (t^tau kappa) * min(r, cap), bit for bit
+                return out
         else:
             width = p["kernel_width"]
             if width <= 0:
                 raise InvalidParameterError("smoothed_interaction: kernel_width must be positive")
             kernels = (FeatureKernel("bump", lambda u: _bump_profile(u, width), width),)
 
-            def density(r, feats):
-                return feats["bump"]
-
-        def nem(t, x, r, feats):
-            return (t ** tau) * kappa * density(r, feats)
+            def nem(t, x, r, feats):
+                return (t ** tau) * kappa * feats["bump"]
 
         return DriftSpec(b1=ou, nemytskii=nem, feature_kernels=kernels,
                          K=max(abs(theta), abs(kappa)), tau=tau)
@@ -394,28 +394,29 @@ class SolverOptions:
             raise InvalidParameterError(f"dt_max must be >= 0, got {self.dt_max}")
 
 
-def _factor(a: np.ndarray, dt: float, dx: float) -> tuple:
-    """LU factors (LAPACK dgttrf) of the implicit-diffusion matrix
-    I - dt/2 d^2/dx^2 (a .) with no-flux faces, for `_advance`; `a` holds
-    the coefficient per cell."""
-    n = a.size
+def _factor(a: float, dt: float, dx: float, n: int) -> tuple:
+    """LDL^T factors (LAPACK dpttrf) of the implicit-diffusion matrix
+    I - dt/2 a d^2/dx^2 on n cells with no-flux faces, for `_advance`.  With
+    one a > 0 the matrix is symmetric and strictly diagonally dominant with a
+    positive diagonal, so it is positive definite and needs no pivoting."""
     alpha = dt / (2.0 * dx * dx)
     diag = np.ones(n)
-    diag[:-1] += alpha * a[:-1]
-    diag[1:] += alpha * a[1:]
-    dl, d, du, du2, ipiv, info = dgttrf(-alpha * a[:-1], diag, -alpha * a[1:])
-    if info != 0:  # pragma: no cover - a > 0 keeps the matrix diagonally dominant
+    diag[:-1] += alpha * a
+    diag[1:] += alpha * a
+    d, e, info = dpttrf(diag, np.full(n - 1, -alpha * a), overwrite_d=1, overwrite_e=1)
+    if info != 0:  # pragma: no cover - a > 0 keeps the matrix positive definite
         raise NumericalError(f"tridiagonal factorization failed (info = {info})")
-    return dl, d, du, du2, ipiv
+    return d, e
 
 
-def _advance(v: np.ndarray, b: np.ndarray, lu: tuple, dt: float, dx: float,
+def _advance(v: np.ndarray, b: np.ndarray, ldl: tuple, dt: float, dx: float,
              work: tuple) -> np.ndarray:
     """One step: explicit upwind advection with drift b (flux at the interior
     faces, none at the boundary), then the implicit diffusion solve with the
-    factors `lu = _factor(a, dt, dx)`.  The right-hand side is formed in v
-    itself, face drift, flux and upwind mask in `work` (two float arrays and a
-    bool one, each of v.size - 1); returns the solution, v solved in place."""
+    factors `ldl = _factor(a, dt, dx, v.size)`.  The right-hand side is formed
+    in v itself, face drift, flux and upwind mask in `work` (two float arrays
+    and a bool one, each of v.size - 1); returns the solution, v solved in
+    place."""
     bf, flux, up = work
     v_left, v_right = v[:-1], v[1:]
     np.add(b[:-1], b[1:], bf)
@@ -427,7 +428,7 @@ def _advance(v: np.ndarray, b: np.ndarray, lu: tuple, dt: float, dx: float,
     flux *= dt / dx
     v_left -= flux
     v_right += flux
-    return dgttrs(*lu, v, overwrite_b=1)[0]
+    return dpttrs(*ldl, v, overwrite_b=1)[0]
 
 
 def _density_rule(drift: DriftSpec, flow: DensityFlow | None, own):
@@ -472,7 +473,6 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
     opts = options or SolverOptions()
     grid = mu.grid
     dx = grid.dx
-    a = np.full(grid.n_cells, diff.a)
     peak = float(mu.values.max())     # t_init = (initial width)^2 / a
     width = max(1.0 / (np.sqrt(2.0 * np.pi) * peak), dx) if peak > 0 else dx
     t_init = width ** 2 / diff.a
@@ -503,7 +503,7 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
                 f"sub-steps, more than {_MAX_SUBSTEPS}")
         n_sub = max(1, int(math.ceil(n_sub)))
         dt = gap / n_sub
-        lu = _factor(a, dt, dx)
+        ldl = _factor(diff.a, dt, dx, n)
         for sidx in range(n_sub):
             ts = t0 + sidx * dt
             if sidx > 0:
@@ -512,7 +512,7 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
                 raise NumericalError(
                     f"dt * max|b| = {dt * max_b:.3e} exceeds the grid scale {dx:.3e} "
                     f"at t = {ts:.4g}")
-            v = _advance(v, b0, lu, dt, dx, work)
+            v = _advance(v, b0, ldl, dt, dx, work)
         if not np.all(np.isfinite(v)):
             raise NumericalError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
         snaps.append(GridDensity(grid, np.maximum(v, 0.0)))
@@ -575,7 +575,7 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
         diffs = new.values_matrix()
         for row, old in zip(diffs, gamma.snapshots):    # in place: no second stack
             row -= old.values
-        gap_norm_history.append(np.array([tilde_norm(d, spec.k, mu.grid) for d in diffs]))
+        gap_norm_history.append(_row_norms(diffs, spec.k, mu.grid))
         l1_history.append(float(np.max(np.sum(np.abs(diffs), axis=1) * mu.grid.dx)))
         gamma = new
         if l1_history[-1] < tol:

@@ -328,7 +328,8 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     if not grid.x_min <= x0 <= grid.x_max:
         raise InvalidParameterError(f"x0 = {x0} must lie in [{grid.x_min}, {grid.x_max}]")
     x_init = np.full(max(n_paths, 0), float(x0))     # empty for n_paths < 1: _march rejects it
-    march = _march(x_init, drift, diff, grid, s, t, dt, seed, _density_rule(drift, grid))
+    march = _march(x_init, drift, diff, grid, s, t, dt, seed,
+                   _density_rule(drift, grid, 0.0, work := _Scratch()), work)
     norm, integral = field_spacetime_norm(f, grid, s, t)
     for what, v in (("localized space-time norm", norm),
                     ("time integral int ||f_r||^q dr", integral)):

@@ -9,9 +9,10 @@ particle march, the particle step written out of place (cloud-in-cell
 KDE and gather, np.where reflection, uniforms) with a march
 built from it, the particle march drawing its normals serially, a single
 Fokker-Planck step, the frozen density read by `values_at` on every
-sub-step, the reference step that assembles and solves the banded matrix
-afresh, the capped singular_well term, a writer for density CSVs and a
-reader for the flow directories the CLI writes.
+sub-step, the reference steps that assemble the banded matrix afresh and
+solve it as symmetric positive definite or by a pivoted LU, the capped
+singular_well term, a writer for density CSVs and a reader for the flow
+directories the CLI writes.
 """
 
 import math
@@ -19,7 +20,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 from scipy.optimize import linprog
 from scipy.signal import fftconvolve
 from scipy.special import ndtri
@@ -463,17 +464,17 @@ def step_work(n: int) -> tuple:
     return np.empty(n - 1), np.empty(n - 1), np.empty(n - 1, dtype=bool)
 
 
-def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray,
-                       a_field_values: np.ndarray, dt: float) -> GridDensity:
-    """One conservative step: explicit upwind advection, implicit diffusion."""
+def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray, a: float,
+                       dt: float) -> GridDensity:
+    """One conservative step: explicit upwind advection, implicit diffusion
+    with the constant coefficient a."""
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
     b = np.asarray(drift_field_values, dtype=np.float64)
-    a = np.asarray(a_field_values, dtype=np.float64)
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
+    if not (np.all(np.isfinite(b)) and 0 < a < np.inf):
         raise NumericalError("non-finite coefficient field")
     dx = rho.grid.dx
-    new = _advance(rho.values.copy(), b, _factor(a, dt, dx), dt, dx, step_work(b.size))
+    new = _advance(rho.values.copy(), b, _factor(a, dt, dx, b.size), dt, dx, step_work(b.size))
     return GridDensity(rho.grid, np.maximum(new, 0.0))
 
 
@@ -488,11 +489,11 @@ def reference_density_rule(drift: DriftSpec, flow: DensityFlow | None, own):
     return lambda t, state: flow.values_at(t)
 
 
-def reference_step(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float,
-                   dx: float) -> np.ndarray:
-    """The step `_advance` takes, with the banded diffusion matrix assembled
-    and passed to scipy's solve_banded afresh: what the factored march must
-    reproduce bit for bit."""
+def _reference_system(v: np.ndarray, b: np.ndarray, a: float, dt: float,
+                      dx: float) -> tuple:
+    """The step `_advance` takes, assembled afresh: the right-hand side (v
+    after the upwind flux) and the banded diffusion matrix, as the rows
+    (super-diagonal, diagonal, sub-diagonal) of scipy's banded storage."""
     n = v.size
     bf = 0.5 * (b[:-1] + b[1:])
     flux = np.where(bf > 0, bf * v[:-1], bf * v[1:])
@@ -501,12 +502,34 @@ def reference_step(v: np.ndarray, b: np.ndarray, a: np.ndarray, dt: float,
     rhs[1:] += dt / dx * flux
     alpha = dt / (2.0 * dx * dx)
     ab = np.zeros((3, n))
-    ab[0, 1:] = -alpha * a[1:]          # super-diagonal
-    ab[2, :-1] = -alpha * a[:-1]        # sub-diagonal
-    diag = np.ones(n)
-    diag[:-1] += alpha * a[:-1]
-    diag[1:] += alpha * a[1:]
-    ab[1, :] = diag
+    ab[0, 1:] = -alpha * a              # super-diagonal
+    ab[2, :-1] = -alpha * a             # sub-diagonal
+    ab[1, :] = 1.0
+    ab[1, :-1] += alpha * a
+    ab[1, 1:] += alpha * a
+    return rhs, ab
+
+
+def reference_step(v: np.ndarray, b: np.ndarray, a: float, dt: float,
+                   dx: float) -> np.ndarray:
+    """The step `_advance` takes, with the symmetric diffusion matrix passed to
+    scipy's solveh_banded (LAPACK dptsv, which is dpttrf then dpttrs) afresh:
+    what the factored march must reproduce bit for bit."""
+    rhs, ab = _reference_system(v, b, a, dt, dx)
+    return solveh_banded(ab[:2], rhs)
+
+
+# The march's LDL^T solve against a general LU solve with partial pivoting
+# (scipy's solve_banded, bit for bit the LAPACK dgttrf/dgttrs solve the march
+# took before): max |difference| <= PIVOTED_RTOL * max |pivoted| per snapshot.
+PIVOTED_RTOL = 1e-12
+
+
+def pivoted_step(v: np.ndarray, b: np.ndarray, a: float, dt: float,
+                 dx: float) -> np.ndarray:
+    """The step `_advance` takes, solved by scipy's solve_banded (a general LU
+    with partial pivoting): the march must agree with it to PIVOTED_RTOL."""
+    rhs, ab = _reference_system(v, b, a, dt, dx)
     return solve_banded((1, 1), ab, rhs)
 
 

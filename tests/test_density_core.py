@@ -8,6 +8,7 @@ from denslab.density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _row_norms,
     _Scratch,
     _spacetime_norm,
     gaussian_density,
@@ -176,19 +177,25 @@ class TestSpacetimeNorm:
         val = tilde_spacetime_norm(np.tile(row, (times.size, 1)), times, p, q, g)
         assert val == pytest.approx(0.1 ** (1 / q) * tilde_norm(row, p, g), rel=1e-9)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.3, 1e5, 1e300, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 7.3, 1e5, 1e300, np.inf])
     def test_node_norms_bitwise_equal_to_tilde_norm(self, p):
-        # the per-node norms come from the space-time norm's window sums; here
-        # with a zero node and nodes whose powers under- or overflow
-        g = Grid1D(-6.0, 6.0, 500)
+        # the per-node norms come from window sums over blocks of rows (70
+        # rows: blocks of 32 at 500 cells, of 10 at 3000), of the signed rows
+        # or of the space-time norm's |rows|; here with a zero node and nodes
+        # whose powers under- or overflow
         rng = np.random.default_rng(3)
-        rows = rng.normal(0.0, 1.0, (12, g.n_cells))
-        rows[1] = 0.0
-        rows[2] *= 1e200
-        rows[3] *= 1e-200
-        rows[4, :250] = 0.0
-        _, norms = _spacetime_norm(rows, np.linspace(0.0, 1.0, 12), p, 4.0, g)
-        assert same_bits(norms, np.array([tilde_norm(row, p, g) for row in rows]))
+        for g in (Grid1D(-6.0, 6.0, 500), Grid1D(-6.0, 6.0, 3000)):
+            rows = rng.normal(0.0, 1.0, (70, g.n_cells))
+            rows[1] = 0.0
+            rows[2] *= 1e200
+            rows[3] *= 1e-200
+            rows[4, :250] = 0.0
+            rows[40] *= 1e200
+            rows[69] = 0.0
+            want = np.array([tilde_norm(row, p, g) for row in rows])
+            _, norms = _spacetime_norm(rows, np.linspace(0.0, 1.0, 70), p, 4.0, g)
+            assert same_bits(norms, want)
+            assert same_bits(_row_norms(rows, p, g), want)
 
     def test_empty_window_error(self):
         # fewer than two node times, or times that do not increase strictly

@@ -38,7 +38,9 @@ from denslab.dynamics import (
 from denslab.errors import InvalidParameterError, NoConvergenceError, NumericalError
 from denslab.metrics import FlowMetricSpec, wasserstein_1d
 from oracles import (
+    PIVOTED_RTOL,
     fokker_planck_step,
+    pivoted_step,
     reference_density_rule,
     reference_drift_at_positions,
     reference_gather,
@@ -144,6 +146,17 @@ class TestBuiltinDrifts:
                    else drift_at_positions(d, t, at, grid, None))
             assert same_bits(got, want)
 
+    def test_capped_density_term_bitwise_and_leaves_its_input(self):
+        # the cap is scaled in place: t^tau kappa min(r, cap) to the bit
+        tau, kappa, cap = 0.6, 0.37, 2.5
+        d = builtin_drift("capped_density", {"kappa": kappa, "tau": tau, "cap": cap})
+        r = np.random.default_rng(2).uniform(0.0, 5.0, 4000)
+        kept = r.copy()
+        for t in (0.0, 1e-3, 0.31, 2.0):
+            got = d.nemytskii(t, None, r, {})
+            assert same_bits(got, (t ** tau) * kappa * np.minimum(r, cap))
+        assert same_bits(r, kept)
+
     def test_unknown_name_and_params(self):
         with pytest.raises(InvalidParameterError, match="unknown drift name 'nope'"):
             builtin_drift("nope")
@@ -179,8 +192,7 @@ class TestFokkerPlanckStep:
         grid = Grid1D(-6, 6, 1000)
         d = gaussian_density(grid, 0.5, 0.7)
         b = -grid.centers
-        a = np.full(grid.n_cells, 2.0)
-        stepped = fokker_planck_step(d, b, a, 1e-3)
+        stepped = fokker_planck_step(d, b, 2.0, 1e-3)
         assert abs(stepped.mass() - d.mass()) <= 1e-12
 
     def test_heat_kernel(self):
@@ -215,7 +227,8 @@ class TestFokkerPlanckStep:
 
 class TestFactoredStep:
     """The march factors the diffusion matrix once per node interval; each
-    step must equal the reference that assembles and solves it afresh."""
+    step must equal the reference that assembles and solves it afresh, and
+    agree with a pivoted LU solve to PIVOTED_RTOL."""
 
     DIFFUSIONS = {"constant": DIFF2, "weak": constant_diffusion(0.05)}
 
@@ -225,9 +238,9 @@ class TestFactoredStep:
             n = int(rng.integers(3, 600))
             v = rng.uniform(0.0, 2.0, n)
             b = rng.normal(0.0, 3.0, n)
-            a = rng.uniform(0.2, 4.0, n)
+            a = float(rng.uniform(0.2, 4.0))
             dt, dx = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-3, -1)
-            assert np.array_equal(_advance(v.copy(), b, _factor(a, dt, dx), dt, dx,
+            assert np.array_equal(_advance(v.copy(), b, _factor(a, dt, dx, n), dt, dx,
                                            step_work(n)),
                                   reference_step(v, b, a, dt, dx))
 
@@ -242,12 +255,48 @@ class TestFactoredStep:
                                               "kappa": 0.3, "tau": 0.6, "cap": 5.0})
         gamma = random_flow(grid, tg, rng)
         factored = frozen_semigroup(mu, gamma, cd, diff, tg)
-        a_cells = np.full(grid.n_cells, diff.a)
-        monkeypatch.setattr(dynamics, "_factor", lambda a, dt, dx: None)
-        monkeypatch.setattr(dynamics, "_advance", lambda v, b, lu, dt, dx, work:
-                            reference_step(v, b, a_cells, dt, dx))
+        self.replace_step(monkeypatch, reference_step, diff)
         reference = frozen_semigroup(mu, gamma, cd, diff, tg)
         assert np.array_equal(factored.values_matrix(), reference.values_matrix())
+
+    @staticmethod
+    def replace_step(monkeypatch, step, diff):
+        """Make the march take `step(v, b, a, dt, dx)` in place of its factored solve."""
+        monkeypatch.setattr(dynamics, "_factor", lambda a, dt, dx, n: None)
+        monkeypatch.setattr(dynamics, "_advance", lambda v, b, ldl, dt, dx, work:
+                            step(v, b, diff.a, dt, dx))
+
+    @staticmethod
+    def assert_near_pivoted(flow, pivoted):
+        for got, want in zip(flow.snapshots, pivoted.snapshots):
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= PIVOTED_RTOL * scale
+
+    @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_march_within_tolerance_of_pivoted_solve(self, monkeypatch, diff_name, frozen):
+        diff = self.DIFFUSIONS[diff_name]
+        rng = np.random.default_rng(8)
+        grid = Grid1D(-5.0, 5.0, 2000)
+        tg = TimeGrid.geometric(0.5, nodes_per_decade=8)
+        mu = gaussian_density(grid, 0.3, 0.05)
+        cd = builtin_drift("capped_density", {"kappa": 0.5})
+        gamma = random_flow(grid, tg, rng) if frozen else None
+        factored = frozen_semigroup(mu, gamma, cd, diff, tg)
+        self.replace_step(monkeypatch, pivoted_step, diff)
+        self.assert_near_pivoted(factored, frozen_semigroup(mu, gamma, cd, diff, tg))
+
+    def test_picard_within_tolerance_of_pivoted_solve(self, monkeypatch):
+        grid = Grid1D(-6.0, 6.0, 1000)
+        mu = gaussian_density(grid, 0.0, 0.3)
+        tg = TimeGrid.geometric(0.5, nodes_per_decade=10)
+        cd = builtin_drift("capped_density", {"kappa": 1.0})
+        spec = FlowMetricSpec(lam=1.0, p=2.0, k=4.0)
+        factored = picard_fixed_point(mu, cd, DIFF2, tg, spec, warm_start=True)
+        self.replace_step(monkeypatch, pivoted_step, DIFF2)
+        pivoted = picard_fixed_point(mu, cd, DIFF2, tg, spec, warm_start=True)
+        assert factored.iterations == pivoted.iterations
+        self.assert_near_pivoted(factored.flow, pivoted.flow)
 
     # frozen flows on the march's own nodes, coarser ones, finer nodes offset
     # from them, and nodes that end before the march's T = 0.2
@@ -304,7 +353,7 @@ class TestFactoredStep:
 
     @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
     def test_factorizations_per_node_interval(self, monkeypatch, diff_name):
-        counts = {"dgttrf": 0, "dgttrs": 0}
+        counts = {"dpttrf": 0, "dpttrs": 0}
 
         def counted(name):
             fn = getattr(dynamics, name)
@@ -321,8 +370,8 @@ class TestFactoredStep:
         frozen_semigroup(gaussian_density(grid, 0.0, 0.5), None,
                          builtin_drift("linear_ou", {"theta": 1.0}),
                          self.DIFFUSIONS[diff_name], tg)
-        assert counts["dgttrs"] > 2 * (len(tg.nodes) - 1)       # several sub-steps each
-        assert counts["dgttrf"] == len(tg.nodes) - 1
+        assert counts["dpttrs"] > 2 * (len(tg.nodes) - 1)       # several sub-steps each
+        assert counts["dpttrf"] == len(tg.nodes) - 1
 
 
 def probe_positions(grid, rng, n_random=20_000):
@@ -566,6 +615,35 @@ class TestPicard:
         res_half = picard_fixed_point(mu, cd, DIFF2, tg, self.SPEC, tol=5e-7)
         assert res_half.final_residual <= 5e-7
         assert res_half.iterations <= res.iterations + 1
+
+    def test_gap_norms_bitwise_equal_to_per_node_tilde_norm(self, monkeypatch):
+        # the blocked gap norms against one tilde_norm call per node
+        grid = Grid1D(-6, 6, 400)
+        mu = gaussian_density(grid, 0.0, 0.3)
+        tg = TimeGrid.geometric(0.5, nodes_per_decade=20)      # 82 nodes: three blocks
+        cd = builtin_drift("capped_density", {"kappa": 1.0})
+        spec = FlowMetricSpec(lam=1.0, p=1.0, k=1.5)
+
+        def per_node_norms(values, k, g):
+            return np.array([tilde_norm(row, k, g) for row in values])
+
+        same, row_norms = [], dynamics._row_norms
+
+        def checked(values, k, g):
+            got = row_norms(values, k, g)
+            same.append(same_bits(got, per_node_norms(values, k, g)))
+            return got
+
+        monkeypatch.setattr(dynamics, "_row_norms", checked)
+        blocked = picard_fixed_point(mu, cd, DIFF2, tg, spec)
+        assert len(same) == blocked.iterations >= 3 and all(same)
+        monkeypatch.setattr(dynamics, "_row_norms", per_node_norms)
+        per_node = picard_fixed_point(mu, cd, DIFF2, tg, spec)
+        for got, want in ((blocked.contraction_factors, per_node.contraction_factors),
+                          (blocked.lambda_used, per_node.lambda_used),
+                          (blocked.final_residual, per_node.final_residual),
+                          (blocked.flow.values_matrix(), per_node.flow.values_matrix())):
+            assert same_bits(got, want)
 
     def test_divergent_coupling_reports_ratios(self):
         grid = Grid1D(-4, 4, 300)

@@ -1,5 +1,6 @@
 """Particle engine: reproducible streams, moments, Girsanov, exponential moments."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -468,6 +469,21 @@ class TestKhasminskii:
         # ESS honesty: the largest lambdas must carry the unreliable flag
         assert rep.unreliable[-1]
         assert not rep.unreliable[0]
+
+    def test_density_feedback_report_unchanged_by_shared_scratch(self, monkeypatch):
+        # the own-KDE rule and the march work in one scratch set; a set that
+        # hands out new arrays on every take gives the same report, field by field
+        class FreshScratch(_Scratch):
+            def take(self, n, *dtypes):
+                return [np.empty(n, dtype=dtype) for dtype in dtypes]
+
+        f = builtin_field("singular_power", {"coeff": 0.8, "gamma": 0.3})
+        args = (f, _CAPPED, DIFF1, 0.0, 0.05, [0.2, 0.6, 1.5, 3.0], 2000, 1e-3, GRID)
+        shared = khasminskii_mc(*args, seed=4, x0=0.2)
+        monkeypatch.setattr(particles, "_Scratch", FreshScratch)
+        fresh = khasminskii_mc(*args, seed=4, x0=0.2)
+        for field in dataclasses.fields(shared):
+            assert same_bits(getattr(shared, field.name), getattr(fresh, field.name)), field.name
 
     def test_spacetime_norm_of_constant_field(self):
         # time-constant f: ||f||_{~L^p_q(s,t)} = (t-s)^{1/q} ||f||_{~L^p}
