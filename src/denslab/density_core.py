@@ -170,22 +170,32 @@ class DensityFlow:
         return np.stack([s.values for s in self.snapshots])
 
     def values_at(self, t: float) -> np.ndarray:
-        """Linear-in-time interpolation of snapshot values at time t."""
-        nodes = self.time_grid.nodes
-        if t <= nodes[0]:
-            return self.snapshots[0].values
-        if t >= nodes[-1]:
-            return self.snapshots[-1].values
-        j = int(np.searchsorted(nodes, t, side="right")) - 1
-        w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
-        return _blend(self.snapshots[j].values, self.snapshots[j + 1].values, w)
+        """Linear-in-time interpolation of snapshot values at time t: `_reader` at one time."""
+        return self._reader()(t)
 
+    def _reader(self):
+        """The flow as a function of times that never decrease: an end snapshot
+        itself at or beyond an end node, else (1 - w) g_j + w g_{j+1} between the
+        bracketing snapshots, found by a forward cursor over the nodes once per
+        node interval, in one buffer that each read overwrites.  A NaN time is
+        InvalidParameterError."""
+        nodes = self.time_grid.nodes.tolist()
+        g = [s.values for s in self.snapshots]
+        out, work = np.empty_like(g[0]), np.empty_like(g[0])
+        j = 0
 
-def _blend(g0: np.ndarray, g1: np.ndarray, w: float, out=None, work=None) -> np.ndarray:
-    """(1 - w) * g0 + w * g1, into `out` with scratch `work` when they are given."""
-    out = np.multiply(g0, 1.0 - w, out=out)
-    out += np.multiply(g1, w, out=work)
-    return out
+        def read(t):
+            nonlocal j
+            if not nodes[0] < t < nodes[-1]:     # an end, or NaN: off the interior path
+                if not (t <= nodes[0] or t >= nodes[-1]):
+                    raise InvalidParameterError(f"cannot read a density flow at t = {t}")
+                return g[0] if t <= nodes[0] else g[-1]
+            while nodes[j + 1] <= t:
+                j += 1
+            w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+            np.multiply(g[j], 1.0 - w, out=out)
+            return np.add(out, np.multiply(g[j + 1], w, out=work), out=out)
+        return read
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +250,14 @@ def tilde_norm(values, k: float, grid: Grid1D) -> float:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if np.shape(values) != (grid.n_cells,):
         raise NumericalError("array length does not match the grid")
-    m = _window_half_cells(grid)
-    if np.isinf(k):
-        return float(np.max(np.abs(values)))
-    return float(_rescaled(np.abs(values),
-                           lambda a: np.max(_window_sums(a ** k * grid.dx, m)) ** (1.0 / k)))
+    return float(_row_norms(np.reshape(values, (1, -1)), k, grid)[0])
 
 
 def _row_norms(values, k: float, grid: Grid1D) -> np.ndarray:
-    """`tilde_norm` of each row of `values`, bit for bit: each row's max window
-    sum, then its root as a scalar power, with the window sums taken over blocks
-    of at most 32 rows and 2^15 entries (one row if longer); a row whose norm
-    comes out 0, inf or NaN is `tilde_norm` itself."""
+    """`tilde_norm` of each row of `values`: each row's max window sum, then its
+    root as a scalar power, with the window sums taken over blocks of at most 32
+    rows and 2^15 entries (one row if longer); a row whose norm comes out 0, inf
+    or NaN is `_rescaled`."""
     m = _window_half_cells(grid)
     rows = min(32, max(1, 2 ** 15 // grid.n_cells))     # temporaries of 256 kB, not of values
     tops = []
@@ -263,7 +269,9 @@ def _row_norms(values, k: float, grid: Grid1D) -> np.ndarray:
             return np.array(tops)
         r = np.array([top ** (1.0 / k) for top in tops])
     bad = ~((0 < r) & (r < np.inf))
-    r[bad] = [tilde_norm(row, k, grid) for row in values[bad]]
+    def norm(a):      # one row's, as above
+        return np.max(_window_sums(a ** k * grid.dx, m)) ** (1.0 / k)
+    r[bad] = [_rescaled(np.abs(row), norm, top) for row, top in zip(values[bad], r[bad])]
     return r
 
 
@@ -367,6 +375,8 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) ->
     """
     if not (bandwidth > 0 and np.isfinite(bandwidth)):
         raise InvalidParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if bandwidth > grid.width:
+        raise InvalidParameterError(f"bandwidth {bandwidth:g} exceeds grid width {grid.width:g}")
     x = np.asarray(positions, dtype=np.float64)
     if x.size < 1:
         raise InvalidParameterError("need at least one particle")
@@ -392,7 +402,8 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) ->
     hist /= n_in * dx
     half = int(np.ceil(8.0 * bandwidth / dx))
     u = np.arange(-half, half + 1) * dx
-    kern = np.exp(-0.5 * (u / bandwidth) ** 2)
+    with np.errstate(over="ignore"):     # u / bandwidth past the float range: exp(-inf) = 0
+        kern = np.exp(-0.5 * (u / bandwidth) ** 2)
     kern /= kern.sum()
     smooth = fftconvolve(hist, kern, mode="same")
     return normalize(GridDensity(grid, np.maximum(smooth, 0.0)))

@@ -7,10 +7,12 @@ drift's density slots, evolve the resulting *linear* Fokker-Planck equation
 
     d/dt rho = 1/2 d^2/dx^2 (a rho) - d/dx (b rho)
 
-from the initial density, and return the marginal flow.  Phi is iterated to
-convergence (Picard); contraction is monitored in the discounted flow metric
-with an adaptively escalated discount rate, since the theoretically
-sufficient rate is not explicit.
+from the initial density, and return the marginal flow.  A march's drift
+reads no density, the frozen flow by its `DensityFlow._reader` (linear in
+time), or, with no flow frozen, its own current density: the self-consistent
+march.  Phi is iterated to convergence (Picard); contraction is monitored in
+the discounted flow metric with an adaptively escalated discount rate, since
+the theoretically sufficient rate is not explicit.
 
 Scheme: conservative finite volume, upwind advective flux (explicit) and
 centered diffusive flux assembled implicitly, no-flux boundaries.  The
@@ -31,8 +33,8 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.signal import fftconvolve
 
-from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _blend,
-                           _cells, _require_window, _row_norms, _Scratch)
+from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _cells,
+                           _require_window, _row_norms, _Scratch)
 from .errors import InvalidParameterError, NoConvergenceError, NumericalError, NumericOverflowError
 from .metrics import FlowMetricSpec
 
@@ -431,38 +433,13 @@ def _advance(v: np.ndarray, b: np.ndarray, ldl: tuple, dt: float, dx: float,
     return dpttrs(*ldl, v, overwrite_b=1)[0]
 
 
-def _density_rule(drift: DriftSpec, flow: DensityFlow | None, own):
-    """The grid density `drift` reads at (t, march state): None for a
-    density-free drift, otherwise `own(t, state)`, the march's own current
-    density, or with a frozen `flow` its `values_at(t)` bit for bit, for t
-    that never decreases: a forward cursor over the flow's own nodes finds
-    the bracketing snapshots once per node interval, and each call's blend
-    overwrites one buffer."""
-    if not drift.density_dependent:
-        return None
-    if flow is None:
-        return own
-    nodes = flow.time_grid.nodes.tolist()
-    g = [s.values for s in flow.snapshots]
-    out, work = np.empty_like(g[0]), np.empty_like(g[0])
-    j = 0
-
-    def frozen(t, state):
-        nonlocal j
-        if not nodes[0] < t < nodes[-1]:     # values_at's unblended end snapshots
-            return g[0] if t <= nodes[0] else g[-1]
-        while nodes[j + 1] <= t:
-            j += 1
-        return _blend(g[j], g[j + 1], (t - nodes[j]) / (nodes[j + 1] - nodes[j]), out, work)
-
-    return frozen
-
-
-def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
-           options: SolverOptions | None, density) -> DensityFlow:
-    """Marginal flow of the conservative scheme from mu (snapshot 0) across
-    the time grid, the drift evaluated at each sub-step start on the grid
-    density of the `_density_rule` `density`.
+def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpec,
+                     diff: DiffusionSpec, tg: TimeGrid,
+                     options: SolverOptions | None = None) -> DensityFlow:
+    """Marginal flow of the linear equation with density slots frozen at gamma:
+    the conservative scheme from mu (snapshot 0) across the time grid, the drift
+    evaluated at each sub-step start on no density, gamma's `_reader` or, with
+    gamma None, the march's own current density (the self-consistent march).
 
     The sub-step is fixed within a node interval and a is constant, so the
     diffusion matrix is factored once per node interval.  Every sub-step must
@@ -479,12 +456,16 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
     dt_max = opts.dt_max or tg.T / 500.0
     v = mu.values.copy()      # owned: each sub-step overwrites it
     n = grid.n_cells
-    work, b_abs = (np.empty(n - 1), np.empty(n - 1), np.empty(n - 1, dtype=bool)), np.empty(n)
+    work = (np.empty(n - 1), np.empty(n - 1), np.empty(n - 1, dtype=bool))
+    b_abs, rho = np.empty(n), np.empty(n)
     snaps = [mu]
     nodes = tg.nodes
+    read = None
+    if drift.density_dependent:     # the frozen flow, or the march's own current v
+        read = gamma._reader() if gamma is not None else lambda t: np.maximum(v, 0.0, out=rho)
 
     def field(t):     # drift at t and its max |b| (NaN if any is), reading the current v
-        b = drift_field(drift, t, grid, density(t, v) if density is not None else None)
+        b = drift_field(drift, t, grid, read(t) if read is not None else None)
         return b, float(np.maximum.reduce(np.abs(b, b_abs)))
 
     for i in range(len(nodes) - 1):
@@ -517,17 +498,6 @@ def _march(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, tg: TimeGrid,
             raise NumericalError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
         snaps.append(GridDensity(grid, np.maximum(v, 0.0)))
     return DensityFlow(tg, tuple(snaps))
-
-
-def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpec,
-                     diff: DiffusionSpec, tg: TimeGrid,
-                     options: SolverOptions | None = None) -> DensityFlow:
-    """Marginal flow of the linear equation with density slots frozen at gamma,
-    interpolated in time (`_march`).  With gamma None a density-dependent
-    drift reads the march's own current density: the self-consistent march."""
-    rho = np.empty(mu.grid.n_cells)
-    return _march(mu, drift, diff, tg, options,
-                  _density_rule(drift, gamma, lambda t, v: np.maximum(v, 0.0, out=rho)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ touching the others.
 
 Every particle-facing operation runs the same Euler-Maruyama march
 (`_march`), which yields each step and differs between callers only in the
-grid density its drift reads: none, the ensemble KDE, or a frozen flow.  On
-the steps, `euler_maruyama_mkv` records KDE snapshots and `khasminskii_mc`
-integrates f(r, X_r)^2 by the trapezoid rule.  The draws of a step depend
-only on (seed, step), so the march computes step s + 1's increments on one
-helper thread while step s runs.
+grid density its drift reads: none, the ensemble KDE, or a frozen flow's
+`DensityFlow._reader`.  On the steps, `euler_maruyama_mkv` records KDE
+snapshots and `khasminskii_mc` integrates f(r, X_r)^2 by the trapezoid rule.
+The draws of a step depend only on (seed, step), so the march computes step
+s + 1's increments on one helper thread while step s runs.
 
 A step's drift reads the grid density (and its features) at every particle
 with the KDE deposit's own cloud-in-cell weights: linear interpolation,
@@ -53,7 +53,6 @@ from .dynamics import (
     DiffusionSpec,
     DriftSpec,
     SpaceTimeField,
-    _density_rule as _grid_density_rule,
     _family_params,
     drift_at_positions,
     power_singularity,
@@ -129,13 +128,14 @@ def _reflect(x: np.ndarray, lo: float, hi: float, mask: np.ndarray | None = None
 
 
 def _density_rule(drift: DriftSpec, grid: Grid1D, bandwidth: float = 0.0, scratch=None):
-    """`dynamics._density_rule` at (t, positions) without a frozen flow: the
-    ensemble's own KDE (in `scratch`), which needs at least 1000 particles."""
+    """The grid density `drift` reads at (t, positions): None for a density-free
+    drift, else the ensemble's own KDE (in `scratch`), which needs at least 1000
+    particles."""
     def own(t, x):
         if x.size < 1000:
             raise InvalidParameterError("density feedback needs at least 1000 particles")
         return kde(x, _bandwidth(bandwidth, x, scratch), grid, scratch).values
-    return _grid_density_rule(drift, None, own)
+    return own if drift.density_dependent else None
 
 
 class _Step(NamedTuple):
@@ -153,10 +153,11 @@ class _Step(NamedTuple):
 def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
            t_start: float, t_end: float, dt: float, seed: int, density, scratch=None):
     """Check the inputs and return a generator of every Euler-Maruyama step from x0;
-    `density` is a `dynamics._density_rule` of (t, positions).  Step s draws its
-    increments from (seed, s).  A single-worker pool, made on the first step and
-    shut down when the generator ends, fails or is closed, draws step s + 1's while
-    step s runs.  The steps work in one `_Scratch`, `scratch` if given."""
+    `density` of (t, positions) is the grid density the drift reads, or None (see
+    `_density_rule`).  Step s draws its increments from (seed, s).  A single-worker
+    pool, made on the first step and shut down when the generator ends, fails or is
+    closed, draws step s + 1's while step s runs.  The steps work in one `_Scratch`,
+    `scratch` if given."""
     if x0.size < 1 or not 0 < dt < np.inf or not t_start < t_end < np.inf:
         raise InvalidParameterError(
             f"need n >= 1, 0 < dt < inf and t_start < t_end < inf, got n = {x0.size}, "

@@ -2,17 +2,18 @@
 
 Exact transport on small atomic measures (monotone coupling and a
 transportation linear program), the expW calibration bisected on
-`exp_wasserstein` itself, the localized measure distance, the space-time
-localized norm, the discounted flow distance, a one-path Girsanov
-log-weight and the Monte Carlo Girsanov and path-entropy estimators on the
-particle march, the particle step written out of place (cloud-in-cell
-KDE and gather, np.where reflection, uniforms) with a march
-built from it, the particle march drawing its normals serially, a single
-Fokker-Planck step, the frozen density read by `values_at` on every
-sub-step, the reference steps that assemble the banded matrix afresh and
-solve it as symmetric positive definite or by a pivoted LU, the capped
-singular_well term, a writer for density CSVs and a reader for the flow
-directories the CLI writes.
+`exp_wasserstein` itself, the localized measure distance, the unit-window
+norm of one row by its own window sums, the space-time localized norm, the
+discounted flow distance, a one-path Girsanov log-weight and the Monte Carlo
+Girsanov and path-entropy estimators on the particle march, the particle
+step written out of place (cloud-in-cell KDE and gather, np.where
+reflection, uniforms) with a march built from it, the particle march drawing
+its normals serially and its rule for reading a frozen flow, a single
+Fokker-Planck step, a frozen flow read at one time by binary search, the
+reference steps that assemble the banded matrix afresh and solve it as
+symmetric positive definite or by a pivoted LU, the capped singular_well
+term, a writer for density CSVs and a reader for the flow directories the
+CLI writes.
 """
 
 import math
@@ -30,7 +31,6 @@ from denslab.dynamics import (
     DiffusionSpec,
     DriftSpec,
     _advance,
-    _density_rule,
     _factor,
     _singular_sum,
     density_features,
@@ -41,7 +41,10 @@ from denslab.density_core import (
     Grid1D,
     GridDensity,
     TimeGrid,
+    _rescaled,
     _spacetime_norm,
+    _window_half_cells,
+    _window_sums,
     _write_csv,
     load_density,
     normalize,
@@ -181,6 +184,17 @@ def tilde_measure_distance_l1(mu: GridDensity, nu: GridDensity) -> float:
     return tilde_norm(mu.values - nu.values, 1.0, mu.grid)
 
 
+def reference_tilde_norm(values, k: float, grid: Grid1D) -> float:
+    """`tilde_norm` of one row by its own window sums (the sup norm at k = inf),
+    `_rescaled` where a power under- or overflows: what `_row_norms` must
+    reproduce bit for bit."""
+    m = _window_half_cells(grid)
+    if np.isinf(k):
+        return float(np.max(np.abs(values)))
+    return float(_rescaled(np.abs(values),
+                           lambda a: np.max(_window_sums(a ** k * grid.dx, m)) ** (1.0 / k)))
+
+
 def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> float:
     """Space-time localized norm: sup_z ( int ||f_r 1_{[z-1,z+1]}||_p^q dr )^(1/q).
 
@@ -249,10 +263,22 @@ def girsanov_log_weight(path: ParticlePath, drift_ref: DriftSpec, drift_alt: Dri
 # path estimators on the particle march: Girsanov log-weights, path entropy
 # ---------------------------------------------------------------------------
 
+def frozen_density_rule(drift: DriftSpec, flow: DensityFlow):
+    """The particle march's density rule for `drift` reading the frozen `flow` at
+    each step's time by a fresh `DensityFlow._reader`; None for a density-free
+    drift."""
+    if not drift.density_dependent:
+        return None
+    read = flow._reader()
+    return lambda t, x: read(t)
+
+
 def _path_density(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None):
     """The grid density a path estimator's drift reads: the frozen `flow`, or
     without one the ensemble's own KDE."""
-    return _density_rule(drift, flow, particles._density_rule(drift, grid))
+    if flow is None:
+        return particles._density_rule(drift, grid)
+    return frozen_density_rule(drift, flow)
 
 
 def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: DiffusionSpec,
@@ -478,15 +504,18 @@ def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray, a: floa
     return GridDensity(rho.grid, np.maximum(new, 0.0))
 
 
-def reference_density_rule(drift: DriftSpec, flow: DensityFlow | None, own):
-    """`dynamics._density_rule` with a frozen flow read by `values_at` afresh
-    on every call, which the march's bracketing cursor must reproduce bit for
-    bit."""
-    if not drift.density_dependent:
-        return None
-    if flow is None:
-        return own
-    return lambda t, state: flow.values_at(t)
+def reference_values_at(flow: DensityFlow, t: float) -> np.ndarray:
+    """The flow at time t by binary search over its nodes: an end snapshot at
+    or beyond an end node, else (1 - w) g_j + w g_{j+1} out of place, which
+    `DensityFlow._reader` must reproduce bit for bit."""
+    nodes = flow.time_grid.nodes
+    if t <= nodes[0]:
+        return flow.snapshots[0].values
+    if t >= nodes[-1]:
+        return flow.snapshots[-1].values
+    j = int(np.searchsorted(nodes, t, side="right")) - 1
+    w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+    return flow.snapshots[j].values * (1.0 - w) + flow.snapshots[j + 1].values * w
 
 
 def _reference_system(v: np.ndarray, b: np.ndarray, a: float, dt: float,

@@ -176,6 +176,7 @@ class TestExitCodes:
         ["solve", "--drift", "linear_ou", "--threads", "-3"],
         ["experiment", "smoothing"],   # experiment.t_hi = 1.0 beyond time.T = 0.01
         ["particles", "--set", "particles.bandwidth=inf"],
+        ["particles", "--set", "particles.bandwidth=1e300"],
         ["khasminskii", "--set", "particles.n=0"],
         ["khasminskii", "--set", "particles.n=-1"],
         ["khasminskii", "--set", "khasminskii.dt=0"],
@@ -205,10 +206,10 @@ class TestExitCodes:
         ["khasminskii", "--set", "drift.name=capped_density", "--N", "50"],
     ], ids=["negative-cap", "singular-well-gamma", "zero-cfl", "zero-nodes-per-decade",
             "nan-rel-dt", "negative-dt-max", "negative-threads", "t-hi-beyond-T",
-            "infinite-bandwidth", "zero-paths", "negative-paths", "zero-khasminskii-dt",
-            "zero-n-t", "negative-n-t", "infinite-well-coeff", "infinite-kappa",
-            "cfl-above-one", "infinite-alpha-limit", "zero-diffusion", "infinite-diffusion",
-            "narrow-grid", "zero-well-coeff", "wide-kernel", "zero-field",
+            "infinite-bandwidth", "wide-bandwidth", "zero-paths", "negative-paths",
+            "zero-khasminskii-dt", "zero-n-t", "negative-n-t", "infinite-well-coeff",
+            "infinite-kappa", "cfl-above-one", "infinite-alpha-limit", "zero-diffusion",
+            "infinite-diffusion", "narrow-grid", "zero-well-coeff", "wide-kernel", "zero-field",
             "kappa-under-linear-ou", "theta-under-zero", "gamma-under-capped-density",
             "gamma-under-constant-field", "negative-slope-tol", "empty-alphas",
             "khasminskii-kde-floor"])
@@ -290,6 +291,15 @@ class TestExitCodes:
                    "--set", "particles.n=100", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "field 'singular_power'" in capsys.readouterr().err
+
+    def test_bandwidth_far_below_a_cell_leaves_stderr_empty(self, tmp_path, capsys):
+        # the kernel's u / bandwidth overflows beside its centre: a zero weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["particles", "--N", "1000", "--T", "0.01", "--set", "grid.cells=100",
+                       "--set", "particles.bandwidth=1e-300", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("x0", ["inf", "-inf", "6.5"])
     def test_khasminskii_x0_off_the_grid_is_config_error(self, tmp_path, capsys, x0):

@@ -23,6 +23,8 @@ from denslab.errors import InvalidParameterError, NumericalError
 from oracles import (
     load_flow,
     reference_kde,
+    reference_tilde_norm,
+    reference_values_at,
     same_bits,
     save_density,
     tilde_measure_distance_l1,
@@ -77,6 +79,36 @@ class TestTimeGrid:
             TimeGrid(np.array([0.0, 0.2, 0.2]))
         with pytest.raises(InvalidParameterError):
             TimeGrid.geometric(1.0, nodes_per_decade=0)
+
+
+class TestDensityFlow:
+    NODES = np.array([0.0, 0.1, 0.25, 0.7])
+
+    def flow(self):
+        rng = np.random.default_rng(9)
+        g = Grid1D(-4.0, 4.0, 64)
+        return DensityFlow(TimeGrid(self.NODES), tuple(
+            normalize(GridDensity(g, rng.uniform(0.0, 1.0, g.n_cells))) for _ in self.NODES))
+
+    def test_values_at_bitwise_equal_to_reference(self):
+        # before, at and beyond the ends, at every node and a float away from one
+        flow = self.flow()
+        times = [-1.0, 0.0, 1e-300, 0.05, 0.1, np.nextafter(0.1, 1.0), 0.3,
+                 np.nextafter(0.7, 0.0), 0.7, 2.0, *np.random.default_rng(4).uniform(0, 0.7, 20)]
+        for t in times:
+            assert same_bits(flow.values_at(t), reference_values_at(flow, t))
+        read = flow._reader()       # one cursor over the times in order
+        for t in sorted(times + times):
+            assert same_bits(read(t), reference_values_at(flow, t))
+
+    def test_nan_time_is_invalid(self):
+        flow = self.flow()
+        with pytest.raises(InvalidParameterError, match="t = nan"):
+            flow.values_at(float("nan"))
+        read = flow._reader()
+        read(0.2)
+        with pytest.raises(InvalidParameterError, match="t = nan"):
+            read(np.nan)
 
 
 class TestTildeNorm:
@@ -192,7 +224,8 @@ class TestSpacetimeNorm:
             rows[4, :250] = 0.0
             rows[40] *= 1e200
             rows[69] = 0.0
-            want = np.array([tilde_norm(row, p, g) for row in rows])
+            want = np.array([reference_tilde_norm(row, p, g) for row in rows])
+            assert same_bits(np.array([tilde_norm(row, p, g) for row in rows]), want)
             _, norms = _spacetime_norm(rows, np.linspace(0.0, 1.0, 70), p, 4.0, g)
             assert same_bits(norms, want)
             assert same_bits(_row_norms(rows, p, g), want)
@@ -340,6 +373,21 @@ class TestKde:
             pts[:2] = [g.x_min, g.x_max]
             assert np.count_nonzero(~((pts >= g.x_min) & (pts <= g.x_max))) == n_out
             assert same_bits(kde(pts, 0.1, g, scratch).values, reference_kde(pts, 0.1, g).values)
+
+    def test_bandwidth_wider_than_the_grid_rejected(self):
+        g = Grid1D(-1.0, 1.0, 64)
+        assert kde(np.zeros(3), g.width, g).mass() == pytest.approx(1.0)
+        for h in (np.nextafter(g.width, np.inf), 1e300):
+            with pytest.raises(InvalidParameterError, match="exceeds grid width"):
+                kde(np.zeros(3), h, g)
+
+    def test_bandwidth_far_below_a_cell_is_the_deposit(self):
+        # u / bandwidth overflows beside the centre: weight exp(-inf) = 0, and no warning
+        g = Grid1D(-1.0, 1.0, 64)
+        want = np.zeros(g.n_cells)
+        want[10] = 1.0 / g.dx
+        d = kde(np.array([g.centers[10]]), 1e-300, g)
+        assert np.max(np.abs(d.values - want)) <= 1e-12 * want[10]
 
     def test_all_outside(self):
         g = Grid1D(-1.0, 1.0, 64)

@@ -41,13 +41,14 @@ from oracles import (
     PIVOTED_RTOL,
     fokker_planck_step,
     pivoted_step,
-    reference_density_rule,
     reference_drift_at_positions,
     reference_gather,
     reference_kde,
     reference_power_singularity,
     reference_singular_sum,
     reference_step,
+    reference_tilde_norm,
+    reference_values_at,
     same_bits,
     step_work,
 )
@@ -328,7 +329,7 @@ class TestFactoredStep:
         for snap in gamma.snapshots:     # a blend can turn -0.0 into 0.0, an end snapshot does not
             snap.values[rng.uniform(size=grid.n_cells) < 0.3] = -0.0
         drift = self.bracket_drift(drift_name)
-        calls = {"values_at": [], "drift_field": []}
+        calls = {"values_at": [], "drift_field": [], "read": []}
 
         def recorded(owner, name):
             fn = getattr(owner, name)
@@ -338,17 +339,31 @@ class TestFactoredStep:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
+        def read_by(reader):     # a `DensityFlow._reader` that records its times
+            def _reader(flow):
+                read = reader(flow)
+
+                def recorded_read(t):
+                    calls["read"].append(t)
+                    return read(t)
+                return recorded_read
+            return _reader
+
         recorded(DensityFlow, "values_at")
         recorded(dynamics, "drift_field")
+        monkeypatch.setattr(DensityFlow, "_reader", read_by(DensityFlow._reader))
         lean = frozen_semigroup(mu, gamma, drift, DIFF2, tg)
         times = calls["drift_field"]
         assert calls["values_at"] == [] and len(times) > 2 * (len(tg.nodes) - 1)
-        rule = dynamics._density_rule(drift, gamma, None)
-        assert all(same_bits(rule(t, None), gamma.values_at(t)) for t in times)
-        calls["values_at"], calls["drift_field"] = [], []
-        monkeypatch.setattr(dynamics, "_density_rule", reference_density_rule)
+        assert calls["read"] == times
+        read = gamma._reader()
+        assert all(same_bits(read(t), reference_values_at(gamma, t)) for t in times)
+        for name in calls:
+            calls[name] = []
+        monkeypatch.setattr(DensityFlow, "_reader",
+                            read_by(lambda flow: lambda t: reference_values_at(flow, t)))
         reference = frozen_semigroup(mu, gamma, drift, DIFF2, tg)
-        assert calls["values_at"] == calls["drift_field"] == times
+        assert calls["read"] == calls["drift_field"] == times
         assert same_bits(lean.values_matrix(), reference.values_matrix())
 
     @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
@@ -617,7 +632,7 @@ class TestPicard:
         assert res_half.iterations <= res.iterations + 1
 
     def test_gap_norms_bitwise_equal_to_per_node_tilde_norm(self, monkeypatch):
-        # the blocked gap norms against one tilde_norm call per node
+        # the blocked gap norms against the reference norm of each node
         grid = Grid1D(-6, 6, 400)
         mu = gaussian_density(grid, 0.0, 0.3)
         tg = TimeGrid.geometric(0.5, nodes_per_decade=20)      # 82 nodes: three blocks
@@ -625,7 +640,7 @@ class TestPicard:
         spec = FlowMetricSpec(lam=1.0, p=1.0, k=1.5)
 
         def per_node_norms(values, k, g):
-            return np.array([tilde_norm(row, k, g) for row in values])
+            return np.array([reference_tilde_norm(row, k, g) for row in values])
 
         same, row_norms = [], dynamics._row_norms
 
@@ -683,8 +698,6 @@ class TestWarmStart:
         tg = TimeGrid.uniform(0.2, 6)
         ou = builtin_drift("linear_ou", {"theta": 1.0})
         plain = frozen_semigroup(mu, None, ou, DIFF2, tg)
-        own = dynamics._march(mu, ou, DIFF2, tg, None, lambda t, v: np.maximum(v, 0.0))
-        assert same_bits(own.values_matrix(), plain.values_matrix())
         # the self-consistent march of a density term that is identically 0
         cd0 = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.0})
         coupled = frozen_semigroup(mu, None, cd0, DIFF2, tg)

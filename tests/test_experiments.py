@@ -4,7 +4,7 @@ reduced desk scale (full-scale runs live in the acceptance suite)."""
 import numpy as np
 import pytest
 
-from denslab import dynamics, metrics
+from denslab import dynamics, experiments, metrics
 from denslab.config import parse_config
 from denslab.density_core import Grid1D, gaussian_density, uniform_density
 from denslab.errors import InvalidParameterError, NumericalError
@@ -20,6 +20,13 @@ from denslab.experiments import (
 )
 from denslab.metrics import _quantile_gap, wasserstein_1d
 from oracles import smallest_expw_constant
+
+
+def _forbid_solves(monkeypatch, marches):
+    """Record a call of `frozen_semigroup` in `marches` instead of solving: it is
+    looked up in `dynamics` (by Picard) and in `experiments`, which imports it."""
+    for module in (dynamics, experiments):
+        monkeypatch.setattr(module, "frozen_semigroup", lambda *a, **k: marches.append(1))
 
 
 def _r_squared(xs, ys, fit) -> float:
@@ -97,9 +104,9 @@ class TestSmoothing:
 @pytest.mark.parametrize("experiment", [experiment_smoothing, experiment_supercontinuity],
                          ids=["smoothing", "supercontinuity"])
 def test_narrow_grid_fails_before_solving(monkeypatch, experiment, drift_name):
-    # every solve, frozen or Picard, goes through dynamics._march
+    # every solve, frozen or Picard, goes through frozen_semigroup
     marches = []
-    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    _forbid_solves(monkeypatch, marches)
     cfg = small_cfg(**{"drift.name": drift_name, "grid.x_min": -0.9, "grid.x_max": 0.9,
                        "grid.cells": 200, "init.sigma": 0.05})
     with pytest.raises(InvalidParameterError, match="smaller than the unit-ball window"):
@@ -112,7 +119,7 @@ def test_narrow_grid_fails_before_solving(monkeypatch, experiment, drift_name):
                          ids=["smoothing", "supercontinuity", "entropy-cost"])
 def test_short_span_fails_before_solving(monkeypatch, experiment):
     marches = []
-    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    _forbid_solves(monkeypatch, marches)
     cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": 0.05,
                        "experiment.t_lo": 0.05, "experiment.t_hi": 0.2, "time.T": 0.2})
     with pytest.raises(InvalidParameterError, match="slope fit needs >= 2.0 decades"):
@@ -126,7 +133,7 @@ def test_short_span_fails_before_solving(monkeypatch, experiment):
 def test_negative_slope_tol_fails_before_solving(monkeypatch, experiment):
     # 0 is the documented "no slope assertion"; below 0 is a config error
     marches = []
-    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    _forbid_solves(monkeypatch, marches)
     cfg = small_cfg(**{"drift.name": "zero", "experiment.slope_tol": -1.0,
                        "experiment.t_lo": 2e-3, "experiment.t_hi": 0.2, "time.T": 0.2})
     with pytest.raises(InvalidParameterError, match="experiment.slope_tol"):
@@ -137,7 +144,7 @@ def test_negative_slope_tol_fails_before_solving(monkeypatch, experiment):
 def test_empty_alphas_fail_before_solving(monkeypatch):
     # no alpha would make every Renyi check pass vacuously
     marches = []
-    monkeypatch.setattr(dynamics, "_march", lambda *a, **k: marches.append(1))
+    _forbid_solves(monkeypatch, marches)
     cfg = small_cfg(**{"drift.name": "zero", "experiment.alphas": ()})
     with pytest.raises(InvalidParameterError, match="experiment.alphas"):
         experiment_renyi(cfg)

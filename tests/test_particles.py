@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from denslab import dynamics, particles
+from denslab import particles
 from denslab.density_core import DensityFlow, Grid1D, TimeGrid, _Scratch, gaussian_density
 from denslab.dynamics import DriftSpec, builtin_drift, constant_diffusion
 from denslab.errors import InvalidParameterError, NumericalError, NumericOverflowError
@@ -24,6 +24,7 @@ from denslab.particles import (
 )
 from oracles import (
     ParticlePath,
+    frozen_density_rule,
     girsanov_log_weight,
     girsanov_log_weights_mc,
     path_relative_entropy_mc,
@@ -238,7 +239,7 @@ def _march_args(drift, flow=None, n=1200):
     density rule."""
     x0 = sample_initial(("gaussian", 0.1, 0.4), n, 17, GRID)
     density = (particles._density_rule(drift, GRID) if flow is None else
-               dynamics._density_rule(drift, flow, None))
+               frozen_density_rule(drift, flow))
     return (x0, drift, DIFF2, GRID, 0.0, 0.02, 1e-3, 17, density)
 
 
