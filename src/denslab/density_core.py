@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import InvalidParameterError, NumericalError
 
@@ -224,6 +223,16 @@ def _window_sums(w: np.ndarray, m: int) -> np.ndarray:
     return e[..., 2 * m + 1:] - e[..., :w.shape[-1]]
 
 
+def _window_max(a: np.ndarray, m: int) -> np.ndarray:
+    """Max of each row of a over index windows [i-m, i+m], 0 beyond the row: on the
+    zero-padded rows, windows of s entries double while 2s <= 2m + 1, then two overlap."""
+    n, w, s = a.shape[-1], 2 * m + 1, 1
+    b = np.pad(a, ((0, 0), (m, m)))
+    while 2 * s <= w:
+        b, s = np.maximum(b[:, :-s], b[:, s:]), 2 * s
+    return np.maximum(b[:, :n], b[:, w - s:w - s + n])
+
+
 def _rescaled(a: np.ndarray, norm, r=None):
     """norm(a) for a >= 0 and a `norm` that scales linearly with a, entry by
     entry of its result (`r` when the caller has it).  Where a power under- or
@@ -289,7 +298,7 @@ def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
     a = np.abs(values)
     sup = _row_norms(a, p, grid)
     if np.isinf(p):    # windowed L^p norm of each node at each center
-        W = maximum_filter1d(a, size=2 * m + 1, axis=-1, mode="constant", cval=0.0)
+        W = _window_max(a, m)
     else:
         W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p))
     if np.isinf(q):
@@ -325,8 +334,9 @@ def gaussian_density(grid: Grid1D, mean: float, sigma: float) -> GridDensity:
     """Normalized Gaussian sampled at cell centers."""
     if sigma <= 0:
         raise InvalidParameterError("sigma must be positive")
-    z = (grid.centers - mean) / sigma
-    v = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
+    with np.errstate(over="ignore"):     # z or z * z past the float range: exp(-inf) = 0
+        z = (grid.centers - mean) / sigma
+        v = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
     return normalize(GridDensity(grid, v))
 
 
@@ -405,8 +415,20 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) ->
     with np.errstate(over="ignore"):     # u / bandwidth past the float range: exp(-inf) = 0
         kern = np.exp(-0.5 * (u / bandwidth) ** 2)
     kern /= kern.sum()
-    smooth = fftconvolve(hist, kern, mode="same")
+    smooth = _convolve_same(hist, kern)
     return normalize(GridDensity(grid, np.maximum(smooth, 0.0)))
+
+
+def _convolve_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """scipy.signal.fftconvolve(a, k, "same") for 1-D real a and k, by its own steps,
+    bit for bit: a * k if either has one entry, else real FFTs of the next fast length."""
+    n = a.size + k.size - 1
+    if min(a.size, k.size) == 1:
+        full = a * k
+    else:
+        size = next_fast_len(n, True)
+        full = irfft(rfft(a, size) * rfft(k, size), size)[:n]
+    return full[(full.size - a.size) // 2:][:a.size]
 
 
 def density_quantiles(d: GridDensity, u: np.ndarray) -> np.ndarray:

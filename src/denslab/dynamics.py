@@ -31,9 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.signal import fftconvolve
 
-from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _cells,
+from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _cells, _convolve_same,
                            _require_window, _row_norms, _Scratch)
 from .errors import InvalidParameterError, NoConvergenceError, NumericalError, NumericOverflowError
 from .metrics import FlowMetricSpec
@@ -188,7 +187,7 @@ def density_features(rho_values: np.ndarray, grid: Grid1D, drift: DriftSpec) -> 
         if s <= 0:
             raise InvalidParameterError(f"feature kernel '{k.name}' has nonpositive mass")
         prof = prof / s
-        feats[k.name] = fftconvolve(rho_values, prof, mode="same") * grid.dx
+        feats[k.name] = _convolve_same(rho_values, prof) * grid.dx
     return feats
 
 

@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The 33 runs take about 70 s on a two-core machine.
+bytes.  The 34 runs take about 70 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -106,6 +106,7 @@ RUNS = {
                                     "--N", "50", "--lambda-grid", "0.2,0.5,1.0",
                                     "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005",
                                     "--set", "grid.cells=300", "--seed", "11"],
+    "error-tiny-sigma": ["picard", "--set", "grid.cells=200", "--set", "init.sigma=1e-300"],
     "error-wide-bandwidth": ["particles", "--N", "1000", "--T", "0.01", "--set", "grid.cells=100",
                              "--set", "particles.bandwidth=1e300"],
 }

@@ -3,17 +3,17 @@
 Exact transport on small atomic measures (monotone coupling and a
 transportation linear program), the expW calibration bisected on
 `exp_wasserstein` itself, the localized measure distance, the unit-window
-norm of one row by its own window sums, the space-time localized norm, the
-discounted flow distance, a one-path Girsanov log-weight and the Monte Carlo
-Girsanov and path-entropy estimators on the particle march, the particle
-step written out of place (cloud-in-cell KDE and gather, np.where
-reflection, uniforms) with a march built from it, the particle march drawing
-its normals serially and its rule for reading a frozen flow, a single
-Fokker-Planck step, a frozen flow read at one time by binary search, the
-reference steps that assemble the banded matrix afresh and solve it as
-symmetric positive definite or by a pivoted LU, the capped singular_well
-term, a writer for density CSVs and a reader for the flow directories the
-CLI writes.
+norm of one row by its own window sums, the space-time localized norm and
+its p = inf value by scipy's maximum filter, the discounted flow distance, a
+one-path Girsanov log-weight and the Monte Carlo Girsanov and path-entropy
+estimators on the particle march, the particle step written out of place
+(cloud-in-cell KDE and gather, np.where reflection, uniforms) with a march
+built from it, the particle march drawing its normals serially and its rule
+for reading a frozen flow, a single Fokker-Planck step, a frozen flow read
+at one time by binary search, the reference steps that assemble the banded
+matrix afresh and solve it as symmetric positive definite or by a pivoted
+LU, the capped singular_well term, a writer for density CSVs and a reader
+for the flow directories the CLI writes.
 """
 
 import math
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
+from scipy.ndimage import maximum_filter1d
 from scipy.optimize import linprog
 from scipy.signal import fftconvolve
 from scipy.special import ndtri
@@ -203,6 +204,18 @@ def tilde_spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> flo
     node times; `values` is the (len(times), n_cells) array of node values.
     """
     return _spacetime_norm(values, times, p, q, grid)[0]
+
+
+def reference_sup_spacetime_norm(values, times, q: float, grid: Grid1D) -> float:
+    """The space-time norm at p = inf, each node's windowed sup norms taken by
+    scipy.ndimage's maximum_filter1d over [i-m, i+m], 0 beyond the row: what
+    `_spacetime_norm` must reproduce bit for bit."""
+    m = _window_half_cells(grid)
+    W = maximum_filter1d(np.abs(values), size=2 * m + 1, axis=-1, mode="constant", cval=0.0)
+    if np.isinf(q):
+        return float(np.max(W))
+    return float(_rescaled(
+        W, lambda b: np.max(np.trapezoid(b ** q, x=times, axis=0)) ** (1.0 / q)))
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,18 @@ class TestExitCodes:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("sigma", ["1e-160", "1e-300", "5e-324"])
+    def test_tiny_initial_sigma_is_numeric_error_in_one_line(self, tmp_path, capsys, sigma):
+        # z = x / sigma or z * z overflows beside the mean: exp(-inf) = 0 in every
+        # cell, with no warning, and the density has no mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["picard", "--set", "grid.cells=200", "--set", f"init.sigma={sigma}",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: density has no positive mass to normalize\n")
+
     @pytest.mark.parametrize("x0", ["inf", "-inf", "6.5"])
     def test_khasminskii_x0_off_the_grid_is_config_error(self, tmp_path, capsys, x0):
         # off the grid, the paths were reflected onto the boundary, where the

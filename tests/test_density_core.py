@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from denslab.density_core import (
     DensityFlow,
     Grid1D,
     GridDensity,
     TimeGrid,
+    _convolve_same,
     _row_norms,
     _Scratch,
     _spacetime_norm,
+    _window_half_cells,
     gaussian_density,
     kde,
     load_density,
@@ -23,6 +26,7 @@ from denslab.errors import InvalidParameterError, NumericalError
 from oracles import (
     load_flow,
     reference_kde,
+    reference_sup_spacetime_norm,
     reference_tilde_norm,
     reference_values_at,
     same_bits,
@@ -230,6 +234,24 @@ class TestSpacetimeNorm:
             assert same_bits(norms, want)
             assert same_bits(_row_norms(rows, p, g), want)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0, 1e300, np.inf])
+    def test_sup_norm_bitwise_equal_to_maximum_filter(self, q):
+        # p = inf: each node's sup over the window [i-m, i+m] around each cell,
+        # with a window of 51 of 300 cells and one of 65 over a 64-cell row.  The
+        # nodes are sparse spikes, and the tallest sit at alternate nodes on two
+        # cells 2m apart (the row's ends on the 64-cell row), which only a whole
+        # window holds both of
+        rng = np.random.default_rng(12)
+        times = np.linspace(0.0, 1.0, 40)
+        for g in (Grid1D(-6.0, 6.0, 300), Grid1D(-1.0, 1.0, 64)):
+            m, shape = _window_half_cells(g), (times.size, g.n_cells)
+            rows = rng.normal(0.0, 1.0, shape) * (rng.random(shape) < 4.0 / g.n_cells)
+            lo = max(0, (g.n_cells - 1 - 2 * m) // 2)
+            rows[0::2, lo] = rows[1::2, min(lo + 2 * m, g.n_cells - 1)] = 5.0
+            rows[5] = 0.0
+            val, _ = _spacetime_norm(rows, times, np.inf, q, g)
+            assert same_bits(val, reference_sup_spacetime_norm(rows, times, q, g))
+
     def test_empty_window_error(self):
         # fewer than two node times, or times that do not increase strictly
         g = Grid1D(-4.0, 4.0, 100)
@@ -393,6 +415,18 @@ class TestKde:
         g = Grid1D(-1.0, 1.0, 64)
         with pytest.raises(NumericalError, match="all particles fall outside the grid"):
             kde(np.array([5.0, 6.0]), 0.1, g)
+
+
+class TestConvolveSame:
+    def test_bitwise_equal_to_fftconvolve(self):
+        # the KDE kernel reaches 8 grid widths and a feature kernel one: 240
+        # random length pairs, with one-entry kernels and signals among them
+        rng = np.random.default_rng(13)
+        for i in range(240):
+            n = 1 if i % 40 == 0 else int(rng.integers(2, 700))
+            nk = 1 if i % 12 == 0 else int(rng.integers(2, 8 * n + 3))
+            a, k = rng.random(n) * 10.0 ** rng.integers(-5, 6), rng.random(nk)
+            assert same_bits(_convolve_same(a, k), fftconvolve(a, k, mode="same")), (n, nk)
 
 
 class TestSerialization:

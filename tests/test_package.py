@@ -1,5 +1,6 @@
-"""The package's size and surface: the line budget of `src/denslab` and the
-empty top-level namespace, each name having one import path in its submodule."""
+"""The package's size and surface: the line budget of `src/denslab`, the
+empty top-level namespace, each name having one import path in its submodule,
+and the scipy subpackages that importing the CLI loads."""
 
 import os
 import subprocess
@@ -18,14 +19,26 @@ def test_source_within_line_budget():
     assert sum(lines.values()) <= LINE_BUDGET, lines
 
 
-def test_import_defines_no_public_name():
-    # a fresh interpreter: in this one the tests have imported the submodules,
-    # which then are attributes of the package
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter on this `denslab`: in this one
+    the tests have imported the submodules and scipy's test-only subpackages."""
     src = str(Path(denslab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import denslab; print(sorted(n for n in vars(denslab) if not n.startswith('_')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_import_defines_no_public_name():
+    assert _fresh_python(
+        "import denslab; print(sorted(n for n in vars(denslab) if not n.startswith('_')))") == "[]"
+
+
+def test_cli_import_leaves_slow_scipy_subpackages_out():
+    # scipy.signal took 1.05 s of a 1.64 s `import denslab.cli` and brought
+    # scipy.stats and scipy.ndimage; the library needs scipy.fft, scipy.special
+    # and scipy.linalg.lapack
+    slow = ["scipy.signal", "scipy.ndimage", "scipy.stats", "scipy.optimize"]
+    assert _fresh_python(
+        f"import sys, denslab.cli; print([m for m in {slow} if m in sys.modules])") == "[]"
