@@ -336,7 +336,7 @@ def gaussian_density(grid: Grid1D, mean: float, sigma: float) -> GridDensity:
         raise InvalidParameterError("sigma must be positive")
     with np.errstate(over="ignore"):     # z or z * z past the float range: exp(-inf) = 0
         z = (grid.centers - mean) / sigma
-        v = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
+        v = np.exp(-0.5 * z * z) / max(sigma * np.sqrt(2.0 * np.pi), np.finfo(float).tiny)
     return normalize(GridDensity(grid, v))
 
 

@@ -98,6 +98,8 @@ def _select_measure_nodes(cfg: RunConfig, tg: TimeGrid):
 
 
 def _require_span(cfg: RunConfig, t: np.ndarray) -> None:
+    if t.size < 5:
+        raise InvalidParameterError(f"log-log fit needs >= 5 measurement nodes, got {t.size}")
     tol = cfg["experiment.slope_tol"]
     if tol < 0:
         raise InvalidParameterError(f"key 'experiment.slope_tol' must be >= 0, got {tol}")
@@ -286,17 +288,16 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
     if not alphas:
         raise InvalidParameterError("experiment.alphas is empty")
     mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
-    snaps = [(flow_mu.snapshots[i], flow_nu.snapshots[i]) for i in idx]
     alpha_small = cfg["experiment.alpha_limit"]
-    ent_matrix, kl_vals = [], []
-    for a_snap, b_snap in snaps:
-        ent_matrix.append([renyi_entropy(a_snap, b_snap, a) for a in alphas])
-        kl_vals.append(relative_entropy(a_snap, b_snap))
+    ent_matrix, kl_vals, limit_vals = [], [], []
+    for i in idx:
+        pair = flow_mu.snapshots[i], flow_nu.snapshots[i]
+        ent_matrix.append([renyi_entropy(*pair, a) for a in alphas])
+        kl_vals.append(relative_entropy(*pair))
+        limit_vals.append(renyi_entropy(*pair, alpha_small))
     ent = np.array(ent_matrix)
     monotone_ok = bool(np.all(np.diff(ent, axis=1) >= -1e-10))
-    limit_vals = np.array([renyi_entropy(a_snap, b_snap, alpha_small)
-                           for a_snap, b_snap in snaps])
-    limit_gap = float(np.max(np.abs(limit_vals - np.array(kl_vals))))
+    limit_gap = float(np.max(np.abs(np.array(limit_vals) - np.array(kl_vals))))
     limit_ok = limit_gap <= 1e-3
     # calibrate the transport-term constant on the even-index nodes: the
     # smallest constant is monotone in its target, so each node's largest

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .density_core import GridDensity, _rescaled, density_quantiles
 from .errors import InvalidParameterError, NumericalError, NumericOverflowError
@@ -37,6 +36,7 @@ DENSITY_FLOOR = 1e-30
 ABSORB_MASS_TOL = 1e-12
 
 _MASS_TOL = 1e-6
+_EXP_CAP = 700.0    # the exponential moments stop short of exp's overflow at 709.78
 
 
 def _check_pair(mu: GridDensity, nu: GridDensity) -> None:
@@ -85,20 +85,25 @@ def exp_wasserstein(mu: GridDensity, nu: GridDensity, c: float) -> float:
     return _log_exp_moment(_quantile_gap(mu, nu) ** 2, c)
 
 
-def _log_exp_moment(gap2: np.ndarray, c: float) -> float:
-    """log of the mean of exp(c * gap2): `exp_wasserstein` for c > 0.  The
-    steps of scipy.special.logsumexp for real input, bit for bit, without its
-    per-call overhead: the m tied maxima leave the shifted sum s, and
-    log1p(s / m) + log(m) + max adds them back."""
-    a = c * gap2
-    a_max = c * gap2.max()        # == a.max() for finite c >= 0
-    if a_max > 700.0:
-        raise NumericOverflowError(f"c * max_gap^2 = {a_max:.1f} > 700 would overflow")
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a), leaving `a` as it is, by scipy.special.logsumexp's steps for
+    real input, bit for bit: the m tied maxima leave the shifted sum s, and
+    log1p(s / m) + log(m) + max adds them back.  A NaN or +inf in `a` (a lambda
+    sweep's weights past the float range) gives scipy's value, and no warning."""
+    a_max = a.max()
     tied = a == a_max
     m = np.count_nonzero(tied)
-    a[tied] = -np.inf
-    s = np.exp(a - a_max).sum()
-    return float(np.log1p(s / m) + np.log(m) + a_max - np.log(gap2.size))
+    with np.errstate(divide="ignore"):      # log(m = 0) when a_max is NaN
+        s = np.exp(np.where(tied, -np.inf, a) - a_max).sum()
+        return float(np.log1p(s / m) + np.log(m) + a_max)
+
+
+def _log_exp_moment(gap2: np.ndarray, c: float) -> float:
+    """log of the mean of exp(c * gap2): `exp_wasserstein` for c > 0."""
+    a = c * gap2
+    if a.max() > _EXP_CAP:
+        raise NumericOverflowError(f"c * max_gap^2 = {a.max():.1f} > {_EXP_CAP:g} would overflow")
+    return _logsumexp(a) - float(np.log(gap2.size))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +134,7 @@ def relative_entropy(mu: GridDensity, nu: GridDensity) -> float:
 def renyi_entropy(mu: GridDensity, nu: GridDensity, alpha: float) -> float:
     """(1/alpha) log int (dmu/dnu)^alpha dmu with the same floor convention.
 
-    Computed in log space through logsumexp so large density ratios stay
+    Computed in log space through `_logsumexp` so large density ratios stay
     representable.
     """
     if not 0 < alpha < np.inf:
@@ -140,7 +145,7 @@ def renyi_entropy(mu: GridDensity, nu: GridDensity, alpha: float) -> float:
         return float("inf")
     la = np.log(mu.values[keep])
     lb = np.log(nu.values[keep])
-    return float(logsumexp((1.0 + alpha) * la - alpha * lb + np.log(mu.grid.dx)) / alpha)
+    return _logsumexp((1.0 + alpha) * la - alpha * lb + np.log(mu.grid.dx)) / alpha
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Interacting-particle simulation, Girsanov path weights, and exponential
-moment estimation for the density-dependent diffusion.
+"""Interacting-particle simulation and exponential moment estimation for the
+density-dependent diffusion.
 
 The particle system replaces the law's density in the drift by a kernel
 density estimate of the ensemble itself, which is the standard mollification
@@ -14,11 +14,12 @@ touching the others.
 
 Every particle-facing operation runs the same Euler-Maruyama march
 (`_march`), which yields each step and differs between callers only in the
-grid density its drift reads: none, the ensemble KDE, or a frozen flow's
-`DensityFlow._reader`.  On the steps, `euler_maruyama_mkv` records KDE
-snapshots and `khasminskii_mc` integrates f(r, X_r)^2 by the trapezoid rule.
-The draws of a step depend only on (seed, step), so the march computes step
-s + 1's increments on one helper thread while step s runs.
+grid density its drift reads: none, or the ensemble's own KDE.  On the steps,
+`euler_maruyama_mkv` records KDE snapshots and `khasminskii_mc` integrates
+f(r, X_r)^2 by the trapezoid rule; its lambda sweep takes each exponential
+moment with `metrics._logsumexp`.  The draws of a step depend only on (seed,
+step), so the march computes step s + 1's increments on one helper thread
+while step s runs.
 
 A step's drift reads the grid density (and its features) at every particle
 with the KDE deposit's own cloud-in-cell weights: linear interpolation,
@@ -37,7 +38,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 from .density_core import (
     DensityFlow,
@@ -58,11 +59,11 @@ from .dynamics import (
     power_singularity,
 )
 from .errors import InvalidParameterError, NumericalError
+from .metrics import _EXP_CAP, _logsumexp
 
 _STREAM_INIT = 1
 _STREAM_EVOLVE = 2
 _MASK64 = (1 << 64) - 1
-_LOG_WEIGHT_CAP = 700.0
 _FIELD_TIME_NODES = 129    # time nodes of field_spacetime_norm
 
 
@@ -116,15 +117,10 @@ def _bandwidth(bandwidth: float, positions: np.ndarray, scratch=None) -> float:
     return 1.06 * max(sd, 1e-12) * n ** (-0.2)
 
 
-def _reflect(x: np.ndarray, lo: float, hi: float, mask: np.ndarray | None = None) -> np.ndarray:
-    """x mirrored at hi, then at lo, clipped to [lo, hi]: a copy, or x given a bool `mask`."""
-    if mask is None:
-        x, mask = np.array(x, dtype=np.float64), np.empty(np.shape(x), dtype=bool)
-    for bound, outside in ((hi, np.greater), (lo, np.less)):
-        np.subtract(2.0 * bound, x, out=x, where=outside(x, bound, out=mask))
-    for bound, outside in ((hi, np.greater), (lo, np.less)):
-        np.copyto(x, bound, where=outside(x, bound, out=mask))
-    return x
+def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """A copy of x mirrored at hi, then at lo, then clipped to [lo, hi]."""
+    x = np.where(x > hi, 2.0 * hi - x, x)
+    return np.clip(np.where(x < lo, 2.0 * lo - x, x), lo, hi)
 
 
 def _density_rule(drift: DriftSpec, grid: Grid1D, bandwidth: float = 0.0, scratch=None):
@@ -192,7 +188,7 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
                 x_next += x                 # x + b dt, then + sigma dw: the same roundings
                 x_next += np.multiply(sigma, dw, out=noise)
                 if not grid.x_min <= x_next.min() <= x_next.max() <= grid.x_max:
-                    _reflect(x_next, grid.x_min, grid.x_max, mask)   # else a no-op, all finite
+                    x_next = _reflect(x_next, grid.x_min, grid.x_max)   # else all finite
                     if not np.isfinite(x_next, out=mask).all():
                         raise NumericalError(f"non-finite particle position at step {s}")
                 yield _Step(t, x, rho, b, sigma, dw, x_next)
@@ -322,8 +318,8 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     falls below 100 are flagged unreliable rather than silently reported.
     """
     lam = np.asarray(lambda_grid, dtype=np.float64)
-    if lam.size < 2 or np.any(lam <= 0):
-        raise InvalidParameterError("lambda grid must be positive with >= 2 entries")
+    if lam.size < 2 or not lam[0] > 0 or not np.all(np.diff(lam) > 0):
+        raise InvalidParameterError("lambda grid needs >= 2 positive, strictly increasing values")
     if not s >= 0:
         raise InvalidParameterError(f"need s >= 0, got {s}")
     if not grid.x_min <= x0 <= grid.x_max:
@@ -338,22 +334,18 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
             raise InvalidParameterError(
                 f"field has {what} {v:g} on the grid; it must be positive and finite")
     tau = _integral_sq(lambda tt, xx: f.evaluate(tt, xx, grid.dx), march, s, x_init, dt)
-    log_est, est, se, ess_arr, unrel = [], [], [], [], []
+    log_est, est, se, ess = [], [], [], []
     n = float(n_paths)
     for lv in lam:
         w = lv * lv * tau
-        lme = float(logsumexp(w) - math.log(n))
-        log_est.append(lme)
-        est.append(float(np.exp(lme)) if lme < _LOG_WEIGHT_CAP else float("inf"))
         m = float(np.max(w))
         ew = np.exp(w - m)
-        var_shift = float(np.var(ew))
-        se_val = math.exp(m) * math.sqrt(var_shift / n) if m < _LOG_WEIGHT_CAP else float("inf")
-        se.append(se_val)
-        denom = float(np.sum(ew ** 2))
-        ess_val = float(np.sum(ew) ** 2 / denom) if denom > 0 else 0.0
-        ess_arr.append(ess_val)
-        unrel.append(ess_val < 100.0)
+        lme = _logsumexp(w) - math.log(n)
+        log_est.append(lme)
+        est.append(float(np.exp(lme)) if lme < _EXP_CAP else float("inf"))
+        se.append(math.exp(m) * math.sqrt(np.var(ew) / n) if m < _EXP_CAP else float("inf"))
+        denom = float(np.sum(ew ** 2))      # >= 1 (ew is 1 at the max), NaN once w overflows
+        ess.append(float(np.sum(ew) ** 2 / denom) if denom > 0 else 0.0)
     log_est = np.array(log_est)
     split = 1.0 / norm
     small = lam * norm <= 1.0
@@ -376,8 +368,8 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
         bound_superlinear=c_super,
         regime_split=float(split),
         log_estimates=tuple(float(v) for v in log_est),
-        ess=tuple(ess_arr),
-        unreliable=tuple(bool(u) for u in unrel),
+        ess=tuple(ess),
+        unreliable=tuple(e < 100.0 for e in ess),
         bounds_hold=bool(all(bounds)),
         norm_spacetime=float(norm),
         time_integral_norm=float(integral),

@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The 34 runs take about 70 s on a two-core machine.
+bytes.  The 38 runs take about 75 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -109,6 +109,17 @@ RUNS = {
     "error-tiny-sigma": ["picard", "--set", "grid.cells=200", "--set", "init.sigma=1e-300"],
     "error-wide-bandwidth": ["particles", "--N", "1000", "--T", "0.01", "--set", "grid.cells=100",
                              "--set", "particles.bandwidth=1e300"],
+    "error-descending-lambda-grid": ["experiment", "khasminskii", "--set", "khasminskii.t=0.1",
+                                     "--set", "khasminskii.dt=0.005",
+                                     "--set", "khasminskii.lambda_grid=1.0,0.5,0.2"]
+                                    + _PARTICLES,
+    "error-repeated-lambda-grid": ["khasminskii", "--lambda-grid", "0.2,0.2,0.5",
+                                   "--set", "khasminskii.t=0.1",
+                                   "--set", "khasminskii.dt=0.005"] + _PARTICLES,
+    "error-few-nodes": ["experiment", "smoothing", "--set", "drift.name=zero"] + _EXPERIMENT
+                       + ["--set", "experiment.n_t=3"],
+    "picard-subnormal-sigma": ["picard"] + _PDE + ["--set", "grid.cells=201",
+                                                   "--set", "init.sigma=1e-320"],
 }
 
 

@@ -313,6 +313,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numerical failure: density has no positive mass to normalize\n")
 
+    @pytest.mark.parametrize("sigma", ["1e-320", "5e-324"])
+    def test_subnormal_initial_sigma_on_a_centre_is_a_one_cell_delta(self, tmp_path, sigma):
+        # a cell centre on the mean: 1 / (sigma sqrt(2 pi)) overflowed there and
+        # the density was rejected as not finite; it is 1e-300's one-cell delta
+        snaps = []
+        for s in (sigma, "1e-300"):
+            out = tmp_path / s
+            assert main(["picard", "--set", "grid.cells=201", "--set", f"init.sigma={s}",
+                         "--out", str(out)]) == 0
+            snaps.append((out / "flow" / "density_0000.csv").read_bytes())
+        assert snaps[0] == snaps[1]
+
+    @pytest.mark.parametrize("command", [["khasminskii"], ["experiment", "khasminskii"]])
+    @pytest.mark.parametrize("lambdas", ["2,1,0.5,0.3,0.2,0.1", "0.1,0.1,0.2,0.3,0.5,1,2"])
+    def test_unsorted_or_repeated_lambda_grid_is_config_error(self, tmp_path, capsys,
+                                                              command, lambdas):
+        # the convexity check failed a descending grid on valid data, and a
+        # repeated lambda divided by a zero lambda gap
+        out = tmp_path / "o"
+        rc = main(command + ["--set", f"khasminskii.lambda_grid={lambdas}",
+                             "--set", "particles.n=2000", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: lambda grid needs >= 2 positive, strictly increasing values\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("x0", ["inf", "-inf", "6.5"])
     def test_khasminskii_x0_off_the_grid_is_config_error(self, tmp_path, capsys, x0):
         # off the grid, the paths were reflected onto the boundary, where the

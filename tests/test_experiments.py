@@ -141,6 +141,19 @@ def test_negative_slope_tol_fails_before_solving(monkeypatch, experiment):
     assert marches == []
 
 
+@pytest.mark.parametrize("experiment", [experiment_smoothing, experiment_supercontinuity,
+                                        experiment_entropy_cost],
+                         ids=["smoothing", "supercontinuity", "entropy-cost"])
+def test_too_few_nodes_fail_before_solving(monkeypatch, experiment):
+    # the log-log fit needs 5 nodes, so the node count is checked before solving
+    marches = []
+    _forbid_solves(monkeypatch, marches)
+    cfg = small_cfg(**{"drift.name": "zero", "experiment.n_t": 4})
+    with pytest.raises(InvalidParameterError, match="needs >= 5 measurement nodes, got 4"):
+        experiment(cfg)
+    assert marches == []
+
+
 def test_empty_alphas_fail_before_solving(monkeypatch):
     # no alpha would make every Renyi check pass vacuously
     marches = []

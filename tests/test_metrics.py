@@ -1,5 +1,7 @@
 """Transport distances, entropies, and the discounted flow metric."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -18,6 +20,7 @@ from denslab.errors import InvalidParameterError, NumericalError, NumericOverflo
 from denslab.metrics import (
     FlowMetricSpec,
     _log_exp_moment,
+    _logsumexp,
     _quantile_gap,
     exp_wasserstein,
     relative_entropy,
@@ -254,6 +257,36 @@ class TestExpWasserstein:
                 if c * gap2.max() <= 700.0:
                     expected = logsumexp(c * gap2) - np.log(gap2.size)
                     assert same_bits(_log_exp_moment(gap2, c), expected)
+
+    def test_logsumexp_bitwise_equal_to_scipy(self):
+        # Renyi exponents (1 + alpha) log mu - alpha log nu + log dx of Gaussian
+        # pairs, negative for close pairs; random arrays with tied maxima; one
+        # entry; every entry tied, as the constant Khasminskii field gives every
+        # path the same tau; and +inf or NaN entries, as a lambda sweep's
+        # weights past the float range give; the argument is left unchanged
+        rng = np.random.default_rng(29)
+        g = Grid1D(-6.0, 6.0, 500)
+        arrays = []
+        for _ in range(10):
+            mu = gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5))
+            nu = gaussian_density(g, rng.uniform(-1, 1), rng.uniform(0.1, 0.5))
+            keep = (mu.values > 1e-30) & (nu.values > 1e-30)
+            alpha = 10.0 ** rng.uniform(-4, 1)
+            arrays.append((1.0 + alpha) * np.log(mu.values[keep])
+                          - alpha * np.log(nu.values[keep]) + np.log(g.dx))
+        for n in rng.integers(1, 3000, 30):
+            a = np.round(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), n), int(rng.integers(0, 3)))
+            a[rng.integers(0, n, 3)] = a.max()
+            arrays.append(a)
+        arrays += [np.array([-3.5]), np.full(1000, 0.0123), np.array([np.inf, 1.0]),
+                   np.array([np.inf, np.inf]), np.array([np.nan, 1.0]), np.array([np.nan, np.inf])]
+        for a in arrays:
+            kept = a.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _logsumexp(a)
+            assert same_bits(np.float64(got), logsumexp(a))
+            assert same_bits(a, kept)
 
     def test_jensen_vs_w2(self):
         # log E e^{c g^2} >= c E[g^2] = c W2^2 under the same coupling

@@ -1,7 +1,8 @@
 """The package's size and surface: the line budget of `src/denslab`, the
 empty top-level namespace, each name having one import path in its submodule,
-and the scipy subpackages that importing the CLI loads."""
+the scipy subpackages that importing the CLI loads, and the one log-sum-exp."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -42,3 +43,19 @@ def test_cli_import_leaves_slow_scipy_subpackages_out():
     slow = ["scipy.signal", "scipy.ndimage", "scipy.stats", "scipy.optimize"]
     assert _fresh_python(
         f"import sys, denslab.cli; print([m for m in {slow} if m in sys.modules])") == "[]"
+
+
+def test_no_module_uses_scipy_logsumexp():
+    # metrics._logsumexp is the library's one log-sum-exp, for the Renyi
+    # entropy, the expW calibration and the Khasminskii sweep; scipy's is its
+    # reference in the tests
+    users = []
+    for f in sorted(Path(denslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.attr] if isinstance(node, ast.Attribute) else []
+            if "logsumexp" in names:
+                users.append(f.name)
+    assert users == []

@@ -101,13 +101,6 @@ class TestReflect:
         _reflect(x, GRID.x_min, GRID.x_max)
         assert same_bits(x, before)
 
-    def test_in_place_with_a_mask_as_the_copy(self):
-        x = np.concatenate((np.random.default_rng(5).uniform(-20.0, 20.0, 5000),
-                            [-6.0, 6.0, -0.0, np.nan, np.inf, -np.inf]))
-        want = _reflect(x, GRID.x_min, GRID.x_max)
-        got = _reflect(x, GRID.x_min, GRID.x_max, np.ones(x.size, dtype=bool))
-        assert got is x and same_bits(x, want)
-
 
 def _silverman(x):
     return 1.06 * max(np.std(x), 1e-12) * x.size ** -0.2
@@ -513,6 +506,17 @@ class TestKhasminskii:
                          + left.mc_stderr[i] * right.mc_estimates[i]
                          + right.mc_stderr[i] * left.mc_estimates[i])
             assert full.mc_estimates[i] <= prod + slack
+
+    @pytest.mark.parametrize("lam", [[0.2], [0.5, 0.2], [0.2, 0.2, 0.5], [0.0, 0.5],
+                                     [-0.1, 0.5], [0.2, np.nan], [np.nan, 0.2]])
+    def test_bad_lambda_grid_rejected_before_marching(self, monkeypatch, lam):
+        # the experiment's convexity check reads the grid as sorted and distinct
+        marches = []
+        monkeypatch.setattr(particles, "_march", lambda *a, **k: marches.append(1))
+        f = builtin_field("constant", {"c0": 0.5})
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 0.1, lam, 10, 1e-2, GRID, seed=3)
+        assert marches == []
 
     @pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan, 6.5, -6.0 - 1e-9])
     def test_x0_off_the_grid_rejected_before_marching(self, monkeypatch, x0):
