@@ -4,7 +4,7 @@ Exit statuses are part of the contract for CI use:
   0  run completed and every asserted check passed
   1  run completed but an asserted check failed
   2  configuration error (bad key, bad value, invalid grid or drift, ...)
-  3  numerical failure (divergence, overflow, non-finite state)
+  3  numerical failure (divergence, overflow, non-finite state, out of memory)
 
 All artifact writes are atomic (write to a temp file, then rename), all
 floating-point output uses the shortest round-trip representation, and
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except (InvalidParameterError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DenslabError, OverflowError) as exc:
+    except (DenslabError, OverflowError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:

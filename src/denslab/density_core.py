@@ -375,13 +375,15 @@ def _cells(x: np.ndarray, grid: Grid1D, frac, lower, i0) -> None:
     frac -= lower
 
 
-def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) -> GridDensity:
+def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None, _with_cells=False):
     """Gaussian-kernel density estimate on the grid, normalized.
 
     Particles are deposited with linear (cloud-in-cell) binning and smoothed
     by FFT convolution against the discretized kernel, so the estimate is
     deterministic and O(n log n) regardless of sample size.  Mass falling
     outside the grid is reported via the module logger; `_scratch` holds its work.
+    With `_with_cells` it returns (estimate, cells): the deposit's (frac, i0) in
+    `_scratch` if every x lies between the outer centres, for the drift's gather.
     """
     if not (bandwidth > 0 and np.isfinite(bandwidth)):
         raise InvalidParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -390,33 +392,32 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None) ->
     x = np.asarray(positions, dtype=np.float64)
     if x.size < 1:
         raise InvalidParameterError("need at least one particle")
-    work = _Scratch() if _scratch is None else _scratch
-    inside, below_top = work.take(x.size, bool, bool)
-    np.logical_and(np.greater_equal(x, grid.x_min, out=inside),
-                   np.less_equal(x, grid.x_max, out=below_top), out=inside)
-    n_in = int(np.count_nonzero(inside))
-    if n_in == 0:
+    lo, hi = x.min(), x.max()       # NaN if any x is
+    xin = x if grid.x_min <= lo and hi <= grid.x_max else x[(x >= grid.x_min) & (x <= grid.x_max)]
+    if xin.size == 0:
         raise NumericalError("all particles fall outside the grid")
-    if n_in < x.size:
-        log.info("kde: %d of %d particles outside the grid", x.size - n_in, x.size)
-    xin = x if n_in == x.size else x[inside]
-    dx = grid.dx
-    frac, lower, i0, i1 = work.take(n_in, float, float, np.intp, np.intp)
+    if xin.size < x.size:
+        log.info("kde: %d of %d particles outside the grid", x.size - xin.size, x.size)
+    c, dx, n = grid.centers, grid.dx, grid.n_cells
+    frac, lower, i0, i1 = (_Scratch() if _scratch is None else _scratch).take(
+        xin.size, float, float, np.intp, np.intp)
     _cells(xin, grid, frac, lower, i0)
     np.add(i0, 1, out=i1)
-    for i in (i0, i1):
-        np.clip(i, 0, grid.n_cells - 1, out=i)
-    hist = np.zeros(grid.n_cells)
+    inner = xin is x and c[0] <= lo and hi <= c[-1]     # x as the gather clamps it
+    if not (inner and (hi - c[0]) / dx < n - 1):        # else each i0 is in [0, n - 2]
+        for i in (i0, i1):
+            np.clip(i, 0, n - 1, out=i)
+    hist = np.zeros(n)
     np.add.at(hist, i0, np.subtract(1.0, frac, out=lower))
     np.add.at(hist, i1, frac)
-    hist /= n_in * dx
+    hist /= xin.size * dx
     half = int(np.ceil(8.0 * bandwidth / dx))
     u = np.arange(-half, half + 1) * dx
     with np.errstate(over="ignore"):     # u / bandwidth past the float range: exp(-inf) = 0
         kern = np.exp(-0.5 * (u / bandwidth) ** 2)
     kern /= kern.sum()
-    smooth = _convolve_same(hist, kern)
-    return normalize(GridDensity(grid, np.maximum(smooth, 0.0)))
+    d = normalize(GridDensity(grid, np.maximum(_convolve_same(hist, kern), 0.0)))
+    return (d, (frac, i0) if inner else None) if _with_cells else d
 
 
 def _convolve_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:

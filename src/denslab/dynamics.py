@@ -212,18 +212,21 @@ def drift_field(drift: DriftSpec, t: float, grid: Grid1D,
     return b
 
 
-def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray, _scratch=None) -> list:
+def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray, _scratch=None, _deposit=None) -> list:
     """Each y (values at the cell centres) read at the 1-D positions x by the
     KDE deposit's cloud-in-cell rule (`_cells`) at x clamped to [c[0], c[-1]]:
     y[i0] + frac * (y[i0+1] - y[i0]), y[i0+1] being y[-1] at the last cell; NaN
     reads NaN.  That is np.interp's result to within the floor's rounding,
     16 * spacing(max(|x_min|, |x_max|)) / dx * max|y|.  The cells are found once
-    for every y; the work and the values are in a `_Scratch` (`_scratch`)."""
+    for every y, or are `_deposit`, those `kde` deposited x with; the work and the
+    values are in `_scratch`, in other slots than `kde`'s frac and i0."""
     c = grid.centers
     work = _Scratch() if _scratch is None else _scratch
     frac, up, i0, *vals = work.take(np.size(x), float, float, np.intp, *[float] * len(ys))
-    np.clip(np.asarray(x, dtype=np.float64), c[0], c[-1], out=frac)
-    _cells(frac, grid, frac, up, i0)
+    if _deposit is None:
+        _cells(np.clip(np.asarray(x, dtype=float), c[0], c[-1], out=frac), grid, frac, up, i0)
+    else:
+        frac, i0 = _deposit
     for y, v in zip(ys, vals):
         np.take(y, i0, out=v, mode="clip")      # every index is in range: no bounds check
         y[1:].take(i0, out=up, mode="clip")
@@ -234,16 +237,17 @@ def _gather(x: np.ndarray, grid: Grid1D, *ys: np.ndarray, _scratch=None) -> list
 
 
 def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
-                       rho_values: np.ndarray | None, _scratch=None) -> np.ndarray:
+                       rho_values: np.ndarray | None, _scratch=None, _deposit=None) -> np.ndarray:
     """Drift evaluated at arbitrary positions, a new array.  The density and its
-    features are read from the grid by the KDE's cloud-in-cell rule, with the
-    cells found once per call for all of them (`_gather` in `_scratch`)."""
+    features are read from the grid by the KDE's cloud-in-cell rule, in cells found
+    once per call for all of them or handed over by the deposit (`_gather`)."""
     b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
         if rho_values is None:
             raise InvalidParameterError("density-dependent drift needs a density")
         feats_grid = density_features(rho_values, grid, drift)
-        r, *vals = _gather(x, grid, rho_values, *feats_grid.values(), _scratch=_scratch)
+        r, *vals = _gather(x, grid, rho_values, *feats_grid.values(), _scratch=_scratch,
+                           _deposit=_deposit)
         feats = dict(zip(feats_grid, vals))
         b += np.asarray(drift.nemytskii(t, x, r, feats), dtype=np.float64)
     return b

@@ -21,10 +21,10 @@ moment with `metrics._logsumexp`.  The draws of a step depend only on (seed,
 step), so the march computes step s + 1's increments on one helper thread
 while step s runs.
 
-A step's drift reads the grid density (and its features) at every particle
-with the KDE deposit's own cloud-in-cell weights: linear interpolation,
-np.interp's to within the rounding in the cell's floor, with the cells found
-once per step by arithmetic on the uniform grid.  The step's scratch arrays are
+A step's drift reads the grid density (and its features) at every particle by
+the KDE deposit's own cloud-in-cell cells and weights, found once per step (twice
+if a particle lies beyond an outer cell centre): linear interpolation, np.interp's
+to within the rounding in the cell's floor.  The step's scratch arrays are
 allocated once per march; the KDE deposit, gather and move work in them,
 with the same roundings as the out-of-place formulas kept in the tests.
 """
@@ -51,6 +51,7 @@ from .density_core import (
     kde,
 )
 from .dynamics import (
+    _MAX_SUBSTEPS,
     DiffusionSpec,
     DriftSpec,
     SpaceTimeField,
@@ -58,7 +59,7 @@ from .dynamics import (
     drift_at_positions,
     power_singularity,
 )
-from .errors import InvalidParameterError, NumericalError
+from .errors import InvalidParameterError, NumericalError, NumericOverflowError
 from .metrics import _EXP_CAP, _logsumexp
 
 _STREAM_INIT = 1
@@ -124,13 +125,14 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _density_rule(drift: DriftSpec, grid: Grid1D, bandwidth: float = 0.0, scratch=None):
-    """The grid density `drift` reads at (t, positions): None for a density-free
-    drift, else the ensemble's own KDE (in `scratch`), which needs at least 1000
-    particles."""
+    """The grid density `drift` reads at (t, positions) and the cells to read it by:
+    None for a density-free drift, else the ensemble's own KDE, which needs at
+    least 1000 particles, and its deposit's cells or None (in `scratch`)."""
     def own(t, x):
         if x.size < 1000:
             raise InvalidParameterError("density feedback needs at least 1000 particles")
-        return kde(x, _bandwidth(bandwidth, x, scratch), grid, scratch).values
+        d, cells = kde(x, _bandwidth(bandwidth, x, scratch), grid, scratch, _with_cells=True)
+        return d.values, cells
     return own if drift.density_dependent else None
 
 
@@ -148,21 +150,21 @@ class _Step(NamedTuple):
 
 def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
            t_start: float, t_end: float, dt: float, seed: int, density, scratch=None):
-    """Check the inputs and return a generator of every Euler-Maruyama step from x0;
-    `density` of (t, positions) is the grid density the drift reads, or None (see
-    `_density_rule`).  Step s draws its increments from (seed, s).  A single-worker
-    pool, made on the first step and shut down when the generator ends, fails or is
-    closed, draws step s + 1's while step s runs.  The steps work in one `_Scratch`,
-    `scratch` if given."""
+    """Check the inputs and return a generator of every Euler-Maruyama step from x0,
+    at most _MAX_SUBSTEPS of them; `density` of (t, positions) gives the grid density
+    the drift reads and the cells to read it by, or is None (see `_density_rule`).
+    Step s draws its increments from (seed, s).  A single-worker pool, made on the
+    first step and shut down when the generator ends, fails or is closed, draws step
+    s + 1's while step s runs.  The steps work in one `_Scratch`, `scratch` if given."""
     if x0.size < 1 or not 0 < dt < np.inf or not t_start < t_end < np.inf:
         raise InvalidParameterError(
             f"need n >= 1, 0 < dt < inf and t_start < t_end < inf, got n = {x0.size}, "
             f"dt = {dt}, [{t_start}, {t_end}]")
-    n_steps = int(round((t_end - t_start) / dt))
-    if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise InvalidParameterError("(t_end - t_start) must be a multiple of dt")
-    sqrt_dt = math.sqrt(dt)
-    sigma = math.sqrt(diff.a)
+    n_steps = int(round(min((t_end - t_start) / dt, _MAX_SUBSTEPS + 1)))    # inf at a tiny dt
+    if n_steps > _MAX_SUBSTEPS or abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise InvalidParameterError(f"(t_end - t_start) / dt = {(t_end - t_start) / dt:.6g} "
+                                    f"must be a whole number of steps, at most {_MAX_SUBSTEPS}")
+    sqrt_dt, sigma = math.sqrt(dt), math.sqrt(diff.a)
     work = _Scratch() if scratch is None else scratch
 
     def steps(x):
@@ -171,8 +173,8 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
             ahead = pool.submit(normal_increments, seed, _STREAM_EVOLVE, 0, x.size)
             for s in range(n_steps):
                 t = t_start + s * dt
-                rho = density(t, x) if density is not None else None
-                b = drift_at_positions(drift, t, x, grid, rho, _scratch=work)
+                rho, cells = density(t, x) if density is not None else (None, None)
+                b = drift_at_positions(drift, t, x, grid, rho, _scratch=work, _deposit=cells)
                 cfl = max(float(b.max()), -float(b.min())) * dt
                 if cfl > grid.dx * (1.0 + 1e-9):
                     raise InvalidParameterError(
@@ -202,8 +204,7 @@ def _march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Grid1D,
 
 def _integral_sq(f, march, t_start: float, x0: np.ndarray, dt: float) -> np.ndarray:
     """Per-path trapezoid int f(r, X_r)^2 dr along a march started at x0."""
-    total = np.zeros(x0.size)
-    term = np.empty(x0.size)
+    total, term = np.zeros(x0.size), np.empty(x0.size)
     prev = f(t_start, x0) ** 2
     for st in march:
         cur = f(st.t + dt, st.x_next) ** 2
@@ -333,26 +334,30 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
         if not 0 < v < np.inf:
             raise InvalidParameterError(
                 f"field has {what} {v:g} on the grid; it must be positive and finite")
+    top = lam[-1]      # each power below is largest at the largest lambda
+    with np.errstate(over="ignore"):
+        if not max(top * top, (top * norm) ** 2, top ** f.q * integral) < np.inf:
+            raise InvalidParameterError(f"lambda = {top:g}: lambda^2, (lambda ||f||)^2 or "
+                                        "lambda^q int ||f_r||^q dr overflows")
     tau = _integral_sq(lambda tt, xx: f.evaluate(tt, xx, grid.dx), march, s, x_init, dt)
+    with np.errstate(over="ignore"):     # and so is lambda^2 tau, on the path with the largest tau
+        if not top * top * np.max(tau) < np.inf:
+            raise NumericOverflowError(f"lambda^2 int f^2 dr overflows at lambda = {top:g}")
     log_est, est, se, ess = [], [], [], []
-    n = float(n_paths)
     for lv in lam:
         w = lv * lv * tau
         m = float(np.max(w))
         ew = np.exp(w - m)
-        lme = _logsumexp(w) - math.log(n)
+        lme = _logsumexp(w) - math.log(n_paths)
         log_est.append(lme)
-        est.append(float(np.exp(lme)) if lme < _EXP_CAP else float("inf"))
-        se.append(math.exp(m) * math.sqrt(np.var(ew) / n) if m < _EXP_CAP else float("inf"))
-        denom = float(np.sum(ew ** 2))      # >= 1 (ew is 1 at the max), NaN once w overflows
-        ess.append(float(np.sum(ew) ** 2 / denom) if denom > 0 else 0.0)
+        est.append(float(np.exp(lme)) if lme < _EXP_CAP else np.inf)
+        se.append(math.exp(m) * math.sqrt(np.var(ew) / n_paths) if m < _EXP_CAP else np.inf)
+        ess.append(float(np.sum(ew) ** 2 / np.sum(ew ** 2)))     # ew is 1 at the max
     log_est = np.array(log_est)
-    split = 1.0 / norm
     small = lam * norm <= 1.0
-    c_quad = 0.0
+    c_quad = c_super = 0.0
     if np.any(small):
         c_quad = float(np.max(log_est[small] / ((lam[small] * norm) ** 2)))
-    c_super = 0.0
     if np.any(~small):
         c_super = float(np.max(log_est[~small] / (lam[~small] ** f.q * integral)))
     bounds = []
@@ -361,16 +366,8 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
         se_log = se[i] / est[i] if np.isfinite(est[i]) and est[i] > 0 else 0.0
         bounds.append(log_est[i] - 3.0 * se_log <= b + 1e-12)
     return KhasminskiiReport(
-        lambda_values=tuple(float(v) for v in lam),
-        mc_estimates=tuple(est),
-        mc_stderr=tuple(se),
-        bound_quadratic=c_quad,
-        bound_superlinear=c_super,
-        regime_split=float(split),
-        log_estimates=tuple(float(v) for v in log_est),
-        ess=tuple(ess),
-        unreliable=tuple(e < 100.0 for e in ess),
-        bounds_hold=bool(all(bounds)),
-        norm_spacetime=float(norm),
-        time_integral_norm=float(integral),
-    )
+        lambda_values=tuple(float(v) for v in lam), mc_estimates=tuple(est), mc_stderr=tuple(se),
+        bound_quadratic=c_quad, bound_superlinear=c_super, regime_split=float(1.0 / norm),
+        log_estimates=tuple(float(v) for v in log_est), ess=tuple(ess),
+        unreliable=tuple(e < 100.0 for e in ess), bounds_hold=bool(all(bounds)),
+        norm_spacetime=float(norm), time_integral_norm=float(integral))

@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The 38 runs take about 75 s on a two-core machine.
+bytes.  The 40 runs take about 75 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -120,6 +120,14 @@ RUNS = {
                        + ["--set", "experiment.n_t=3"],
     "picard-subnormal-sigma": ["picard"] + _PDE + ["--set", "grid.cells=201",
                                                    "--set", "init.sigma=1e-320"],
+    "particles-narrow-reflecting": ["particles", "--drift", "capped_density", "--T", "0.05",
+                                    "--set", "time.refine=uniform",
+                                    "--set", "time.uniform_nodes=4"] + _PARTICLES
+                                   + ["--set", "grid.cells=64", "--set", "grid.x_min=-0.4",
+                                      "--set", "grid.x_max=0.4", "--set", "init.sigma=0.3"],
+    "error-lambda-overflow": ["khasminskii", "--f", "constant", "--lambda-grid", "1e100,2e100",
+                              "--set", "khasminskii.t=0.1",
+                              "--set", "khasminskii.dt=0.005"] + _PARTICLES,
 }
 
 

@@ -278,12 +278,12 @@ def girsanov_log_weight(path: ParticlePath, drift_ref: DriftSpec, drift_alt: Dri
 
 def frozen_density_rule(drift: DriftSpec, flow: DensityFlow):
     """The particle march's density rule for `drift` reading the frozen `flow` at
-    each step's time by a fresh `DensityFlow._reader`; None for a density-free
-    drift."""
+    each step's time by a fresh `DensityFlow._reader`, with no cells; None for a
+    density-free drift."""
     if not drift.density_dependent:
         return None
     read = flow._reader()
-    return lambda t, x: read(t)
+    return lambda t, x: (read(t), None)
 
 
 def _path_density(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None):
@@ -448,13 +448,13 @@ def serial_march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Gr
                  t_start: float, t_end: float, dt: float, seed: int, density):
     """The steps of `particles._march` from x0, each step's normals drawn on
     the calling thread when the step needs them, with the march's in-place
-    roundings."""
+    roundings; the drift finds its own cells."""
     n_steps = int(round((t_end - t_start) / dt))
     sqrt_dt, sigma = math.sqrt(dt), math.sqrt(diff.a)
     x = x0
     for s in range(n_steps):
         t = t_start + s * dt
-        rho = density(t, x) if density is not None else None
+        rho = density(t, x)[0] if density is not None else None
         b = drift_at_positions(drift, t, x, grid, rho)
         cfl = max(float(b.max()), -float(b.min())) * dt
         if cfl > grid.dx * (1.0 + 1e-9):

@@ -339,6 +339,24 @@ class TestExitCodes:
             "config error: lambda grid needs >= 2 positive, strictly increasing values\n")
         assert not out.exists()
 
+    def test_overflowing_lambda_grid_is_config_error(self, tmp_path, capsys):
+        # lambda^4 = 1.6e401 overflows: the bound loop warned and the run exited 1
+        out = tmp_path / "o"
+        rc = main(_KHASMINSKII + ["--lambda-grid", "1e100,2e100", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: lambda = 2e+100: lambda^2, (lambda ||f||)^2 or lambda^q "
+            "int ||f_r||^q dr overflows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["particles", "--N", "1000", "--T", "0.01", "--set", "particles.dt=1e-300"],
+        ["khasminskii", "--set", "khasminskii.dt=1e-300"]], ids=["particles", "khasminskii"])
+    def test_more_than_a_million_steps_is_config_error(self, tmp_path, capsys, argv):
+        # 1e298 or 1e300 steps: the march never ended
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "must be a whole number of steps, at most 1000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("x0", ["inf", "-inf", "6.5"])
     def test_khasminskii_x0_off_the_grid_is_config_error(self, tmp_path, capsys, x0):
         # off the grid, the paths were reflected onto the boundary, where the
@@ -444,6 +462,7 @@ class TestExitCodes:
         (NoConvergenceError, 3, "numerical failure"),
         (OSError, 2, "config error"),
         (OverflowError, 3, "numerical failure"),
+        (MemoryError, 3, "numerical failure"),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
     def test_each_error_class_has_one_exit_code(self, tmp_path, capsys, monkeypatch,
                                                 error, code, prefix):

@@ -14,6 +14,7 @@ from denslab.density_core import (
     TimeGrid,
     _Scratch,
     gaussian_density,
+    kde,
     normalize,
     tilde_norm,
 )
@@ -460,6 +461,32 @@ class TestGather:
             assert len(got) == len(ys)
             assert all(same_bits(g, reference_gather(x, grid, y)) for g, y in zip(got, ys))
             assert all(near_interp(g, x, grid, y) for g, y in zip(got, ys))
+
+    @pytest.mark.parametrize("lo,hi,n", [(-6.0, 6.0, 2000), (0.1, 0.7, 37),
+                                         (-2.0, 0.248868312607725, 979)])
+    def test_deposit_cells_read_as_the_gathers_own(self, lo, hi, n):
+        # kde hands over its deposit's cells when every position lies between
+        # the outer centres, where the gather's clamp leaves them as they are.
+        # Beyond an outer centre it hands none: there the clamp changes frac,
+        # and on the 979-cell grid, where (c[-1] - c[0]) / dx rounds below
+        # n - 1, the cell as well.  Either way the read is the self-found one.
+        grid = Grid1D(lo, hi, n)
+        c = grid.centers
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=n)
+        ends = np.array([grid.x_min, grid.x_max, c[0], c[-1]])
+        interior = rng.uniform(c[0], c[-1], 2000)
+        handed = 0
+        for end in np.concatenate((ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf))):
+            x = np.append(interior, end)
+            scratch = _Scratch()
+            _, cells = kde(x, grid.width / 8, grid, scratch, _with_cells=True)
+            assert (cells is not None) == (c[0] <= end <= c[-1])
+            handed += cells is not None
+            for ys in ((y,), (y, y[::-1].copy())):
+                got = _gather(x, grid, *ys, _scratch=scratch, _deposit=cells)
+                assert all(same_bits(g, w) for g, w in zip(got, _gather(x, grid, *ys)))
+        assert handed == 4      # both outer centres and their inner neighbours
 
     def test_nonfinite_positions_as_interp(self):
         # NaN reads NaN and +-inf the end values, with no RuntimeWarning

@@ -6,9 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from denslab import particles
+from denslab import density_core, dynamics, particles
 from denslab.density_core import DensityFlow, Grid1D, TimeGrid, _Scratch, gaussian_density
-from denslab.dynamics import DriftSpec, builtin_drift, constant_diffusion
+from denslab.dynamics import DriftSpec, SpaceTimeField, builtin_drift, constant_diffusion
 from denslab.errors import InvalidParameterError, NumericalError, NumericOverflowError
 from denslab.metrics import relative_entropy
 from denslab.particles import (
@@ -291,6 +291,17 @@ class TestMarchPipeline:
                 assert not any(np.shares_memory(a, b) for a in mine for b in other)
         assert same_bits(x0, kept)
 
+    def test_density_step_finds_cells_once(self, monkeypatch):
+        # the drift reads the density with the cells of the KDE deposit
+        calls, cells = [], density_core._cells
+
+        def counted(*args):
+            calls.append(1)
+            return cells(*args)
+        monkeypatch.setattr(dynamics, "_cells", counted)
+        monkeypatch.setattr(density_core, "_cells", counted)
+        assert len(list(particles._march(*_march_args(_CAPPED)))) == len(calls) == 20
+
     def test_integral_sq_bitwise_equal_to_out_of_place_trapezoid(self):
         def f(t, x):
             return np.cos(3.0 * x) + t
@@ -518,6 +529,23 @@ class TestKhasminskii:
             khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 0.1, lam, 10, 1e-2, GRID, seed=3)
         assert marches == []
 
+    @pytest.mark.parametrize("lam", [[0.5, 1e100], [1e200, 2e200]], ids=["lambda^q", "lambda^2"])
+    def test_overflowing_lambda_grid_rejected_before_marching(self, monkeypatch, lam):
+        marches = []
+        monkeypatch.setattr(particles, "_integral_sq", lambda *a, **k: marches.append(1))
+        f = builtin_field("constant", {"c0": 0.5})
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 0.1, lam, 10, 1e-2, GRID, seed=3)
+        assert marches == []
+
+    def test_overflowing_sweep_is_numeric_error(self):
+        # f is 1e150 at x0 = 0 only, which no cell centre is: the grid norms are
+        # those of f = 1, while lambda^2 int f^2 dr overflows at lambda = 1e10
+        f = SpaceTimeField(fn=lambda t, x: np.where(x == 0.0, 1e150, 1.0), p=4.0, q=4.0)
+        assert not np.any(GRID.centers == 0.0)
+        with pytest.raises(NumericOverflowError, match="lambda = 1e\\+10"):
+            khasminskii_mc(f, ZERO_DRIFT, DIFF1, 0.0, 0.1, [0.5, 1e10], 10, 1e-2, GRID, seed=3)
+
     @pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan, 6.5, -6.0 - 1e-9])
     def test_x0_off_the_grid_rejected_before_marching(self, monkeypatch, x0):
         marches = []
@@ -590,6 +618,7 @@ def test_estimators_reject_bad_march_inputs(name):
     run = _ESTIMATORS[name]
     run(10, 0.01, 0.1)      # the valid base
     for n, dt, t in ((10, 0.0, 0.1), (10, np.nan, 0.1), (10, -1e-3, 0.1),
-                     (0, 0.01, 0.1), (-1, 0.01, 0.1), (10, 0.01, np.inf)):
+                     (0, 0.01, 0.1), (-1, 0.01, 0.1), (10, 0.01, np.inf),
+                     (10, 1e-300, 0.1), (10, 1e-7, 0.1000001), (10, 5e-324, 1.0)):
         with pytest.raises(InvalidParameterError):
             run(n, dt, t)
