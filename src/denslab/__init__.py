@@ -7,5 +7,3 @@ and verifies the quantitative estimates that govern them: smoothing rates,
 super-continuity, entropy-cost inequalities, power-divergence structure, and
 two-regime exponential moment bounds.
 """
-
-__version__ = "0.1.0"

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config as cfgmod
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .density_core import (
     DensityFlow,
     _atomic_write,
@@ -108,7 +108,6 @@ def _jsonable(obj):
 
 
 def write_report(report, out_dir: str, runtime: float) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     meta = {"runtime_seconds": runtime, "schema_version": cfgmod.SCHEMA_VERSION}
     for name, obj in (("report.json", _jsonable(report)), ("run_meta.json", meta)):
         _atomic_write(os.path.join(out_dir, name), json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -122,16 +121,6 @@ def _write_curve(report, out_dir: str) -> None:
     # one scalar power per node: an array ** can differ in the last bit
     _write_csv(os.path.join(out_dir, "curve.csv"), "t,measured,bound",
                t, m, np.array([const * ti ** e for ti in t]))
-
-
-def _build_cfg(args, defaults=None) -> RunConfig:
-    """defaults < subcommand flags < --config file < --set overrides."""
-    base = dict(defaults or {})
-    for key in [key for _, _, key in FLAG_KEYS.get(args.command, ())] + ["seed", "threads"]:
-        val = getattr(args, key)
-        if val is not None and val != "":
-            base[key] = val
-    return parse_config(args.config, overrides=args.set or (), base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +190,14 @@ def _experiment(cfg, args) -> _Result:
 
 
 def _run(args) -> int:
-    """Build the config, time the compute, write every artifact, pick the exit."""
-    cfg = _build_cfg(args, EXPERIMENT_DEFAULTS.get(args.name))
+    """Build the config (the subcommand's defaults < its flags < --config file < --set
+    overrides), time the compute, write every artifact, pick the exit."""
+    base = dict(EXPERIMENT_DEFAULTS.get(args.name, {}))
+    for key in [key for _, _, key in FLAG_KEYS.get(args.command, ())] + ["seed", "threads"]:
+        val = getattr(args, key)
+        if val is not None and val != "":
+            base[key] = val
+    cfg = parse_config(args.config, overrides=args.set or (), base=base)
     t0 = time.perf_counter()
     res = args.compute(cfg, args)
     runtime = time.perf_counter() - t0
@@ -318,7 +313,3 @@ def main(argv=None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import InvalidParameterError, NumericalError
@@ -61,10 +62,6 @@ class Grid1D:
     @cached_property
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
 
 @dataclass(frozen=True)
@@ -223,16 +220,6 @@ def _window_sums(w: np.ndarray, m: int) -> np.ndarray:
     return e[..., 2 * m + 1:] - e[..., :w.shape[-1]]
 
 
-def _window_max(a: np.ndarray, m: int) -> np.ndarray:
-    """Max of each row of a over index windows [i-m, i+m], 0 beyond the row: on the
-    zero-padded rows, windows of s entries double while 2s <= 2m + 1, then two overlap."""
-    n, w, s = a.shape[-1], 2 * m + 1, 1
-    b = np.pad(a, ((0, 0), (m, m)))
-    while 2 * s <= w:
-        b, s = np.maximum(b[:, :-s], b[:, s:]), 2 * s
-    return np.maximum(b[:, :n], b[:, w - s:w - s + n])
-
-
 def _rescaled(a: np.ndarray, norm, r=None):
     """norm(a) for a >= 0 and a `norm` that scales linearly with a, entry by
     entry of its result (`r` when the caller has it).  Where a power under- or
@@ -298,7 +285,7 @@ def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
     a = np.abs(values)
     sup = _row_norms(a, p, grid)
     if np.isinf(p):    # windowed L^p norm of each node at each center
-        W = _window_max(a, m)
+        W = sliding_window_view(np.pad(a, ((0, 0), (m, m))), 2 * m + 1, axis=-1).max(axis=-1)
     else:
         W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p))
     if np.isinf(q):
@@ -438,7 +425,6 @@ def density_quantiles(d: GridDensity, u: np.ndarray) -> np.ndarray:
     The CDF ramps linearly across each cell, making downstream transport
     distances second-order accurate in dx.  u must lie in (0, 1).
     """
-    edges = d.grid.edges
     F = np.concatenate(([0.0], np.cumsum(d.values) * d.grid.dx))
     total = F[-1]
     if total <= 0:
@@ -449,7 +435,7 @@ def density_quantiles(d: GridDensity, u: np.ndarray) -> np.ndarray:
     idx = np.clip(idx, 0, d.grid.n_cells - 1)
     dF = F[idx + 1] - F[idx]
     frac = np.where(dF > 0, (u - F[idx]) / np.where(dF > 0, dF, 1.0), 1.0)
-    return edges[idx] + np.clip(frac, 0.0, 1.0) * d.grid.dx
+    return d.grid.x_min + idx * d.grid.dx + np.clip(frac, 0.0, 1.0) * d.grid.dx
 
 
 # ---------------------------------------------------------------------------

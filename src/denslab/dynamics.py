@@ -42,11 +42,6 @@ _MAX_ESCALATIONS = 6      # discount-rate doublings of picard_fixed_point
 _MAX_SUBSTEPS = 10**6     # sub-steps of one node interval in frozen_semigroup
 
 
-def in_integrability_class(p: float, q: float) -> bool:
-    """Membership in the admissible exponent class: p, q > 2 and 1/p + 2/q < 1."""
-    return p > 2 and q > 2 and 1.0 / p + 2.0 / q < 1.0
-
-
 # ---------------------------------------------------------------------------
 # coefficient specifications
 # ---------------------------------------------------------------------------
@@ -85,7 +80,7 @@ class SpaceTimeField:
     name: str = "field"
 
     def __post_init__(self):
-        if not in_integrability_class(self.p, self.q):
+        if not (self.p > 2 and self.q > 2 and 1.0 / self.p + 2.0 / self.q < 1.0):
             raise InvalidParameterError(
                 f"(p, q) = ({self.p}, {self.q}) violates p, q > 2 and 1/p + 2/q < 1")
 
@@ -176,8 +171,10 @@ def validate_drift(drift: DriftSpec, T: float, grid: Grid1D) -> None:
 # drift evaluation
 # ---------------------------------------------------------------------------
 
-def density_features(rho_values: np.ndarray, grid: Grid1D, drift: DriftSpec) -> dict:
+def density_features(rho_values: np.ndarray | None, grid: Grid1D, drift: DriftSpec) -> dict:
     """Per-cell values of (kernel * rho) for every registered kernel."""
+    if rho_values is None:
+        raise InvalidParameterError("density-dependent drift needs a density")
     feats = {}
     for k in drift.feature_kernels:
         half = max(1, int(np.ceil(k.width / grid.dx)))
@@ -205,8 +202,6 @@ def drift_field(drift: DriftSpec, t: float, grid: Grid1D,
     if drift.singular_parts:
         b = b + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
-        if rho_values is None:
-            raise InvalidParameterError("density-dependent drift needs a density")
         feats = density_features(rho_values, grid, drift)
         b = b + np.asarray(drift.nemytskii(t, x, rho_values, feats), dtype=np.float64)
     return b
@@ -243,8 +238,6 @@ def drift_at_positions(drift: DriftSpec, t: float, x: np.ndarray, grid: Grid1D,
     once per call for all of them or handed over by the deposit (`_gather`)."""
     b = np.asarray(drift.b1(t, x), dtype=np.float64) + _singular_sum(drift, t, x, grid.dx)
     if drift.nemytskii is not None:
-        if rho_values is None:
-            raise InvalidParameterError("density-dependent drift needs a density")
         feats_grid = density_features(rho_values, grid, drift)
         r, *vals = _gather(x, grid, rho_values, *feats_grid.values(), _scratch=_scratch,
                            _deposit=_deposit)
@@ -265,14 +258,6 @@ def power_singularity(x, center: float, coeff: float, gamma: float) -> np.ndarra
         out = coeff * r ** (-gamma)
     out[~(r <= 1.0)] = 0.0          # beyond the unit window, and at a NaN x
     out[~np.isfinite(out)] = np.inf
-    return out
-
-
-def _bump_profile(u, width):
-    z = np.clip(np.abs(u) / width, 0.0, 1.0)
-    out = np.zeros_like(z)
-    inner = z < 1.0
-    out[inner] = np.exp(-1.0 / (1.0 - z[inner] ** 2))
     return out
 
 
@@ -342,7 +327,12 @@ def builtin_drift(name: str, params: dict | None = None) -> DriftSpec:
             width = p["kernel_width"]
             if width <= 0:
                 raise InvalidParameterError("smoothed_interaction: kernel_width must be positive")
-            kernels = (FeatureKernel("bump", lambda u: _bump_profile(u, width), width),)
+
+            def bump(u):        # exp(-1 / (1 - z^2)) at z = |u| / width < 1, else 0
+                z = np.abs(u) / width
+                with np.errstate(divide="ignore", over="ignore"):    # z >= 1, masked out
+                    return np.where(z < 1.0, np.exp(-1.0 / (1.0 - z * z)), 0.0)
+            kernels = (FeatureKernel("bump", bump, width),)
 
             def nem(t, x, r, feats):
                 return (t ** tau) * kappa * feats["bump"]

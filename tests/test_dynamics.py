@@ -22,6 +22,7 @@ from denslab.dynamics import (
     DiffusionSpec,
     DriftSpec,
     SolverOptions,
+    SpaceTimeField,
     _advance,
     _factor,
     _gather,
@@ -31,7 +32,6 @@ from denslab.dynamics import (
     drift_at_positions,
     drift_field,
     frozen_semigroup,
-    in_integrability_class,
     picard_fixed_point,
     power_singularity,
     validate_drift,
@@ -183,10 +183,11 @@ class TestBuiltinDrifts:
             validate_drift(bad, 1.0, Grid1D(-6, 6, 500))
 
     def test_integrability_class(self):
-        assert in_integrability_class(4.0, 4.0)
-        assert not in_integrability_class(2.0, 4.0)
-        assert not in_integrability_class(4.0, 2.0)
-        assert not in_integrability_class(3.0, 3.0)  # 1/3 + 2/3 = 1
+        # a field's (p, q) must satisfy p, q > 2 and 1/p + 2/q < 1
+        assert SpaceTimeField(fn=np.zeros_like, p=4.0, q=4.0).p == 4.0
+        for p, q in ((2.0, 4.0), (4.0, 2.0), (3.0, 3.0)):   # 1/3 + 2/3 = 1
+            with pytest.raises(InvalidParameterError, match=r"violates p, q > 2 and 1/p \+ 2/q"):
+                SpaceTimeField(fn=np.zeros_like, p=p, q=q)
 
 
 class TestFokkerPlanckStep:

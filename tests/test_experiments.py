@@ -1,15 +1,22 @@
 """Experiment harness: fits, reports, and the control-case assertions at
 reduced desk scale (full-scale runs live in the acceptance suite)."""
 
+import dataclasses
+import os
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from denslab import dynamics, experiments, metrics
-from denslab.config import parse_config
+from denslab.cli import main
+from denslab.config import build_drift, build_init_density, parse_config
 from denslab.density_core import Grid1D, gaussian_density, uniform_density
-from denslab.errors import InvalidParameterError, NumericalError
+from denslab.errors import InvalidParameterError, NoConvergenceError, NumericalError
 from denslab.experiments import (
     _paired_flows,
+    _solve_flow,
     _smallest_expw_constant,
     experiment_entropy_cost,
     experiment_khasminskii,
@@ -178,6 +185,144 @@ class TestPairedFlows:
         assert np.array_equal(nu.values, uniform_density(mu.grid, 0.1, 1.1).values)
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
+
+# a small `experiment renyi`: about 0.3 s, of which the two solves are most
+RENYI_ARGV = ["experiment", "renyi", "--set", "grid.cells=400", "--set", "time.T=0.2",
+              "--set", "experiment.t_hi=0.2", "--set", "time.nodes_per_decade=8",
+              "--set", "experiment.n_t=6"]
+
+
+def _pair_cfg(drift_name):
+    return parse_config(base={"drift.name": drift_name, "grid.cells": 300, "time.T": 0.1,
+                              "time.refine": "uniform", "time.uniform_nodes": 8,
+                              "init.sigma": 0.3, "experiment.delta": 0.1})
+
+
+def _count_forks(monkeypatch):
+    """os.fork, counting its calls in this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _patch_solves(monkeypatch, mu_outcome=None, nu_outcome=None):
+    """`_solve_flow` calls `mu_outcome()` for the configured law (mean 0) and
+    `nu_outcome()` for the shifted one (mean delta = 0.1) in place of solving,
+    where given; in a fork the child inherits the patch."""
+    solve = experiments._solve_flow
+
+    def patched(cfg, law, drift):
+        shifted = np.sum(law.values * law.grid.centers) * law.grid.dx > 0.05
+        outcome = nu_outcome if shifted else mu_outcome
+        return solve(cfg, law, drift) if outcome is None else outcome()
+    monkeypatch.setattr(experiments, "_solve_flow", patched)
+
+
+def _artifacts(out) -> dict:
+    """Each file of a run but the wall-clock `run_meta.json`, with its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run_meta.json"}
+
+
+def _raise(exc):
+    def outcome():
+        raise exc
+    return outcome
+
+
+class TestFlowsBeside:
+    """`_paired_flows` solves nu in a forked child beside mu: the same flows, the
+    same errors, and no child left behind."""
+
+    @pytest.mark.parametrize("drift_name", ["capped_density", "zero"])
+    def test_flows_bit_equal_to_two_solves_here(self, monkeypatch, drift_name):
+        # capped_density solves by Picard, zero by one frozen march
+        forks = _count_forks(monkeypatch) if hasattr(os, "fork") else None
+        cfg = _pair_cfg(drift_name)
+        mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
+        assert forks is None or forks == [1]
+        drift = build_drift(cfg)
+        for law, flow in ((mu, flow_mu), (nu, flow_nu)):
+            assert np.array_equal(law.values, build_init_density(
+                cfg, mu.grid, shift=cfg["experiment.delta"] if law is nu else 0.0).values)
+            here = _solve_flow(cfg, law, drift)
+            assert flow.time_grid.nodes.tobytes() == here.time_grid.nodes.tobytes()
+            assert flow.values_matrix().tobytes() == here.values_matrix().tobytes()
+
+    @pytest.mark.parametrize("fallback", ["no-fork", "fork-fails", "pipe-fails"])
+    def test_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch, fallback):
+        # without os.fork, or with os.fork or os.pipe failing, both laws are
+        # solved here in turn; a failed fork closes the pipe it made
+        assert main(RENYI_ARGV + ["--out", str(tmp_path / "forked")]) == 0
+        pipes, pipe = [], os.pipe
+        if fallback == "no-fork":
+            monkeypatch.delattr(os, "fork", raising=False)
+        else:
+            monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+            failing = "fork" if fallback == "fork-fails" else "pipe"
+            monkeypatch.setattr(os, failing, _raise(OSError(11, "no resources")))
+        assert main(RENYI_ARGV + ["--out", str(tmp_path / "here")]) == 0
+        assert _artifacts(tmp_path / "forked") == _artifacts(tmp_path / "here")
+        for fd in (fd for fds in pipes for fd in fds):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert len(pipes) == (fallback == "fork-fails")
+
+    def test_shifted_law_error_keeps_class_message_and_ratios(self, monkeypatch):
+        _patch_solves(monkeypatch, nu_outcome=_raise(
+            NoConvergenceError("no contraction after 6 escalations", ratios=[0.5, 1.25])))
+        with pytest.raises(NoConvergenceError) as info:
+            _paired_flows(_pair_cfg("zero"))
+        assert type(info.value) is NoConvergenceError
+        assert str(info.value) == "no contraction after 6 escalations"
+        assert info.value.ratios == (0.5, 1.25)
+
+    @pytest.mark.parametrize("error, code, line", [
+        (NoConvergenceError("boom", ratios=[2.0]), 3, "numerical failure: boom"),
+        (MemoryError("boom"), 3, "numerical failure: boom"),
+        (InvalidParameterError("boom"), 2, "config error: boom"),
+    ], ids=["no-convergence", "memory", "invalid-parameter"])
+    def test_shifted_law_error_exit_code(self, tmp_path, capsys, monkeypatch, error, code, line):
+        _patch_solves(monkeypatch, nu_outcome=_raise(error))
+        assert main(RENYI_ARGV + ["--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == line + "\n"
+
+    @needs_fork
+    def test_child_without_a_result_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        _patch_solves(monkeypatch, nu_outcome=lambda: os._exit(7))
+        with pytest.raises(NumericalError, match=r"without a result \(wait status 1792\)"):
+            _paired_flows(_pair_cfg("zero"))
+        assert main(RENYI_ARGV + ["--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: the forked solve ended")
+
+    @needs_fork
+    def test_unpicklable_result_is_numerical_error(self, monkeypatch):
+        _patch_solves(monkeypatch, nu_outcome=lambda: (lambda: None))
+        with pytest.raises(NumericalError, match="cannot pickle the forked outcome: Can't pickle"):
+            _paired_flows(_pair_cfg("zero"))
+
+    @needs_fork
+    @pytest.mark.parametrize("nu_outcome", [_raise(InvalidParameterError("nu")),
+                                            lambda: time.sleep(60)], ids=["nu-error", "nu-busy"])
+    @pytest.mark.parametrize("mu_error", [NoConvergenceError("mu"), KeyboardInterrupt()],
+                             ids=["mu-error", "interrupt"])
+    def test_mu_error_wins_and_the_child_is_reaped(self, monkeypatch, mu_error, nu_outcome):
+        _patch_solves(monkeypatch, mu_outcome=_raise(mu_error), nu_outcome=nu_outcome)
+        start = time.monotonic()
+        with pytest.raises(type(mu_error)):
+            _paired_flows(_pair_cfg("zero"))
+        assert time.monotonic() - start < 30      # a busy child is killed, not waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    def test_no_child_outlives_a_success(self):
+        _paired_flows(_pair_cfg("zero"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestSupercontinuity:
     def test_degenerate_pair(self):
         cfg = small_cfg(**{"drift.name": "zero", "experiment.delta": 0.0,
@@ -299,6 +444,26 @@ class TestKhasminskiiExperiment:
         rep = experiment_khasminskii(cfg)
         assert rep.constant_exact_ok and rep.convex_ok and rep.bounds_hold
         assert rep.passed
+
+    def test_constant_field_at_a_huge_lambda_in_log_space(self, monkeypatch):
+        # exp(lambda^2 c0^2 (t - s)) = exp(25000) at lambda = 1000 is past the
+        # float range, its log is not; no warning of any kind
+        cfg = parse_config(base={"drift.name": "zero", "diffusion.a": 1.0,
+                                 "khasminskii.f_name": "constant",
+                                 "khasminskii.lambda_grid": (0.2, 0.5, 1000.0),
+                                 "khasminskii.t": 0.1, "khasminskii.dt": 0.005,
+                                 "particles.n": 2000, "grid.cells": 300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = experiment_khasminskii(cfg)
+        assert rep.log_estimates[-1] == pytest.approx(25000.0, rel=1e-14)
+        assert rep.mc_estimates[-1] == np.inf and rep.constant_exact_ok
+        # a log estimate 1e-6 off the exact value fails the check
+        run = experiments._khasminskii_run(cfg)
+        off = run.log_estimates[:-1] + (25000.0 * (1 + 1e-6),)
+        monkeypatch.setattr(experiments, "_khasminskii_run",
+                            lambda cfg: dataclasses.replace(run, log_estimates=off))
+        assert not experiment_khasminskii(cfg).constant_exact_ok
 
     def test_singular_field_exponents(self):
         cfg = small_cfg(**{"drift.name": "zero", "diffusion.a": 1.0,
