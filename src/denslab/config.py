@@ -143,8 +143,6 @@ class RunConfig:
             v = self.data[key]
             if isinstance(v, tuple):
                 v = ",".join(repr(float(x)) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
             lines.append(f"{key} = {v}")
         return "\n".join(lines) + "\n"
 

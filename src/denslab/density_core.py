@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import InvalidParameterError, NumericalError
@@ -220,6 +219,16 @@ def _window_sums(w: np.ndarray, m: int) -> np.ndarray:
     return e[..., 2 * m + 1:] - e[..., :w.shape[-1]]
 
 
+def _window_max(a: np.ndarray, m: int) -> np.ndarray:
+    """Max of each row of a over index windows [i-m, i+m], 0 beyond the row: on the
+    zero-padded rows, windows of s entries double while 2s <= 2m + 1, then two overlap."""
+    n, w, s = a.shape[-1], 2 * m + 1, 1
+    b = np.pad(a, ((0, 0), (m, m)))
+    while 2 * s <= w:
+        b, s = np.maximum(b[:, :-s], b[:, s:]), 2 * s
+    return np.maximum(b[:, :n], b[:, w - s:w - s + n])
+
+
 def _rescaled(a: np.ndarray, norm, r=None):
     """norm(a) for a >= 0 and a `norm` that scales linearly with a, entry by
     entry of its result (`r` when the caller has it).  Where a power under- or
@@ -285,7 +294,7 @@ def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
     a = np.abs(values)
     sup = _row_norms(a, p, grid)
     if np.isinf(p):    # windowed L^p norm of each node at each center
-        W = sliding_window_view(np.pad(a, ((0, 0), (m, m))), 2 * m + 1, axis=-1).max(axis=-1)
+        W = _window_max(a, m)
     else:
         W = _rescaled(a, lambda b: _window_sums(b ** p * grid.dx, m) ** (1.0 / p))
     if np.isinf(q):

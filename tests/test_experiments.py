@@ -3,12 +3,20 @@ reduced desk scale (full-scale runs live in the acceptance suite)."""
 
 import dataclasses
 import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import denslab
 from denslab import dynamics, experiments, metrics
 from denslab.cli import main
 from denslab.config import build_drift, build_init_density, parse_config
@@ -297,6 +305,64 @@ class TestFlowsBeside:
         assert capsys.readouterr().err.startswith("numerical failure: the forked solve ended")
 
     @needs_fork
+    def test_child_cut_short_mid_pickle_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # the child sends the first 100 bytes of a pickle, then exits 9: the wait
+        # status, not the cut pickle, decides
+        pipes, pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+
+        def cut_short():
+            os.write(pipes[-1][1], pickle.dumps(np.zeros(1000))[:100])
+            os._exit(9)
+        _patch_solves(monkeypatch, nu_outcome=cut_short)
+        with pytest.raises(NumericalError, match=r"without a result \(wait status 2304\)"):
+            _paired_flows(_pair_cfg("zero"))
+        assert main(RENYI_ARGV + ["--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: the forked solve ended")
+
+    @needs_fork
+    def test_child_exits_when_the_parent_is_killed(self, tmp_path):
+        # a parent killed while the child sends 800 kB, past a pipe's 64 KiB: with no
+        # reader left the child's write fails and it exits, and with it the last holder
+        # of the write end of `report`, which then reads end of file
+        script = tmp_path / "parent.py"
+        script.write_text(textwrap.dedent("""
+            import os, sys, time
+            import numpy as np
+            from denslab.experiments import _beside
+
+            def solve(law):
+                os.write(int(sys.argv[1]), b"%d\\n" % os.getpid())
+                if law == "nu":
+                    return np.zeros(100_000)
+                time.sleep(60)
+
+            _beside(solve, "mu", "nu")
+        """))
+        src = str(Path(denslab.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        r, w = os.pipe()
+        proc = subprocess.Popen([sys.executable, str(script), str(w)], pass_fds=(w,), env=env)
+        os.close(w)
+        pids = []
+        try:
+            with os.fdopen(r, "rb") as report:
+                while len(pids) < 2:            # the parent's and the child's
+                    pids.append(int(report.readline()))
+                proc.kill()
+                proc.wait()
+                assert select.select([report], [], [], 30)[0] and report.read() == b""
+        finally:
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.kill()
+            proc.wait()
+
+    @needs_fork
     def test_unpicklable_result_is_numerical_error(self, monkeypatch):
         _patch_solves(monkeypatch, nu_outcome=lambda: (lambda: None))
         with pytest.raises(NumericalError, match="cannot pickle the forked outcome: Can't pickle"):
@@ -464,6 +530,23 @@ class TestKhasminskiiExperiment:
         monkeypatch.setattr(experiments, "_khasminskii_run",
                             lambda cfg: dataclasses.replace(run, log_estimates=off))
         assert not experiment_khasminskii(cfg).constant_exact_ok
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-8])
+    def test_constant_field_check_is_tight_in_log_space(self, monkeypatch, offset):
+        # at lambda^2 c0^2 (t - s) = 50 a log estimate 1e-8 off is 1e-8 of the
+        # moment off: rejected, as by the check in linear space
+        cfg = parse_config(base={"drift.name": "zero", "diffusion.a": 1.0,
+                                 "khasminskii.f_name": "constant",
+                                 "khasminskii.lambda_grid": (0.2, 0.5, 2000.0 ** 0.5),
+                                 "khasminskii.t": 0.1, "khasminskii.dt": 0.005,
+                                 "particles.n": 2000, "grid.cells": 300})
+        run = experiments._khasminskii_run(cfg)
+        exact = 0.1 * 0.5 ** 2 * np.array(run.lambda_values) ** 2
+        assert exact[-1] == pytest.approx(50.0) and run.mc_stderr == (0.0, 0.0, 0.0)
+        logs = tuple(exact + np.array([0.0, 0.0, offset]))
+        monkeypatch.setattr(experiments, "_khasminskii_run",
+                            lambda cfg: dataclasses.replace(run, log_estimates=logs))
+        assert experiment_khasminskii(cfg).constant_exact_ok == (offset == 0.0)
 
     def test_singular_field_exponents(self):
         cfg = small_cfg(**{"drift.name": "zero", "diffusion.a": 1.0,
