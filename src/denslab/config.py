@@ -3,10 +3,8 @@
 Config files are plain text, one `section.key = value` per line, `#` for
 comments.  Every key must appear in the schema below: unknown keys are
 rejected (never silently ignored) and type mismatches name the key and the
-expected type.  CLI `--set key=value` overrides beat file values.  The fully
-resolved configuration is echoed to `resolved_config` in the output directory
-for provenance; identical resolved configs plus seed give byte-identical
-artifacts.
+expected type.  CLI `--set key=value` overrides beat file values; the CLI
+echoes the resolved configuration to `resolved_config`.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ import logging
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import InvalidParameterError, NumericalError
 
@@ -161,9 +160,6 @@ class DensityFlow:
                 raise NumericalError("all snapshots must share one spatial grid")
         object.__setattr__(self, "snapshots", snaps)
 
-    def values_matrix(self) -> np.ndarray:
-        return np.stack([s.values for s in self.snapshots])
-
     def values_at(self, t: float) -> np.ndarray:
         """Linear-in-time interpolation of snapshot values at time t: `_reader` at one time."""
         return self._reader()(t)
@@ -276,7 +272,7 @@ def _row_norms(values, k: float, grid: Grid1D) -> np.ndarray:
     bad = ~((0 < r) & (r < np.inf))
     def norm(a):      # one row's, as above
         return np.max(_window_sums(a ** k * grid.dx, m)) ** (1.0 / k)
-    r[bad] = [_rescaled(np.abs(row), norm, top) for row, top in zip(values[bad], r[bad])]
+    r[bad] = [_rescaled(np.abs(values[j]), norm, r[j]) for j in np.flatnonzero(bad)]
     return r
 
 
@@ -288,8 +284,6 @@ def _spacetime_norm(values, times, p: float, q: float, grid: Grid1D) -> tuple:
         raise InvalidParameterError("need p, q >= 1")
     if np.ndim(times) != 1 or np.size(times) < 2 or not np.all(np.diff(times) > 0):
         raise InvalidParameterError("need at least two strictly increasing node times")
-    if np.shape(values) != (np.size(times), grid.n_cells):
-        raise NumericalError("values do not match (times, grid)")
     m = _window_half_cells(grid)
     a = np.abs(values)
     sup = _row_norms(a, p, grid)
@@ -416,15 +410,22 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None, _w
     return (d, (frac, i0) if inner else None) if _with_cells else d
 
 
+@cache
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, scipy.fft.next_fast_len(n, True): p 2^a over odd p."""
+    odd = [3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length())]
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
 def _convolve_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """scipy.signal.fftconvolve(a, k, "same") for 1-D real a and k, by its own steps,
-    bit for bit: a * k if either has one entry, else real FFTs of the next fast length."""
+    """scipy.signal.fftconvolve(a, k, "same") for 1-D real a and k, by its own steps, bit
+    for bit: a * k if either has one entry, else numpy's real FFTs of the next fast length."""
     n = a.size + k.size - 1
     if min(a.size, k.size) == 1:
         full = a * k
     else:
-        size = next_fast_len(n, True)
-        full = irfft(rfft(a, size) * rfft(k, size), size)[:n]
+        size = _fast_len(n)
+        full = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(k, size), size)[:n]
     return full[(full.size - a.size) // 2:][:a.size]
 
 

@@ -14,14 +14,8 @@ march.  Phi is iterated to convergence (Picard); contraction is monitored in
 the discounted flow metric with an adaptively escalated discount rate, since
 the theoretically sufficient rate is not explicit.
 
-Scheme: conservative finite volume, upwind advective flux (explicit) and
-centered diffusive flux assembled implicitly, no-flux boundaries.  The
-diffusion coefficient a is one positive number, so the tridiagonal diffusion
-matrix is symmetric positive definite: it is factored as LDL^T, without
-pivoting, once per node interval, and each sub-step is one solve with those
-factors.  Mass is conserved to rounding; the implicit diffusion is
-unconditionally stable and the explicit advection is kept under a CFL guard
-checked at every sub-step.
+Scheme: conservative finite volume with no-flux boundaries, explicit upwind
+advection under a CFL guard, implicit diffusion (`_factor`, `_advance`).
 """
 
 from __future__ import annotations
@@ -506,6 +500,22 @@ class PicardResult:
     final_residual: float
 
 
+class _Gaps:
+    """The rows new - old of two flows, each formed when indexed (a block of them for
+    a slice): Picard's gaps without a stacked copy."""
+
+    def __init__(self, new: DensityFlow, old: DensityFlow):
+        self.pairs = [(a.values, b.values) for a, b in zip(new.snapshots, old.snapshots)]
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, i):      # an IndexError past the last row ends iteration
+        if isinstance(i, slice):
+            return np.array([a - b for a, b in self.pairs[i]])
+        return np.subtract(*self.pairs[i])
+
+
 def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
                        tg: TimeGrid, spec: FlowMetricSpec, tol: float = 1e-6,
                        max_iter: int = 25, options: SolverOptions | None = None,
@@ -535,11 +545,8 @@ def picard_fixed_point(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec,
     l1_history = []
     for _ in range(max_iter):
         new = frozen_semigroup(mu, gamma, drift, diff, tg, options)
-        diffs = new.values_matrix()
-        for row, old in zip(diffs, gamma.snapshots):    # in place: no second stack
-            row -= old.values
-        gap_norm_history.append(_row_norms(diffs, spec.k, mu.grid))
-        l1_history.append(float(np.max(np.sum(np.abs(diffs), axis=1) * mu.grid.dx)))
+        gap_norm_history.append(_row_norms(_Gaps(new, gamma), spec.k, mu.grid))
+        l1_history.append(float(max(np.sum(np.abs(g)) * mu.grid.dx for g in _Gaps(new, gamma))))
         gamma = new
         if l1_history[-1] < tol:
             break

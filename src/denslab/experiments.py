@@ -40,19 +40,13 @@ from .metrics import (
     renyi_entropy,
     wasserstein_1d,
 )
-from .particles import KhasminskiiReport, khasminskii_mc
+from .particles import KhasminskiiReport, _lambda_grid, field_spacetime_norm, khasminskii_mc
 
 _SPAN_DECADES = 2.0
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-
-
-def fit_loglog(xs, ys) -> FitResult:
-    """Ordinary least squares on (log x, log y)."""
+def fit_loglog(xs, ys) -> tuple:
+    """(slope, intercept) of ordinary least squares on (log x, log y)."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size != y.size or x.size < 5:
@@ -61,7 +55,7 @@ def fit_loglog(xs, ys) -> FitResult:
         raise NumericalError("log-log fit needs strictly positive data")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
-    return FitResult(float(slope), float(intercept))
+    return float(slope), float(intercept)
 
 
 @dataclass(frozen=True)
@@ -189,8 +183,8 @@ def _ratio_report(quantity, t, measured, exponent, cfg, flags=(), degenerate=Fal
     degenerate = bool(degenerate or np.all(measured <= 1e-14))
     slope = constant = max_ratio = 0.0
     if not degenerate:
-        fit = fit_loglog(t, measured)
-        slope, constant = fit.slope, float(np.exp(fit.intercept))
+        slope, intercept = fit_loglog(t, measured)
+        constant = float(np.exp(intercept))
         const = measured[0] / t[0] ** exponent
         max_ratio = float(np.max(measured[1:] / (const * t[1:] ** exponent)))
     slope_ok = slope_tol <= 0 or abs(slope - exponent) <= slope_tol
@@ -416,17 +410,24 @@ def _khasminskii_run(cfg: RunConfig) -> KhasminskiiReport:
 
 
 def experiment_khasminskii(cfg: RunConfig) -> KhasminskiiExperimentReport:
-    """Monte Carlo verification of the two-regime exponential moment bound."""
-    rep = _khasminskii_run(cfg)
+    """Monte Carlo verification of the two-regime exponential moment bound.  A grid
+    with under two lambdas for an exponent it asserts fails before the march."""
     f_name = cfg["khasminskii.f_name"]
-    lams = np.array(rep.lambda_values)
+    lams = _lambda_grid(cfg["khasminskii.lambda_grid"])
+    norm = field_spacetime_norm(build_field(cfg), build_grid(cfg), cfg["khasminskii.s"],
+                                cfg["khasminskii.t"])[0]
+    small, large = lams <= 0.5 + 1e-12, lams * norm > 1.0
+    for regime, mask, fitted in (("lambda <= 0.5", small, f_name == "singular_power"),
+                                 (f"lambda ||f|| > 1 (||f|| = {norm:.4g})", large, any(large))):
+        if fitted and np.sum(mask) < 2:
+            raise InvalidParameterError(f"the growth exponent over {regime} needs >= 2 "
+                                        f"lambdas, the grid has {np.sum(mask)}")
+    rep = _khasminskii_run(cfg)
     log_est = np.array(rep.log_estimates)
     est = np.array(rep.mc_estimates)
     se = np.array(rep.mc_stderr)
     with np.errstate(invalid="ignore"):
         se_log = np.where(np.isfinite(est) & (est > 0), se / est, 0.0)
-    small = lams <= 0.5 + 1e-12
-    large = lams * rep.norm_spacetime > 1.0
     small_exp = _growth_exponent(lams[small], log_est[small])
     large_exp = _growth_exponent(lams[large], log_est[large])
     slopes = np.diff(log_est) / np.diff(lams)

@@ -3,9 +3,7 @@
 Transport distances use the 1D quantile representation: for cost functions
 that are convex and increasing in |x - y| the monotone (quantile) coupling is
 optimal, so W_q and the exponential-cost transport functional reduce to
-one-dimensional integrals over the uniform quantile variable.  The test
-suite checks them against an exact transportation linear program, which
-lives with the tests in tests/oracles.py.
+one-dimensional integrals over the uniform quantile variable.
 
 Entropy conventions:
   * relative entropy Ent(mu|nu) = int log(dmu/dnu) dmu, +inf when mu is not

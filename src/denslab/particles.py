@@ -21,12 +21,8 @@ moment with `metrics._logsumexp`.  The draws of a step depend only on (seed,
 step), so the march computes step s + 1's increments on one helper thread
 while step s runs.
 
-A step's drift reads the grid density (and its features) at every particle by
-the KDE deposit's own cloud-in-cell cells and weights, found once per step (twice
-if a particle lies beyond an outer cell centre): linear interpolation, np.interp's
-to within the rounding in the cell's floor.  The step's scratch arrays are
-allocated once per march; the KDE deposit, gather and move work in them,
-with the same roundings as the out-of-place formulas kept in the tests.
+A step's drift reads the grid density at the particles by the KDE deposit's own
+cloud-in-cell weights (`dynamics._gather`), in scratch arrays made once per march.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .density_core import (
     DensityFlow,
@@ -84,6 +79,7 @@ def raw_uniforms(seed: int, tag: int, step: int, n: int) -> np.ndarray:
 
 def normal_increments(seed: int, tag: int, step: int, n: int) -> np.ndarray:
     """Standard normals via the inverse CDF, deterministic per (seed, tag, step, i)."""
+    from scipy.special import ndtri     # here, so that a run that draws none never loads it
     u = raw_uniforms(seed, tag, step, n)
     return ndtri(u, out=u)
 
@@ -307,6 +303,14 @@ def field_spacetime_norm(f: SpaceTimeField, grid: Grid1D, s: float, t: float):
     return norm, integral
 
 
+def _lambda_grid(values) -> np.ndarray:
+    """The lambda grid as floats: InvalidParameterError unless >= 2, positive, increasing."""
+    lam = np.asarray(values, dtype=np.float64)
+    if lam.size < 2 or not lam[0] > 0 or not np.all(np.diff(lam) > 0):
+        raise InvalidParameterError("lambda grid needs >= 2 positive, strictly increasing values")
+    return lam
+
+
 def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
                    s: float, t: float, lambda_grid, n_paths: int, dt: float,
                    grid: Grid1D, seed: int, x0: float = 0.0) -> KhasminskiiReport:
@@ -318,9 +322,7 @@ def khasminskii_mc(f: SpaceTimeField, drift: DriftSpec, diff: DiffusionSpec,
     noise is common across the grid.  Estimates whose effective sample size
     falls below 100 are flagged unreliable rather than silently reported.
     """
-    lam = np.asarray(lambda_grid, dtype=np.float64)
-    if lam.size < 2 or not lam[0] > 0 or not np.all(np.diff(lam) > 0):
-        raise InvalidParameterError("lambda grid needs >= 2 positive, strictly increasing values")
+    lam = _lambda_grid(lambda_grid)
     if not s >= 0:
         raise InvalidParameterError(f"need s >= 0, got {s}")
     if not grid.x_min <= x0 <= grid.x_max:

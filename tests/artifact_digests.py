@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The 41 runs take about 75 s on a two-core machine.
+bytes.  The 42 runs take about 75 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -131,6 +131,10 @@ RUNS = {
     "experiment-khasminskii-constant-huge-lambda": [
         "experiment", "khasminskii", "--set", "khasminskii.f_name=constant",
         "--set", "khasminskii.lambda_grid=0.2,0.5,1000", "--set", "khasminskii.t=0.1",
+        "--set", "khasminskii.dt=0.005", "--set", "particles.n=2000", "--set", "grid.cells=300"],
+    "error-khasminskii-one-small-lambda": [
+        "experiment", "khasminskii", "--set", "khasminskii.f_name=singular_power",
+        "--set", "khasminskii.lambda_grid=0.3,1.0,2.0", "--set", "khasminskii.t=0.1",
         "--set", "khasminskii.dt=0.005", "--set", "particles.n=2000", "--set", "grid.cells=300"],
 }
 

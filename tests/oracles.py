@@ -2,7 +2,8 @@
 
 Exact transport on small atomic measures (monotone coupling and a
 transportation linear program), the expW calibration bisected on
-`exp_wasserstein` itself, the localized measure distance, the unit-window
+`exp_wasserstein` itself, the localized measure distance, a flow's values
+stacked into one matrix, the unit-window
 norm of one row by its own window sums, the space-time localized norm and
 its p = inf value by scipy's maximum filter, the discounted flow distance, a
 one-path Girsanov log-weight and the Monte Carlo Girsanov and path-entropy
@@ -222,6 +223,11 @@ def reference_sup_spacetime_norm(values, times, q: float, grid: Grid1D) -> float
 # discounted flow distance
 # ---------------------------------------------------------------------------
 
+def values_matrix(flow: DensityFlow) -> np.ndarray:
+    """The flow's snapshot values stacked, one row per time node."""
+    return np.stack([s.values for s in flow.snapshots])
+
+
 def d_lambda(gamma: DensityFlow, eta: DensityFlow, spec: FlowMetricSpec) -> float:
     """Discounted sup-in-time distance between two density flows:
     max over nodes of exp(-lambda t) t^e ||gamma(t) - eta(t)||_{~L^k}
@@ -231,7 +237,7 @@ def d_lambda(gamma: DensityFlow, eta: DensityFlow, spec: FlowMetricSpec) -> floa
     grid = gamma.snapshots[-1].grid
     if grid != eta.snapshots[-1].grid:
         raise NumericalError("flows live on different spatial grids")
-    diffs = gamma.values_matrix() - eta.values_matrix()
+    diffs = values_matrix(gamma) - values_matrix(eta)
     gaps = np.array([tilde_norm(row, spec.k, grid) for row in diffs])
     return spec.weighted_sup(gamma.time_grid.nodes, gaps)
 

@@ -147,10 +147,11 @@ def test_criterion_6_renyi_suite():
 
 def test_criterion_7_khasminskii():
     t0 = time.perf_counter()
+    # 2.0 and 2.5 lie past the crossover 1 / ||f|| = 1.68: the large-lambda fit's two points
     const = experiment_khasminskii(parse_config(base={
         "drift.name": "zero", "diffusion.a": 1.0, "particles.n": 100_000,
         "khasminskii.f_name": "constant", "khasminskii.c0": 0.5,
-        "khasminskii.lambda_grid": (0.2, 0.5, 1.0, 1.5, 2.0)}))
+        "khasminskii.lambda_grid": (0.2, 0.5, 1.0, 1.5, 2.0, 2.5)}))
     singular = experiment_khasminskii(parse_config(base={
         "drift.name": "zero", "diffusion.a": 1.0, "particles.n": 100_000,
         "khasminskii.f_name": "singular_power", "khasminskii.gamma": 0.3}))

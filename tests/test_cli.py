@@ -618,7 +618,8 @@ class TestArtifacts:
     def test_experiment_khasminskii_report_extends_khasminskii_report(self, tmp_path):
         out = tmp_path / "k"
         rc = main(["experiment", "khasminskii", "--set", "particles.n=2000",
-                   "--set", "khasminskii.t=0.1", "--set", "khasminskii.lambda_grid=0.2,0.5,1.0",
+                   "--set", "khasminskii.t=0.1",
+                   "--set", "khasminskii.lambda_grid=0.2,0.5,1.0,2.0",
                    "--set", "grid.cells=400", "--seed", "3", "--out", str(out)])
         assert rc in (0, 1)
         rep = json.loads((out / "report.json").read_text())

@@ -10,6 +10,7 @@ from denslab.density_core import (
     GridDensity,
     TimeGrid,
     _convolve_same,
+    _fast_len,
     _row_norms,
     _Scratch,
     _spacetime_norm,
@@ -418,6 +419,13 @@ class TestKde:
 
 
 class TestConvolveSame:
+    def test_fast_length_is_scipy_next_fast_len(self):
+        # the 5-smooth rule of scipy.fft.next_fast_len for real input; only
+        # this test imports scipy.fft
+        from scipy.fft import next_fast_len
+        assert [_fast_len(n) for n in range(1, 20_001)] == [
+            next_fast_len(n, True) for n in range(1, 20_001)]
+
     def test_bitwise_equal_to_fftconvolve(self):
         # the KDE kernel reaches 8 grid widths and a feature kernel one: 240
         # random length pairs, with one-entry kernels and signals among them

@@ -34,7 +34,7 @@ from denslab.experiments import (
     fit_loglog,
 )
 from denslab.metrics import _quantile_gap, wasserstein_1d
-from oracles import smallest_expw_constant
+from oracles import smallest_expw_constant, values_matrix
 
 
 def _forbid_solves(monkeypatch, marches):
@@ -45,9 +45,10 @@ def _forbid_solves(monkeypatch, marches):
 
 
 def _r_squared(xs, ys, fit) -> float:
-    """Coefficient of determination of `fit` on (log x, log y)."""
+    """Coefficient of determination of the (slope, intercept) `fit` on (log x, log y)."""
     lx, ly = np.log(xs), np.log(ys)
-    ss_res = np.sum((ly - (fit.slope * lx + fit.intercept)) ** 2)
+    slope, intercept = fit
+    ss_res = np.sum((ly - (slope * lx + intercept)) ** 2)
     return float(1.0 - ss_res / np.sum((ly - np.mean(ly)) ** 2))
 
 
@@ -55,22 +56,24 @@ class TestFitLoglog:
     def test_identity(self):
         xs = np.linspace(1.0, 10.0, 8)
         fit = fit_loglog(xs, xs)
-        assert fit.slope == pytest.approx(1.0, abs=1e-12)
+        slope, _ = fit
+        assert slope == pytest.approx(1.0, abs=1e-12)
         assert _r_squared(xs, xs, fit) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_power_law(self):
         xs = np.geomspace(0.01, 10.0, 9)
         ys = 3.0 * xs**-0.5
-        fit = fit_loglog(xs, ys)
-        assert fit.slope == pytest.approx(-0.5, abs=1e-10)
-        assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-10)
+        slope, intercept = fit_loglog(xs, ys)
+        assert slope == pytest.approx(-0.5, abs=1e-10)
+        assert intercept == pytest.approx(np.log(3.0), abs=1e-10)
 
     def test_noisy_power_law_within_ci(self):
         rng = np.random.default_rng(77)
         xs = np.geomspace(0.01, 1.0, 40)
         ys = 2.0 * xs**-0.75 * np.exp(rng.normal(0, 0.05, 40))
         fit = fit_loglog(xs, ys)
-        assert fit.slope == pytest.approx(-0.75, abs=0.05)
+        slope, _ = fit
+        assert slope == pytest.approx(-0.75, abs=0.05)
         assert _r_squared(xs, ys, fit) > 0.98
 
     def test_guards(self):
@@ -256,7 +259,7 @@ class TestFlowsBeside:
                 cfg, mu.grid, shift=cfg["experiment.delta"] if law is nu else 0.0).values)
             here = _solve_flow(cfg, law, drift)
             assert flow.time_grid.nodes.tobytes() == here.time_grid.nodes.tobytes()
-            assert flow.values_matrix().tobytes() == here.values_matrix().tobytes()
+            assert values_matrix(flow).tobytes() == values_matrix(here).tobytes()
 
     @pytest.mark.parametrize("fallback", ["no-fork", "fork-fails", "pipe-fails"])
     def test_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch, fallback):
@@ -513,10 +516,11 @@ class TestKhasminskiiExperiment:
 
     def test_constant_field_at_a_huge_lambda_in_log_space(self, monkeypatch):
         # exp(lambda^2 c0^2 (t - s)) = exp(25000) at lambda = 1000 is past the
-        # float range, its log is not; no warning of any kind
+        # float range, its log is not; no warning of any kind.  lambda = 500 is
+        # the second point of the large-lambda fit
         cfg = parse_config(base={"drift.name": "zero", "diffusion.a": 1.0,
                                  "khasminskii.f_name": "constant",
-                                 "khasminskii.lambda_grid": (0.2, 0.5, 1000.0),
+                                 "khasminskii.lambda_grid": (0.2, 0.5, 500.0, 1000.0),
                                  "khasminskii.t": 0.1, "khasminskii.dt": 0.005,
                                  "particles.n": 2000, "grid.cells": 300})
         with warnings.catch_warnings():
@@ -534,19 +538,40 @@ class TestKhasminskiiExperiment:
     @pytest.mark.parametrize("offset", [0.0, 1e-8])
     def test_constant_field_check_is_tight_in_log_space(self, monkeypatch, offset):
         # at lambda^2 c0^2 (t - s) = 50 a log estimate 1e-8 off is 1e-8 of the
-        # moment off: rejected, as by the check in linear space
+        # moment off: rejected, as by the check in linear space.  lambda =
+        # sqrt(1000) is the second point of the large-lambda fit
         cfg = parse_config(base={"drift.name": "zero", "diffusion.a": 1.0,
                                  "khasminskii.f_name": "constant",
-                                 "khasminskii.lambda_grid": (0.2, 0.5, 2000.0 ** 0.5),
+                                 "khasminskii.lambda_grid": (0.2, 0.5, 1000.0 ** 0.5,
+                                                             2000.0 ** 0.5),
                                  "khasminskii.t": 0.1, "khasminskii.dt": 0.005,
                                  "particles.n": 2000, "grid.cells": 300})
         run = experiments._khasminskii_run(cfg)
         exact = 0.1 * 0.5 ** 2 * np.array(run.lambda_values) ** 2
-        assert exact[-1] == pytest.approx(50.0) and run.mc_stderr == (0.0, 0.0, 0.0)
-        logs = tuple(exact + np.array([0.0, 0.0, offset]))
+        assert exact[-1] == pytest.approx(50.0) and run.mc_stderr == (0.0, 0.0, 0.0, 0.0)
+        logs = tuple(exact + np.array([0.0, 0.0, 0.0, offset]))
         monkeypatch.setattr(experiments, "_khasminskii_run",
                             lambda cfg: dataclasses.replace(run, log_estimates=logs))
         assert experiment_khasminskii(cfg).constant_exact_ok == (offset == 0.0)
+
+    @pytest.mark.parametrize("f_name, lambdas, err", [
+        ("constant", "0.2,0.5,1000", "lambda ||f|| > 1 (||f|| = 0.336) needs >= 2 lambdas, "
+                                     "the grid has 1"),
+        ("singular_power", "0.3,1.0,2.0", "lambda <= 0.5 needs >= 2 lambdas, the grid has 1")],
+        ids=["one-large-lambda", "one-small-lambda"])
+    def test_one_lambda_for_a_fitted_exponent_is_config_error(self, tmp_path, capsys,
+                                                              monkeypatch, f_name, lambdas, err):
+        # the exponent fitted to one lambda was NaN, so the run failed (exit 1)
+        # with `pass: false`; now it is refused before the march
+        monkeypatch.setattr(experiments, "_khasminskii_run", lambda cfg: pytest.fail("marched"))
+        out = tmp_path / "o"
+        rc = main(["experiment", "khasminskii", "--set", f"khasminskii.f_name={f_name}",
+                   "--set", f"khasminskii.lambda_grid={lambdas}", "--set", "khasminskii.t=0.1",
+                   "--set", "khasminskii.dt=0.005", "--set", "particles.n=2000",
+                   "--set", "grid.cells=300", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: the growth exponent over {err}\n"
+        assert not out.exists()
 
     def test_singular_field_exponents(self):
         cfg = small_cfg(**{"drift.name": "zero", "diffusion.a": 1.0,

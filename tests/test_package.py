@@ -1,6 +1,7 @@
 """The package's size and surface: the line budget of `src/denslab`, the
 empty top-level namespace, each name having one import path in its submodule,
-the scipy subpackages that importing the CLI loads, and the one log-sum-exp."""
+the scipy subpackages that importing the CLI and a PDE-only run load, and the
+one log-sum-exp."""
 
 import ast
 import os
@@ -38,11 +39,31 @@ def test_import_defines_no_public_name():
 
 def test_cli_import_leaves_slow_scipy_subpackages_out():
     # scipy.signal took 1.05 s of a 1.64 s `import denslab.cli` and brought
-    # scipy.stats and scipy.ndimage; the library needs scipy.fft, scipy.special
-    # and scipy.linalg.lapack
-    slow = ["scipy.signal", "scipy.ndimage", "scipy.stats", "scipy.optimize"]
+    # scipy.stats and scipy.ndimage; the KDE's FFTs are numpy's, and
+    # scipy.special's ndtri is imported where the particles first draw, so the
+    # CLI needs only scipy.linalg.lapack
+    slow = ["scipy.signal", "scipy.ndimage", "scipy.stats", "scipy.optimize", "scipy.fft",
+            "scipy.special"]
     assert _fresh_python(
         f"import sys, denslab.cli; print([m for m in {slow} if m in sys.modules])") == "[]"
+
+
+def test_pde_only_runs_load_only_scipy_linalg(tmp_path):
+    # a run that draws no normals never imports scipy.special: of scipy's
+    # subpackages only scipy.linalg (for the LDL^T solve) is loaded
+    runs = [["solve", "--drift", "linear_ou"], ["picard"],
+            *[["experiment", name] for name in ("smoothing", "supercontinuity",
+                                                 "entropy-cost", "renyi")]]
+    tiny = ["--set", "grid.cells=200", "--set", "time.T=0.05", "--set", "experiment.t_lo=0.005",
+            "--set", "experiment.t_hi=0.05", "--set", "time.nodes_per_decade=5",
+            "--set", "experiment.n_t=5", "--set", "grid.x_min=-4", "--set", "grid.x_max=4"]
+    loaded = _fresh_python(
+        "import sys\nfrom denslab.cli import main\n"
+        f"codes = [main(argv + {tiny} + ['--out', {str(tmp_path)!r} + '/' + str(i)])"
+        f" for i, argv in enumerate({runs})]\n"
+        "print(codes, sorted(m for m, mod in sys.modules.items() if m.count('.') == 1"
+        " and m.startswith('scipy.') and hasattr(mod, '__path__') and '._' not in m))")
+    assert loaded == f"{[0] * len(runs)} ['scipy.linalg']", loaded
 
 
 def test_no_module_uses_scipy_logsumexp():
