@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The 42 runs take about 75 s on a two-core machine.
+bytes.  The 43 runs take about 75 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -66,6 +66,10 @@ RUNS = {
     "experiment-khasminskii": ["experiment", "khasminskii", "--set", "grid.cells=300",
                                "--set", "khasminskii.t=0.1", "--set", "khasminskii.dt=0.005",
                                "--set", "khasminskii.lambda_grid=0.2,0.5,1.0"] + _PARTICLES,
+    "experiment-khasminskii-two-large-lambdas": [
+        "experiment", "khasminskii", "--set", "grid.cells=300", "--set", "khasminskii.t=0.1",
+        "--set", "khasminskii.dt=0.005", "--set", "khasminskii.lambda_grid=0.2,0.5,1.0,2.0"]
+        + _PARTICLES,
     "error-zero-diffusion": ["solve", "--drift", "linear_ou", "--set", "diffusion.a=0"] + _PDE,
     "error-infinite-diffusion": ["solve", "--drift", "linear_ou",
                                  "--set", "diffusion.a=inf"] + _PDE,
