@@ -103,14 +103,17 @@ def _jsonable(obj):
     if isinstance(obj, (tuple, list)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):    # strict JSON has no such number
+        return "NaN" if np.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     return obj
 
 
 def write_report(report, out_dir: str, runtime: float) -> None:
     meta = {"runtime_seconds": runtime, "schema_version": cfgmod.SCHEMA_VERSION}
     for name, obj in (("report.json", _jsonable(report)), ("run_meta.json", meta)):
-        _atomic_write(os.path.join(out_dir, name), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        _atomic_write(os.path.join(out_dir, name),
+                      json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_curve(report, out_dir: str) -> None:

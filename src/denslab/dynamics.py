@@ -7,24 +7,20 @@ drift's density slots, evolve the resulting *linear* Fokker-Planck equation
 
     d/dt rho = 1/2 d^2/dx^2 (a rho) - d/dx (b rho)
 
-from the initial density, and return the marginal flow.  A march's drift
-reads no density, the frozen flow by its `DensityFlow._reader` (linear in
-time), or, with no flow frozen, its own current density: the self-consistent
-march.  Phi is iterated to convergence (Picard); contraction is monitored in
-the discounted flow metric with an adaptively escalated discount rate, since
-the theoretically sufficient rate is not explicit.
-
-Scheme: conservative finite volume with no-flux boundaries, explicit upwind
-advection under a CFL guard, implicit diffusion (`_factor`, `_advance`).
+from the initial density, and return the marginal flow (`frozen_semigroup`).
+Phi is iterated to convergence (`picard_fixed_point`).  The scheme is conservative
+finite volume with no-flux boundaries: explicit upwind advection under a CFL guard,
+implicit diffusion (`_factor`, `_advance`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .density_core import (DensityFlow, Grid1D, GridDensity, TimeGrid, _cells, _convolve_same,
                            _require_window, _row_norms, _Scratch)
@@ -383,29 +379,54 @@ class SolverOptions:
             raise InvalidParameterError(f"dt_max must be >= 0, got {self.dt_max}")
 
 
-def _factor(a: float, dt: float, dx: float, n: int) -> tuple:
-    """LDL^T factors (LAPACK dpttrf) of the implicit-diffusion matrix
-    I - dt/2 a d^2/dx^2 on n cells with no-flux faces, for `_advance`.  With
-    one a > 0 the matrix is symmetric and strictly diagonally dominant with a
-    positive diagonal, so it is positive definite and needs no pivoting."""
-    alpha = dt / (2.0 * dx * dx)
-    diag = np.ones(n)
-    diag[:-1] += alpha * a
-    diag[1:] += alpha * a
-    d, e, info = dpttrf(diag, np.full(n - 1, -alpha * a), overwrite_d=1, overwrite_e=1)
+try:        # the ILP64 LAPACK of the OpenBLAS in numpy's wheel, which numpy.linalg loaded:
+    from numpy.linalg import _umath_linalg
+    _lib = ctypes.CDLL(_umath_linalg.__file__)      # dlsym searches what this extension links
+    dpttrf, dpttrs = _lib.scipy_dpttrf_64_, _lib.scipy_dpttrs_64_
+except (ImportError, OSError, AttributeError):     # a numpy without them (conda, Accelerate)
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    _NUMPY_LAPACK = False
+else:
+    dpttrf.argtypes, dpttrs.argtypes = [ctypes.c_void_p] * 4, [ctypes.c_void_p] * 7
+    dpttrf.restype = dpttrs.restype = None
+    _NUMPY_LAPACK = True
+
+
+def _factor(a: float, dt: float, dx: float, v: np.ndarray):
+    """LDL^T factors (dpttrf) of the implicit-diffusion matrix I - dt/2 a
+    d^2/dx^2 on v.size cells with no-flux faces, and `_advance`'s solve: a call
+    solves that system for v in place (dpttrs), every pointer bound here.  With
+    one a > 0 the matrix is symmetric, strictly diagonally dominant and has a
+    positive diagonal: positive definite, so it needs no pivoting."""
+    if not (v.dtype == np.float64 and v.ndim == 1 and v.flags.c_contiguous and v.flags.writeable):
+        raise ValueError("the diffusion solve needs a writeable contiguous float64 vector")
+    n, alpha = v.size, dt / (2.0 * dx * dx)
+    d = np.ones(n)
+    d[:-1] += alpha * a
+    d[1:] += alpha * a
+    e = np.full(n - 1, -alpha * a)
+    if _NUMPY_LAPACK:     # every argument a c_void_p, the fastest to make and to convert
+        ints = (ctypes.c_int64 * 3)(n, 1, 0)             # n, one right-hand side, info
+        n_p, one_p, info_p, d_p, e_p, v_p = map(ctypes.c_void_p, [
+            ctypes.addressof(ints) + 8 * k for k in range(3)] + [x.ctypes.data for x in (d, e, v)])
+        dpttrf(n_p, d_p, e_p, info_p)
+        info = ints[2]
+        solve = partial(dpttrs, n_p, one_p, d_p, e_p, v_p, n_p, info_p)
+        solve.arrays = ints, d, e, v        # what the pointers address, alive while solve is
+    else:
+        d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        solve = partial(dpttrs, d, e, v, overwrite_b=1)
     if info != 0:  # pragma: no cover - a > 0 keeps the matrix positive definite
         raise NumericalError(f"tridiagonal factorization failed (info = {info})")
-    return d, e
+    return solve
 
 
-def _advance(v: np.ndarray, b: np.ndarray, ldl: tuple, dt: float, dx: float,
+def _advance(v: np.ndarray, b: np.ndarray, solve, dt: float, dx: float,
              work: tuple) -> np.ndarray:
-    """One step: explicit upwind advection with drift b (flux at the interior
-    faces, none at the boundary), then the implicit diffusion solve with the
-    factors `ldl = _factor(a, dt, dx, v.size)`.  The right-hand side is formed
-    in v itself, face drift, flux and upwind mask in `work` (two float arrays
-    and a bool one, each of v.size - 1); returns the solution, v solved in
-    place."""
+    """One step: explicit upwind advection with drift b (flux at the interior faces, none
+    at the boundary), then the implicit diffusion `solve = _factor(a, dt, dx, v)`.  The
+    right-hand side is formed in v itself, face drift, flux and upwind mask in `work` (two
+    float arrays and a bool one, each of v.size - 1); returns v, solved in place."""
     bf, flux, up = work
     v_left, v_right = v[:-1], v[1:]
     np.add(b[:-1], b[1:], bf)
@@ -417,7 +438,8 @@ def _advance(v: np.ndarray, b: np.ndarray, ldl: tuple, dt: float, dx: float,
     flux *= dt / dx
     v_left -= flux
     v_right += flux
-    return dpttrs(*ldl, v, overwrite_b=1)[0]
+    solve()
+    return v
 
 
 def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpec,
@@ -471,7 +493,7 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
                 f"sub-steps, more than {_MAX_SUBSTEPS}")
         n_sub = max(1, int(math.ceil(n_sub)))
         dt = gap / n_sub
-        ldl = _factor(diff.a, dt, dx, n)
+        solve = _factor(diff.a, dt, dx, v)
         for sidx in range(n_sub):
             ts = t0 + sidx * dt
             if sidx > 0:
@@ -480,7 +502,7 @@ def frozen_semigroup(mu: GridDensity, gamma: DensityFlow | None, drift: DriftSpe
                 raise NumericalError(
                     f"dt * max|b| = {dt * max_b:.3e} exceeds the grid scale {dx:.3e} "
                     f"at t = {ts:.4g}")
-            v = _advance(v, b0, ldl, dt, dx, work)
+            v = _advance(v, b0, solve, dt, dx, work)
         if not np.all(np.isfinite(v)):
             raise NumericalError(f"non-finite density after node {i + 1} (t = {t1:.4g})")
         snaps.append(GridDensity(grid, np.maximum(v, 0.0)))

@@ -5,9 +5,6 @@ an exact-slope assertion on an analytically solvable control case (heat flow
 or linear drift), and a bounded-ratio assertion with headroom on genuinely
 nonlinear drifts, whose constants are not explicit.  Calibrated-constant
 checks never reuse the calibration node for the violation measurement.
-
-Experiments are deterministic given (config, seed), the particle-based one through
-counter-based streams; the paired ones solve nu in a forked process beside mu.
 """
 
 from __future__ import annotations

@@ -3,26 +3,9 @@ density-dependent diffusion.
 
 The particle system replaces the law's density in the drift by a kernel
 density estimate of the ensemble itself, which is the standard mollification
-of the pointwise (Dirac-type) interaction.
-
-Randomness is counter-based: the normal increment of particle i at step s is
-a pure function of (seed, stream_tag, s * block + i) through a Philox
-stream, with each step consuming one 4-aligned block of raw draws.  This
-makes ensembles bitwise reproducible for a fixed seed irrespective of how the
-work is sharded, and lets a shard regenerate any sub-range of draws without
-touching the others.
-
-Every particle-facing operation runs the same Euler-Maruyama march
-(`_march`), which yields each step and differs between callers only in the
-grid density its drift reads: none, or the ensemble's own KDE.  On the steps,
-`euler_maruyama_mkv` records KDE snapshots and `khasminskii_mc` integrates
-f(r, X_r)^2 by the trapezoid rule; its lambda sweep takes each exponential
-moment with `metrics._logsumexp`.  The draws of a step depend only on (seed,
-step), so the march computes step s + 1's increments on one helper thread
-while step s runs.
-
-A step's drift reads the grid density at the particles by the KDE deposit's own
-cloud-in-cell weights (`dynamics._gather`), in scratch arrays made once per march.
+of the pointwise (Dirac-type) interaction.  Every particle-facing operation
+runs one Euler-Maruyama march (`_march`) on counter-based Philox streams: the
+normal increment of particle i at step s is a pure function of (seed, s, i).
 """
 
 from __future__ import annotations
@@ -91,15 +74,10 @@ class ParticleEnsemble(NamedTuple):
 
 
 def sample_initial(init, n: int, seed: int, grid: Grid1D) -> np.ndarray:
-    """Draw initial positions from a GridDensity (inverse CDF) or a
-    ("gaussian", mean, sigma) spec, reflected into `grid`."""
-    if isinstance(init, GridDensity):
-        x = density_quantiles(init, raw_uniforms(seed, _STREAM_INIT, 0, n))
-    elif isinstance(init, (tuple, list)) and len(init) == 3 and init[0] == "gaussian":
-        _, mean, sigma = init
-        x = float(mean) + float(sigma) * normal_increments(seed, _STREAM_INIT, 0, n)
-    else:
+    """Draw initial positions from a GridDensity (inverse CDF), reflected into `grid`."""
+    if not isinstance(init, GridDensity):
         raise InvalidParameterError("unsupported initial sampling spec")
+    x = density_quantiles(init, raw_uniforms(seed, _STREAM_INIT, 0, n))
     return _reflect(x, grid.x_min, grid.x_max)
 
 

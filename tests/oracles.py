@@ -48,6 +48,7 @@ from denslab.density_core import (
     _window_half_cells,
     _window_sums,
     _write_csv,
+    density_quantiles,
     load_density,
     normalize,
     tilde_norm,
@@ -300,6 +301,16 @@ def _path_density(drift: DriftSpec, grid: Grid1D, flow: DensityFlow | None):
     return frozen_density_rule(drift, flow)
 
 
+def sample_start(init, n: int, seed: int, grid: Grid1D) -> np.ndarray:
+    """`particles.sample_initial` of a GridDensity, or, for a ("gaussian", mean,
+    sigma) spec, mean + sigma times the particles' own normals of the initial
+    stream, reflected into `grid`."""
+    if not (isinstance(init, tuple) and len(init) == 3 and init[0] == "gaussian"):
+        return particles.sample_initial(init, n, seed, grid)
+    z = particles.normal_increments(seed, particles._STREAM_INIT, 0, n)
+    return particles._reflect(float(init[1]) + float(init[2]) * z, grid.x_min, grid.x_max)
+
+
 def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: DiffusionSpec,
                             init, t: float, n_paths: int, dt: float, grid: Grid1D,
                             seed: int, flow_ref: DensityFlow | None = None,
@@ -308,7 +319,7 @@ def girsanov_log_weights_mc(drift_ref: DriftSpec, drift_alt: DriftSpec, diff: Di
 
     Without `flow_alt` the alternative drift reads the same density as the
     reference drift."""
-    x0 = particles.sample_initial(init, n_paths, seed, grid)
+    x0 = sample_start(init, n_paths, seed, grid)
     log_r = np.zeros(x0.size)       # empty for n_paths < 1, which _march rejects
     for st in particles._march(x0, drift_ref, diff, grid, 0.0, t, dt, seed,
                                _path_density(drift_ref, grid, flow_ref)):
@@ -331,7 +342,7 @@ def path_relative_entropy_mc(drift_a: DriftSpec, drift_b: DriftSpec, diff: Diffu
     """
     if n_paths < 2:
         raise InvalidParameterError("need at least 2 paths")
-    x0 = particles.sample_initial(init, n_paths, seed, grid)
+    x0 = sample_start(init, n_paths, seed, grid)
     sigma = math.sqrt(diff.a)
 
     def xi_fn(ts, xs):
@@ -478,15 +489,15 @@ def serial_march(x0: np.ndarray, drift: DriftSpec, diff: DiffusionSpec, grid: Gr
         x = x_next
 
 
-def reference_mkv(mean: float, sd: float, drift: DriftSpec, diff: DiffusionSpec, n: int,
+def reference_mkv(mu: GridDensity, drift: DriftSpec, diff: DiffusionSpec, n: int,
                   dt: float, n_steps: int, grid: Grid1D, seed: int, bandwidth,
                   record_steps) -> tuple:
-    """The interacting-particle march from a ("gaussian", mean, sd) start:
+    """The interacting-particle march from mu's quantiles at stream 1's uniforms:
     each step reads the ensemble's KDE, gathers the drift by `reference_gather`,
     draws step s's normals from stream 2 and reflects.  Returns the final
     positions and the KDE values at step 0 and at each step in `record_steps`.
     `bandwidth` maps positions to the kernel width."""
-    x = reference_reflect(mean + sd * ndtri(reference_uniforms(seed, 1, 0, n)),
+    x = reference_reflect(density_quantiles(mu, reference_uniforms(seed, 1, 0, n)),
                           grid.x_min, grid.x_max)
     snaps = [reference_kde(x, bandwidth(x), grid).values]
     for s in range(n_steps):
@@ -519,8 +530,9 @@ def fokker_planck_step(rho: GridDensity, drift_field_values: np.ndarray, a: floa
     if not (np.all(np.isfinite(b)) and 0 < a < np.inf):
         raise NumericalError("non-finite coefficient field")
     dx = rho.grid.dx
-    new = _advance(rho.values.copy(), b, _factor(a, dt, dx, b.size), dt, dx, step_work(b.size))
-    return GridDensity(rho.grid, np.maximum(new, 0.0))
+    v = rho.values.copy()
+    _advance(v, b, _factor(a, dt, dx, v), dt, dx, step_work(v.size))
+    return GridDensity(rho.grid, np.maximum(v, 0.0))
 
 
 def reference_values_at(flow: DensityFlow, t: float) -> np.ndarray:

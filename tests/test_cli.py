@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from denslab import particles
+from denslab import cli, particles
 from denslab.cli import EXPERIMENT_DEFAULTS, main
 from denslab.config import SCHEMA, parse_config
 from denslab.density_core import Grid1D, GridDensity, TimeGrid, gaussian_density
@@ -502,6 +502,11 @@ class TestArtifacts:
         flow = load_flow(str(out / "flow"))
         assert len(flow.time_grid.nodes) == 11
         assert abs(flow.snapshots[-1].mass() - 1.0) <= 1e-9
+
+    def test_report_values_are_strict_json(self):
+        # a non-finite float, numpy's or Python's, at any depth is a string
+        values = (np.float64(-np.inf), float("inf"), np.nan, [np.float32(1.5), np.int64(3), 0.1])
+        assert cli._jsonable(values) == ["-Infinity", "Infinity", "NaN", [1.5, 3, 0.1]]
 
     def test_metrics_prints_number(self, tmp_path, capsys):
         g = Grid1D(-6.0, 6.0, 500)

@@ -245,8 +245,8 @@ class TestFactoredStep:
             b = rng.normal(0.0, 3.0, n)
             a = float(rng.uniform(0.2, 4.0))
             dt, dx = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-3, -1)
-            assert np.array_equal(_advance(v.copy(), b, _factor(a, dt, dx, n), dt, dx,
-                                           step_work(n)),
+            w = v.copy()
+            assert np.array_equal(_advance(w, b, _factor(a, dt, dx, w), dt, dx, step_work(n)),
                                   reference_step(v, b, a, dt, dx))
 
     @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
@@ -267,8 +267,8 @@ class TestFactoredStep:
     @staticmethod
     def replace_step(monkeypatch, step, diff):
         """Make the march take `step(v, b, a, dt, dx)` in place of its factored solve."""
-        monkeypatch.setattr(dynamics, "_factor", lambda a, dt, dx, n: None)
-        monkeypatch.setattr(dynamics, "_advance", lambda v, b, ldl, dt, dx, work:
+        monkeypatch.setattr(dynamics, "_factor", lambda a, dt, dx, v: None)
+        monkeypatch.setattr(dynamics, "_advance", lambda v, b, solve, dt, dx, work:
                             step(v, b, diff.a, dt, dx))
 
     @staticmethod
@@ -391,6 +391,39 @@ class TestFactoredStep:
                          self.DIFFUSIONS[diff_name], tg)
         assert counts["dpttrs"] > 2 * (len(tg.nodes) - 1)       # several sub-steps each
         assert counts["dpttrf"] == len(tg.nodes) - 1
+
+    def test_numpy_wheel_lapack_in_use(self):
+        # numpy's wheel exports both routines: no silent fall back to scipy's
+        assert dynamics._NUMPY_LAPACK
+        assert (dynamics.dpttrf.__name__, dynamics.dpttrs.__name__) == (
+            "scipy_dpttrf_64_", "scipy_dpttrs_64_")
+
+    @pytest.mark.parametrize("diff_name", sorted(DIFFUSIONS))
+    def test_scipy_fallback_march_bitwise_equal_to_default_and_reference(self, monkeypatch,
+                                                                         diff_name):
+        from scipy.linalg import lapack
+        diff = self.DIFFUSIONS[diff_name]
+        rng = np.random.default_rng(9)
+        grid = Grid1D(-5.0, 5.0, 317)
+        tg = TimeGrid.geometric(0.2, nodes_per_decade=7)
+        mu = normalize(GridDensity(grid, rng.uniform(0.0, 1.0, grid.n_cells)))
+        cd = builtin_drift("capped_density", {"kappa": 0.4})
+        gamma = random_flow(grid, tg, rng)
+        default = frozen_semigroup(mu, gamma, cd, diff, tg)
+        for name, value in (("dpttrf", lapack.dpttrf), ("dpttrs", lapack.dpttrs),
+                            ("_NUMPY_LAPACK", False)):
+            monkeypatch.setattr(dynamics, name, value)
+        fallback = frozen_semigroup(mu, gamma, cd, diff, tg)
+        self.replace_step(monkeypatch, reference_step, diff)
+        reference = frozen_semigroup(mu, gamma, cd, diff, tg)
+        assert same_bits(values_matrix(fallback), values_matrix(default))
+        assert same_bits(values_matrix(fallback), values_matrix(reference))
+
+    @pytest.mark.parametrize("v", [np.zeros(8, dtype=np.float32), np.zeros(16)[::2],
+                                   np.zeros((2, 4))], ids=["float32", "strided", "2-d"])
+    def test_solve_rejects_a_vector_it_cannot_solve_in_place(self, v):
+        with pytest.raises(ValueError, match="writeable contiguous float64 vector"):
+            _factor(2.0, 1e-3, 0.1, v)
 
 
 def probe_positions(grid, rng, n_random=20_000):

@@ -2,6 +2,7 @@
 reduced desk scale (full-scale runs live in the acceptance suite)."""
 
 import dataclasses
+import json
 import os
 import pickle
 import select
@@ -572,6 +573,25 @@ class TestKhasminskiiExperiment:
         assert rc == 2
         assert capsys.readouterr().err == f"config error: the growth exponent over {err}\n"
         assert not out.exists()
+
+    def test_report_is_strict_json(self, tmp_path):
+        # the constant field's small-lambda exponent is not asserted, so one
+        # lambda <= 0.5 is accepted and that exponent is NaN; the moments at
+        # lambda = 500 and 1000 are past the float range: strings, not the bare
+        # tokens NaN and Infinity that strict JSON parsers reject
+        out = tmp_path / "o"
+        rc = main(["experiment", "khasminskii", "--set", "khasminskii.f_name=constant",
+                   "--set", "khasminskii.lambda_grid=0.3,500,1000", "--set", "khasminskii.t=0.1",
+                   "--set", "khasminskii.dt=0.005", "--set", "particles.n=2000",
+                   "--set", "grid.cells=300", "--out", str(out)])
+
+        def refuse(token):
+            raise ValueError(f"report.json holds the non-standard token {token}")
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert rc == 0 and report["pass"] is True
+        assert report["small_lambda_exponent"] == "NaN"
+        assert report["mc_estimates"][1:] == report["mc_stderr"][1:] == ["Infinity"] * 2
+        assert report["log_estimates"][-1] == pytest.approx(25000.0, rel=1e-14)
 
     def test_singular_field_exponents(self):
         cfg = small_cfg(**{"drift.name": "zero", "diffusion.a": 1.0,

@@ -32,6 +32,7 @@ from oracles import (
     reference_reflect,
     reference_uniforms,
     same_bits,
+    sample_start,
     serial_march,
 )
 
@@ -77,8 +78,9 @@ class TestStreams:
         assert np.std(x) == pytest.approx(0.7, abs=0.01)
 
     @pytest.mark.parametrize("spec", [np.zeros(10), ("uniform", 0.0, 1.0), ("gaussian", 0.0),
-                                      "gaussian"],
-                             ids=["positions-array", "uniform-tuple", "two-tuple", "bare-name"])
+                                      "gaussian", ("gaussian", 0.0, 1.0)],
+                             ids=["positions-array", "uniform-tuple", "two-tuple", "bare-name",
+                                  "gaussian-tuple"])
     def test_unsupported_spec_rejected(self, spec):
         with pytest.raises(InvalidParameterError, match="unsupported initial sampling spec"):
             sample_initial(spec, 10, seed=3, grid=GRID)
@@ -130,7 +132,7 @@ class TestEulerMaruyama:
     def test_brownian_variance(self):
         # b = 0, a = 2: Var X_t = s^2 + 2 t
         n = 100_000
-        ens, _ = euler_maruyama_mkv(("gaussian", 0.0, 0.3), ZERO_DRIFT, DIFF2, n,
+        ens, _ = euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), ZERO_DRIFT, DIFF2, n,
                                     1e-3, 0.5, GRID, seed=7)
         target = 0.09 + 2 * 0.5
         se = target * np.sqrt(2.0 / n)
@@ -140,24 +142,24 @@ class TestEulerMaruyama:
         cd0 = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.0,
                                                "tau": 0.6, "cap": 5.0})
         ou = builtin_drift("linear_ou", {"theta": 1.0})
-        e1, _ = euler_maruyama_mkv(("gaussian", 0.0, 0.3), cd0, DIFF2, 2000,
+        e1, _ = euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), cd0, DIFF2, 2000,
                                    1e-3, 0.1, GRID, seed=3)
-        e2, _ = euler_maruyama_mkv(("gaussian", 0.0, 0.3), ou, DIFF2, 2000,
+        e2, _ = euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), ou, DIFF2, 2000,
                                    1e-3, 0.1, GRID, seed=3)
         assert np.array_equal(e1.positions, e2.positions)
 
     def test_same_seed_same_ensemble(self):
         cd = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.1,
                                               "tau": 0.6, "cap": 5.0})
-        e1, f1 = euler_maruyama_mkv(("gaussian", 0.0, 0.3), cd, DIFF2, 2000,
+        e1, f1 = euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), cd, DIFF2, 2000,
                                     1e-3, 0.1, GRID, seed=11)
-        e2, f2 = euler_maruyama_mkv(("gaussian", 0.0, 0.3), cd, DIFF2, 2000,
+        e2, f2 = euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), cd, DIFF2, 2000,
                                     1e-3, 0.1, GRID, seed=11)
         assert np.array_equal(e1.positions, e2.positions)
         assert np.array_equal(f1.snapshots[-1].values, f2.snapshots[-1].values)
 
     def test_positions_stay_in_domain(self):
-        ens, _ = euler_maruyama_mkv(("gaussian", 0.0, 2.0), ZERO_DRIFT, DIFF2, 5000,
+        ens, _ = euler_maruyama_mkv(gaussian_density(GRID, 0.0, 2.0), ZERO_DRIFT, DIFF2, 5000,
                                     1e-3, 0.5, GRID, seed=1)
         assert np.all(ens.positions >= GRID.x_min)
         assert np.all(ens.positions <= GRID.x_max)
@@ -165,7 +167,7 @@ class TestEulerMaruyama:
     def test_cfl_guard(self):
         fast = DriftSpec(b1=lambda t, x: np.full_like(x, 50.0), K=0.0)
         with pytest.raises(InvalidParameterError):
-            euler_maruyama_mkv(("gaussian", 0.0, 0.3), fast, DIFF2, 100,
+            euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), fast, DIFF2, 100,
                                1e-2, 0.1, GRID, seed=1)
 
     @pytest.mark.parametrize("jump, caught", [(1.5, False), (3.0, True)])
@@ -175,7 +177,7 @@ class TestEulerMaruyama:
         v = 0.5 * GRID.dx / dt
         steps = DriftSpec(b1=lambda t, x: np.full_like(x, v * (jump if t >= 0.05 else 1.0)),
                           K=0.0)
-        run = lambda: euler_maruyama_mkv(("gaussian", 0.0, 0.3), steps, DIFF2, 100,
+        run = lambda: euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), steps, DIFF2, 100,
                                          dt, 0.1, GRID, seed=1)
         if caught:
             with pytest.raises(InvalidParameterError, match="at step 5"):
@@ -188,7 +190,7 @@ class TestEulerMaruyama:
         # per distinct step, labelled with that step's time
         dt = 1e-2
         rec = TimeGrid.geometric(0.5, nodes_per_decade=10)
-        _, flow = euler_maruyama_mkv(("gaussian", 0.0, 0.3), ZERO_DRIFT, DIFF2, 1000,
+        _, flow = euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), ZERO_DRIFT, DIFF2, 1000,
                                      dt, 0.5, GRID, seed=2, record_grid=rec)
         t = flow.time_grid.nodes
         assert len(t) < len(rec.nodes)
@@ -207,12 +209,12 @@ class TestEulerMaruyama:
         # the out-of-place oracles, over 20 steps and 3 record nodes
         drift = builtin_drift(name, params)
         dt, n_steps, n = 1e-3, 20, 2000
-        ens, flow = euler_maruyama_mkv(("gaussian", 0.1, 0.4), drift, DIFF2, n, dt,
+        ens, flow = euler_maruyama_mkv(gaussian_density(GRID, 0.1, 0.4), drift, DIFF2, n, dt,
                                        n_steps * dt, GRID, seed=17,
                                        record_grid=TimeGrid(np.array([0.0, 0.007, 0.02])))
         silverman = lambda x: 1.06 * max(float(np.std(x)), 1e-12) * x.size ** (-0.2)
-        x_ref, snaps_ref = reference_mkv(0.1, 0.4, drift, DIFF2, n, dt, n_steps, GRID,
-                                         17, silverman, {7, 20})
+        x_ref, snaps_ref = reference_mkv(gaussian_density(GRID, 0.1, 0.4), drift, DIFF2, n, dt,
+                                         n_steps, GRID, 17, silverman, {7, 20})
         assert same_bits(ens.positions, x_ref)
         assert len(flow.snapshots) == len(snaps_ref) == 3
         for snap, ref in zip(flow.snapshots, snaps_ref):
@@ -222,7 +224,7 @@ class TestEulerMaruyama:
         cd = builtin_drift("capped_density", {"theta": 1.0, "kappa": 0.1,
                                               "tau": 0.6, "cap": 5.0})
         with pytest.raises(InvalidParameterError):
-            euler_maruyama_mkv(("gaussian", 0.0, 0.3), cd, DIFF2, 100,
+            euler_maruyama_mkv(gaussian_density(GRID, 0.0, 0.3), cd, DIFF2, 100,
                                1e-3, 0.1, GRID, seed=1)
 
 
@@ -230,7 +232,7 @@ def _march_args(drift, flow=None, n=1200):
     """Arguments of `particles._march` (and `serial_march`) for 20 steps of
     n particles from a seeded Gaussian start; each call builds a fresh
     density rule."""
-    x0 = sample_initial(("gaussian", 0.1, 0.4), n, 17, GRID)
+    x0 = sample_start(("gaussian", 0.1, 0.4), n, 17, GRID)
     density = (particles._density_rule(drift, GRID) if flow is None else
                frozen_density_rule(drift, flow))
     return (x0, drift, DIFF2, GRID, 0.0, 0.02, 1e-3, 17, density)
@@ -265,7 +267,7 @@ class TestMarchPipeline:
         # a grid a few standard deviations wide: particles leave it at both
         # ends on every step and the march mirrors them back
         grid = Grid1D(-0.3, 0.3, 64)
-        x0 = sample_initial(("gaussian", 0.0, 0.2), 1200, 5, grid)
+        x0 = sample_start(("gaussian", 0.0, 0.2), 1200, 5, grid)
         args = (x0, _CAPPED, DIFF2, grid, 0.0, 0.02, 1e-3, 5)
         steps = list(particles._march(*args, particles._density_rule(_CAPPED, grid)))
         ref = list(serial_march(*args, particles._density_rule(_CAPPED, grid)))
@@ -585,7 +587,7 @@ class TestKhasminskii:
 
 _ESTIMATORS = {
     "euler_maruyama_mkv": lambda n, dt, t: euler_maruyama_mkv(
-        ("gaussian", 0.0, 0.3), ZERO_DRIFT, DIFF1, n, dt, t, GRID, seed=1),
+        gaussian_density(GRID, 0.0, 0.3), ZERO_DRIFT, DIFF1, n, dt, t, GRID, seed=1),
     "girsanov_log_weights_mc": lambda n, dt, t: girsanov_log_weights_mc(
         ZERO_DRIFT, shift_drift(0.1), DIFF1, ("gaussian", 0.0, 0.3), t, n, dt, GRID, seed=1),
     "path_relative_entropy_mc": lambda n, dt, t: path_relative_entropy_mc(
@@ -598,7 +600,7 @@ _ESTIMATORS = {
 _FEEDBACK = builtin_drift("capped_density")
 _FEEDBACK_ESTIMATORS = {
     "euler_maruyama_mkv": lambda n: euler_maruyama_mkv(
-        ("gaussian", 0.0, 0.3), _FEEDBACK, DIFF1, n, 0.01, 0.1, GRID, seed=1),
+        gaussian_density(GRID, 0.0, 0.3), _FEEDBACK, DIFF1, n, 0.01, 0.1, GRID, seed=1),
     "girsanov_log_weights_mc": lambda n: girsanov_log_weights_mc(
         _FEEDBACK, _FEEDBACK, DIFF1, ("gaussian", 0.0, 0.3), 0.1, n, 0.01, GRID, seed=1),
     "khasminskii_mc": lambda n: khasminskii_mc(
