@@ -370,8 +370,8 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None, _w
 
     Particles are deposited with linear (cloud-in-cell) binning and smoothed
     by FFT convolution against the discretized kernel, so the estimate is
-    deterministic and O(n log n) regardless of sample size.  Mass falling
-    outside the grid is reported via the module logger; `_scratch` holds its work.
+    deterministic and O(n log n) regardless of sample size.  Every position must
+    be finite and on [x_min, x_max]; `_scratch` holds the work.
     With `_with_cells` it returns (estimate, cells): the deposit's (frac, i0) in
     `_scratch` if every x lies between the outer centres, for the drift's gather.
     """
@@ -383,24 +383,21 @@ def kde(positions: np.ndarray, bandwidth: float, grid: Grid1D, _scratch=None, _w
     if x.size < 1:
         raise InvalidParameterError("need at least one particle")
     lo, hi = x.min(), x.max()       # NaN if any x is
-    xin = x if grid.x_min <= lo and hi <= grid.x_max else x[(x >= grid.x_min) & (x <= grid.x_max)]
-    if xin.size == 0:
-        raise NumericalError("all particles fall outside the grid")
-    if xin.size < x.size:
-        log.info("kde: %d of %d particles outside the grid", x.size - xin.size, x.size)
+    if not grid.x_min <= lo <= hi <= grid.x_max:
+        raise InvalidParameterError(f"positions must lie in [{grid.x_min:g}, {grid.x_max:g}]")
     c, dx, n = grid.centers, grid.dx, grid.n_cells
     frac, lower, i0, i1 = (_Scratch() if _scratch is None else _scratch).take(
-        xin.size, float, float, np.intp, np.intp)
-    _cells(xin, grid, frac, lower, i0)
+        x.size, float, float, np.intp, np.intp)
+    _cells(x, grid, frac, lower, i0)
     np.add(i0, 1, out=i1)
-    inner = xin is x and c[0] <= lo and hi <= c[-1]     # x as the gather clamps it
+    inner = c[0] <= lo and hi <= c[-1]      # x as the gather clamps it
     if not (inner and (hi - c[0]) / dx < n - 1):        # else each i0 is in [0, n - 2]
         for i in (i0, i1):
             np.clip(i, 0, n - 1, out=i)
     hist = np.zeros(n)
     np.add.at(hist, i0, np.subtract(1.0, frac, out=lower))
     np.add.at(hist, i1, frac)
-    hist /= xin.size * dx
+    hist /= x.size * dx
     half = int(np.ceil(8.0 * bandwidth / dx))
     u = np.arange(-half, half + 1) * dx
     with np.errstate(over="ignore"):     # u / bandwidth past the float range: exp(-inf) = 0

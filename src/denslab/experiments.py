@@ -98,6 +98,8 @@ def _fit_nodes(cfg: RunConfig):
     tol = cfg["experiment.slope_tol"]
     if tol < 0:
         raise InvalidParameterError(f"key 'experiment.slope_tol' must be >= 0, got {tol}")
+    if (headroom := cfg["experiment.headroom"]) <= 0:      # no ratio passes
+        raise InvalidParameterError(f"key 'experiment.headroom' must be > 0, got {headroom}")
     if tol > 0 and t[-1] / t[0] < 10.0 ** _SPAN_DECADES * (1 - 1e-9):
         raise InvalidParameterError(
             f"slope fit needs >= {_SPAN_DECADES} decades, got span {t[-1] / t[0]:.3g}")
@@ -225,8 +227,10 @@ def experiment_supercontinuity(cfg: RunConfig) -> ScalingReport:
     """
     _require_window(build_grid(cfg))                            # before solving
     idx, t = _fit_nodes(cfg)
-    mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
     k = cfg["experiment.k"]
+    if not k >= 1:      # tilde_norm's bound
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
     exponent = 1.0 / (2.0 * k) - 1.0
     w1 = wasserstein_1d(mu, nu, 1.0)
     degenerate = w1 < 1e-12
@@ -322,10 +326,13 @@ def experiment_renyi(cfg: RunConfig) -> RenyiReport:
     and domination by the exponential-transport term with a 1/t parameter."""
     idx, t = _select_measure_nodes(cfg, build_time_grid(cfg))   # before solving
     alphas = tuple(sorted(cfg["experiment.alphas"]))
+    alpha_small = cfg["experiment.alpha_limit"]
     if not alphas:
         raise InvalidParameterError("experiment.alphas is empty")
+    if not all(0 < a < np.inf for a in (alpha_small, *alphas)):     # renyi_entropy's bound
+        raise InvalidParameterError(
+            f"alpha must be positive and finite, got alpha_limit {alpha_small} and {alphas}")
     mu, nu, flow_mu, flow_nu = _paired_flows(cfg)
-    alpha_small = cfg["experiment.alpha_limit"]
     ent_matrix, kl_vals, limit_vals = [], [], []
     for i in idx:
         pair = flow_mu.snapshots[i], flow_nu.snapshots[i]

@@ -81,15 +81,11 @@ def sample_initial(init, n: int, seed: int, grid: Grid1D) -> np.ndarray:
     return _reflect(x, grid.x_min, grid.x_max)
 
 
-def _bandwidth(bandwidth: float, positions: np.ndarray, scratch=None) -> float:
-    """`bandwidth`, or Silverman's rule (np.std's value, bit for bit) when it is 0."""
+def _bandwidth(bandwidth: float, positions: np.ndarray) -> float:
+    """`bandwidth`, or Silverman's rule when it is 0."""
     if bandwidth != 0:
         return float(bandwidth)    # kde checks it
-    n = positions.size
-    (dev,) = (_Scratch() if scratch is None else scratch).take(n, float)
-    mean = np.add.reduce(positions, keepdims=True) / n
-    sd = math.sqrt(np.add.reduce(np.square(np.subtract(positions, mean, out=dev), out=dev)) / n)
-    return 1.06 * max(sd, 1e-12) * n ** (-0.2)
+    return 1.06 * max(float(np.std(positions)), 1e-12) * positions.size ** (-0.2)
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -105,7 +101,7 @@ def _density_rule(drift: DriftSpec, grid: Grid1D, bandwidth: float = 0.0, scratc
     def own(t, x):
         if x.size < 1000:
             raise InvalidParameterError("density feedback needs at least 1000 particles")
-        d, cells = kde(x, _bandwidth(bandwidth, x, scratch), grid, scratch, _with_cells=True)
+        d, cells = kde(x, _bandwidth(bandwidth, x), grid, scratch, _with_cells=True)
         return d.values, cells
     return own if drift.density_dependent else None
 
@@ -207,10 +203,10 @@ def euler_maruyama_mkv(init, drift: DriftSpec, diff: DiffusionSpec, n_particles:
     if tg.T > T * (1 + 1e-9):
         raise InvalidParameterError(f"record grid extends to {tg.T} beyond T = {T}")
     steps = sorted({int(round(t / dt)) for t in tg.nodes})
-    snaps = [kde(x, _bandwidth(bandwidth, x, work), grid, work)]   # node 0 is step 0
+    snaps = [kde(x, _bandwidth(bandwidth, x), grid, work)]   # node 0 is step 0
     for s, x in enumerate(map(attrgetter("x_next"), march), start=1):   # holds no past step
         if s in steps:      # between steps: the march is suspended and its scratch idle
-            snaps.append(kde(x, _bandwidth(bandwidth, x, work), grid, work))
+            snaps.append(kde(x, _bandwidth(bandwidth, x), grid, work))
     return (ParticleEnsemble(x),
             DensityFlow(TimeGrid(np.array(steps) * dt), tuple(snaps)))
 

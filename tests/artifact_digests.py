@@ -11,7 +11,7 @@ prints its name and exit code, `sha256  <stdout>` and `sha256  <stderr>`
 (with SRC and the temporary directory replaced by fixed names), then
 `sha256  path` for every file the run wrote except `run_meta.json`, which
 holds wall-clock times.  Two trees that print the same lines wrote the same
-bytes.  The 44 runs take about 16 s on a two-core machine.
+bytes.  The 46 runs take about 16 s on a two-core machine.
 
 Given two trees, the script runs each run in both and prints only the runs
 whose lines differ: the name, then `-` before each line only SRC_A printed
@@ -144,6 +144,12 @@ RUNS = {
         "experiment", "khasminskii", "--set", "khasminskii.f_name=constant",
         "--set", "khasminskii.lambda_grid=0.3,500,1000", "--set", "khasminskii.t=0.1",
         "--set", "khasminskii.dt=0.005", "--set", "particles.n=2000", "--set", "grid.cells=300"],
+    "error-supercontinuity-k-zero": ["experiment", "supercontinuity", "--set", "drift.name=zero",
+                                     "--set", "grid.cells=800", "--set", "time.nodes_per_decade=8",
+                                     "--set", "experiment.n_t=6", "--set", "experiment.k=0"],
+    "error-smoothing-zero-headroom": ["experiment", "smoothing", "--set", "drift.name=zero",
+                                      "--set", "init.sigma=0.05",
+                                      "--set", "experiment.headroom=0"] + _EXPERIMENT,
 }
 
 

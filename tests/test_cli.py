@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from denslab import cli, particles
+from denslab import cli
 from denslab.cli import EXPERIMENT_DEFAULTS, main
 from denslab.config import SCHEMA, parse_config
 from denslab.density_core import Grid1D, GridDensity, TimeGrid, gaussian_density
@@ -671,23 +671,18 @@ class TestLogLevel:
     stays empty."""
 
     @pytest.mark.parametrize("level, shown", [(None, False), ("warning", False), ("info", True)])
-    def test_kde_reports_particles_outside_the_grid(self, tmp_path, capsys, monkeypatch,
-                                                    level, shown):
-        # the march reflects every particle into the grid, so only a start
-        # outside it reaches the kde message: three of 1000 start past x_max
-        start = particles.sample_initial
-
-        def outside(init, n, seed, grid):
-            x = start(init, n, seed, grid)
-            x[:3] = grid.x_max + 1.0
-            return x
-
-        monkeypatch.setattr(particles, "sample_initial", outside)
-        argv = ["particles", "--drift", "zero", "--N", "1000", "--dt", "0.01", "--T", "0.02",
-                "--set", "grid.cells=400", "--out", str(tmp_path / "run")]
+    def test_particles_report_the_mu_csvs_clipped_mass(self, tmp_path, capsys, level, shown):
+        # a --mu cell at -1e-6 is clipped as the particle run normalizes it
+        g = Grid1D(-6.0, 6.0, 400)
+        values = gaussian_density(g, 0.0, 1.0).values.copy()
+        values[0] = -1e-6
+        mu = str(tmp_path / "mu.csv")
+        save_density(GridDensity(g, values), mu)
+        argv = ["particles", "--mu", mu, "--drift", "zero", "--N", "1000", "--dt", "0.01",
+                "--T", "0.02", "--set", "grid.cells=400", "--out", str(tmp_path / "run")]
         assert main(argv + (["--log-level", level] if level else [])) == 0
         err = capsys.readouterr().err
-        line = "INFO denslab.density_core: kde: 3 of 1000 particles outside the grid\n"
+        line = f"INFO denslab.density_core: normalize: clipped {1e-6 * g.dx:.3e} of negative mass\n"
         assert err == (line if shown else "")
 
     def test_normalize_reports_clipped_mass(self, tmp_path, capsys):

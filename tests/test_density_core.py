@@ -373,29 +373,31 @@ class TestKde:
 
     @pytest.mark.parametrize("spread", [0.8, 3.0])
     def test_bitwise_equal_to_reference(self, spread):
-        # at spread 3.0 part of the sample falls outside [-4, 4] and is dropped
+        # at spread 3.0 part of the sample is clipped onto the ends of [-4, 4]
         g = Grid1D(-4.0, 4.0, 500)
-        pts = np.random.default_rng(6).normal(0.0, spread, 20_000)
+        pts = np.random.default_rng(6).normal(0.0, spread, 20_000).clip(g.x_min, g.x_max)
         pts[:3] = [g.x_min, g.x_max, g.centers[7]]
-        assert np.all(np.abs(pts) <= 4.0) == (spread < 1.0)
+        assert (np.count_nonzero(np.abs(pts) == 4.0) > 2) == (spread > 1.0)
         assert same_bits(kde(pts, 0.1, g).values, reference_kde(pts, 0.1, g).values)
 
     def test_reused_scratch_bitwise_equal_to_reference(self):
-        # successive calls on one scratch set, each with a different number of
-        # particles outside the grid (a NaN counts as outside), so the deposit
-        # runs on the kept particles and on stale buffers
+        # successive calls on one scratch set, each with another number of
+        # particles, so the deposit runs on stale buffers of other sizes
         g = Grid1D(-4.0, 4.0, 500)
         rng = np.random.default_rng(7)
         scratch = _Scratch()
-        for n_out in (0, 37, 2500, 0, 1):
-            pts = rng.normal(0.0, 1.0, 20_000).clip(-3.9, 3.9)
-            out = rng.choice(np.arange(2, pts.size), n_out, replace=False)
-            pts[out] = rng.choice([-1.0, 1.0], n_out) * rng.uniform(4.0 + 1e-9, 9.0, n_out)
-            if n_out:
-                pts[out[0]] = np.nan
+        for n in (20_000, 19_963, 17_500, 20_000, 19_999):
+            pts = rng.normal(0.0, 1.0, n).clip(-3.9, 3.9)
             pts[:2] = [g.x_min, g.x_max]
-            assert np.count_nonzero(~((pts >= g.x_min) & (pts <= g.x_max))) == n_out
             assert same_bits(kde(pts, 0.1, g, scratch).values, reference_kde(pts, 0.1, g).values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(4.0, np.inf),
+                                     np.nextafter(-4.0, -np.inf)])
+    def test_nonfinite_or_off_grid_position_rejected(self, bad):
+        g = Grid1D(-4.0, 4.0, 500)
+        pts = np.append(np.random.default_rng(8).uniform(g.x_min, g.x_max, 1000), bad)
+        with pytest.raises(InvalidParameterError, match=r"must lie in \[-4, 4\]"):
+            kde(pts, 0.1, g)
 
     def test_bandwidth_wider_than_the_grid_rejected(self):
         g = Grid1D(-1.0, 1.0, 64)
@@ -414,7 +416,7 @@ class TestKde:
 
     def test_all_outside(self):
         g = Grid1D(-1.0, 1.0, 64)
-        with pytest.raises(NumericalError, match="all particles fall outside the grid"):
+        with pytest.raises(InvalidParameterError, match="must lie in"):
             kde(np.array([5.0, 6.0]), 0.1, g)
 
 

@@ -506,16 +506,22 @@ class TestGather:
         # Beyond an outer centre it hands none: there the clamp changes frac,
         # and on the 979-cell grid, where (c[-1] - c[0]) / dx rounds below
         # n - 1, the cell as well.  Either way the read is the self-found one.
+        # One float past x_min or x_max, kde takes no position at all.
         grid = Grid1D(lo, hi, n)
         c = grid.centers
         rng = np.random.default_rng(n)
         y = rng.normal(size=n)
         ends = np.array([grid.x_min, grid.x_max, c[0], c[-1]])
         interior = rng.uniform(c[0], c[-1], 2000)
-        handed = 0
+        handed = rejected = 0
         for end in np.concatenate((ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf))):
             x = np.append(interior, end)
             scratch = _Scratch()
+            if not grid.x_min <= end <= grid.x_max:
+                with pytest.raises(InvalidParameterError, match="must lie in"):
+                    kde(x, grid.width / 8, grid, scratch, _with_cells=True)
+                rejected += 1
+                continue
             _, cells = kde(x, grid.width / 8, grid, scratch, _with_cells=True)
             assert (cells is not None) == (c[0] <= end <= c[-1])
             handed += cells is not None
@@ -523,6 +529,7 @@ class TestGather:
                 got = _gather(x, grid, *ys, _scratch=scratch, _deposit=cells)
                 assert all(same_bits(g, w) for g, w in zip(got, _gather(x, grid, *ys)))
         assert handed == 4      # both outer centres and their inner neighbours
+        assert rejected == 2
 
     def test_nonfinite_positions_as_interp(self):
         # NaN reads NaN and +-inf the end values, with no RuntimeWarning

@@ -183,6 +183,46 @@ def test_empty_alphas_fail_before_solving(monkeypatch):
     assert marches == []
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf])
+@pytest.mark.parametrize("key", ["experiment.alpha_limit", "experiment.alphas"])
+def test_nonpositive_or_infinite_alpha_fails_before_solving(monkeypatch, key, alpha):
+    # renyi_entropy takes only positive finite alphas: checked before both solves
+    marches = []
+    _forbid_solves(monkeypatch, marches)
+    value = alpha if key == "experiment.alpha_limit" else (0.5, alpha, 2.0)
+    cfg = small_cfg(**{"drift.name": "zero", key: value})
+    with pytest.raises(InvalidParameterError, match="alpha must be positive and finite"):
+        experiment_renyi(cfg)
+    assert marches == []
+
+
+@pytest.mark.parametrize("k", ["0", "0.5"])
+def test_k_below_one_fails_before_solving(tmp_path, capsys, monkeypatch, k):
+    # tilde_norm's bound; k = 0 divided by zero in the exponent after both solves
+    marches = []
+    _forbid_solves(monkeypatch, marches)
+    assert main(["experiment", "supercontinuity", "--set", "drift.name=zero",
+                 "--set", "grid.cells=800", "--set", f"experiment.k={k}",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: k must be >= 1, got {float(k)}\n"
+    assert marches == []
+
+
+@pytest.mark.parametrize("headroom", [0.0, -1.0])
+@pytest.mark.parametrize("experiment", [experiment_smoothing, experiment_supercontinuity,
+                                        experiment_entropy_cost],
+                         ids=["smoothing", "supercontinuity", "entropy-cost"])
+def test_nonpositive_headroom_fails_before_solving(monkeypatch, experiment, headroom):
+    # no measured ratio is at most a headroom <= 0, so the run could only fail
+    marches = []
+    _forbid_solves(monkeypatch, marches)
+    cfg = small_cfg(**{"drift.name": "zero", "experiment.headroom": headroom})
+    with pytest.raises(InvalidParameterError,
+                       match=f"'experiment.headroom' must be > 0, got {headroom}"):
+        experiment(cfg)
+    assert marches == []
+
+
 class TestPairedFlows:
     def test_nu_is_the_configured_law_shifted(self):
         # a uniform initial law is translated by experiment.delta, not

@@ -109,20 +109,18 @@ def _silverman(x):
 
 
 class TestBandwidth:
-    """Silverman's rule reads np.std bit for bit, in fresh or reused work
-    arrays; the sizes straddle np.sum's pairwise blocks of 128."""
+    """Silverman's rule reads np.std bit for bit; the sizes straddle np.sum's
+    pairwise blocks of 128."""
 
     @pytest.mark.parametrize("n", [1, 7, 128, 129, 100_003])
     def test_silverman_bitwise_equal_to_np_std(self, n):
         rng = np.random.default_rng(n)
-        scratch = _Scratch()
         spread = [rng.normal(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0), n)
                   for _ in range(40)]    # enough draws that a rounding slip shows
         for x in (np.full(n, 2.7), rng.uniform(0.9e150, 1.1e150, n), -rng.lognormal(0.0, 3.0, n),
                   *spread):
             want = np.float64(_silverman(x))
             assert same_bits(np.float64(_bandwidth(0.0, x)), want)
-            assert same_bits(np.float64(_bandwidth(0.0, x, scratch)), want)
 
     def test_given_bandwidth_returned(self):
         assert _bandwidth(0.25, np.zeros(3)) == 0.25
